@@ -1,13 +1,13 @@
 """Record the benchmark's baseline on this machine.
 
-Usage: python3 bench/baseline.py [--seeds 10] [--out bench/BASELINE.json]
+Usage: python3 bench/baseline.py [--out bench/BASELINE.json]
 
 Runs ``run.py`` once per seed and workload with the ``run_seconds`` of
 BENCHMARK.json, plus one traced run per workload, then writes every
 end-to-end metric's median and quartiles, the traced per-layer values, the
 workload definitions and a description of the machine. It prints each
 metric's spread (interquartile range over median) next to its bound; a
-steady benchmark keeps every spread but ``setup_s``'s below a third of it.
+steady benchmark keeps every spread below a third of it.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import sys
 import workloads
 
 BENCHMARK = workloads.ROOT / "BENCHMARK.json"
+SEEDS = range(1, 11)
 
 #: Which end-to-end metric each group of per-layer metrics should move.
 LAYER_TO_END_TO_END = [
@@ -79,7 +80,6 @@ def _run(workload: str, seed: int, seconds: int, trace: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=10)
     parser.add_argument("--out", default=str(workloads.ROOT / "bench" / "BASELINE.json"))
     args = parser.parse_args(argv)
 
@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     record = {
         "machine": _machine(),
         "run_seconds": seconds,
-        "seeds": list(range(1, args.seeds + 1)),
+        "seeds": list(SEEDS),
         "workloads": {},
         "layer_to_end_to_end": LAYER_TO_END_TO_END,
     }
@@ -114,7 +114,7 @@ def main(argv=None) -> int:
                 "spread": spread,
                 "values": values,
             }
-            ok = metric == "setup_s" or spread < bound / 3
+            ok = spread < bound / 3
             steady &= ok
             print(f"{name:<14} {metric:<13} median {median:<12.6g} spread {spread:.4f} "
                   f"bound {bound} {'ok' if ok else 'WIDE'}", flush=True)

@@ -6,11 +6,13 @@ the job only cancels that drift when the kernel runs on the same core at
 nearly the same moment, so every Python process of a timed job arms a
 profiling timer: after each ``PERIOD_S`` of the process's CPU time, a signal
 handler runs the kernel (dict updates, sorting and JSON text, the kinds of
-interpreter work ktsim does, but none of its code) and appends the kernel's
-duration to a per-process file. The benchmark then subtracts the handler
-time and scales the job's time by ``REFERENCE_S / mean kernel time``.
-Program changes do not move the kernel, so they show in full, while the
-host's drift cancels.
+interpreter work ktsim does, but none of its code) twice and appends the
+second run's duration to a per-process file. The benchmark then subtracts
+the handler time and scales the job's time by ``REFERENCE_S / mean kernel
+time``. The host's drift cancels. A program change should leave the kernel
+alone; the untimed first run is there so that a change to how much of the
+cache the job uses does not move the kernel's time. ``control.py`` checks
+this by slowing ktsim by a known amount (see README.md).
 """
 
 from __future__ import annotations
@@ -24,28 +26,29 @@ import statistics
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
-#: Process CPU time between kernel runs. The kernel takes about 5 ms inside
-#: a job, so sampling costs about a quarter more CPU while a job runs.
-PERIOD_S = 0.02
+#: Process CPU time between samples. A sample runs the kernel twice, for
+#: about 8 ms inside a job, so sampling costs about a fifth more CPU.
+PERIOD_S = 0.04
 
-#: Typical kernel time inside a job's handler (its caches are cold there)
-#: on the 2-vCPU Intel Xeon host where the baseline was recorded. It only
-#: sets the scale: timings read as seconds on that host.
+#: Typical time of the timed kernel run inside a job on the 2-vCPU Intel
+#: Xeon host where the baseline was recorded. It only sets the scale:
+#: timings read as seconds on that host.
 REFERENCE_S = 0.005
 
 #: Environment variable naming the directory that collects kernel samples.
 ENV = "KTSIM_BENCH_CALIBRATION_DIR"
 
 
-def kernel() -> float:
-    """Seconds one run of the fixed calibration work takes.
+def kernel() -> tuple[float, float]:
+    """Wall and CPU seconds one run of the fixed calibration work takes.
 
     It allocates almost no objects that the cyclic garbage collector tracks.
     A kernel that did (tuples, small objects) set off extra collections in
     the job, whose cost grows with the job's heap, and made large runs noisier.
     """
-    start = time.perf_counter()
+    start, start_cpu = time.perf_counter(), time.thread_time()
     rng = random.Random(20260811)
     table: dict[int, float] = {}
     for _ in range(2200):
@@ -57,13 +60,22 @@ def kernel() -> float:
     text = json.dumps(kept) + json.dumps(sorted(table.values()))
     if not text:
         raise AssertionError("calibration kernel produced no work")
-    return time.perf_counter() - start
+    return time.perf_counter() - start, time.thread_time() - start_cpu
+
+
+_log: dict[int, TextIO] = {}  # pid -> this process's sample file
 
 
 def _on_tick(signum, frame) -> None:
-    elapsed = kernel()
-    with open(Path(os.environ[ENV]) / f"{os.getpid()}.txt", "a") as fh:
-        fh.write(f"{elapsed!r}\n")
+    # The first run brings the kernel's code and data into cache, so the
+    # timed second run does not depend on how much of the cache the job uses.
+    warm_up, _ = kernel()
+    elapsed, cpu = kernel()
+    pid = os.getpid()
+    if pid not in _log:
+        # Line-buffered: pool workers leave through os._exit, which flushes nothing.
+        _log[pid] = open(Path(os.environ[ENV]) / f"{pid}.txt", "a", buffering=1)
+    _log[pid].write(f"{warm_up + elapsed!r} {elapsed!r} {cpu!r}\n")
 
 
 def _start_timer() -> None:
@@ -93,26 +105,34 @@ class Samples:
     main_s: float  # handler time in the job's first process
     others_max_s: float  # largest handler time among the processes it started
     total_s: float  # handler time over all processes
-    mean_kernel_s: float
+    mean_kernel_s: float  # wall time of the timed kernel run
+    mean_kernel_cpu_s: float  # its CPU time
 
-    def scale(self, seconds: float, handler_s: float) -> float:
-        """``seconds`` less ``handler_s``, at the reference host's speed."""
-        return (seconds - handler_s) * REFERENCE_S / self.mean_kernel_s
+    def scale(self, seconds: float, handler_s: float, cpu: bool = False) -> float:
+        """``seconds`` less ``handler_s``, at the reference host's speed.
+
+        CPU seconds (``cpu=True``) are scaled by the kernel's CPU time: while
+        the host takes the vCPU away, wall time runs on but CPU time does not,
+        so scaling CPU time by the kernel's wall time would shrink it.
+        """
+        kernel_s = self.mean_kernel_cpu_s if cpu else self.mean_kernel_s
+        return (seconds - handler_s) * REFERENCE_S / kernel_s
 
 
 def collect(sample_dir: Path, main_pid: int) -> Samples:
     """Read the samples every process of one job left in ``sample_dir``."""
     per_process = {
-        int(path.stem): [float(x) for x in path.read_text().split()]
+        int(path.stem): [tuple(map(float, line.split())) for line in path.read_text().splitlines()]
         for path in sample_dir.glob("*.txt")
     }
     everything = [x for xs in per_process.values() for x in xs]
     if not everything:
         raise RuntimeError(f"no calibration samples in {sample_dir}")
-    others = [sum(xs) for pid, xs in per_process.items() if pid != main_pid]
+    others = [sum(x[0] for x in xs) for pid, xs in per_process.items() if pid != main_pid]
     return Samples(
-        main_s=sum(per_process.get(main_pid, ())),
+        main_s=sum(x[0] for x in per_process.get(main_pid, ())),
         others_max_s=max(others, default=0.0),
-        total_s=sum(everything),
-        mean_kernel_s=statistics.fmean(everything),
+        total_s=sum(x[0] for x in everything),
+        mean_kernel_s=statistics.fmean(x[1] for x in everything),
+        mean_kernel_cpu_s=statistics.fmean(x[2] for x in everything),
     )

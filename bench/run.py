@@ -3,13 +3,14 @@
 Usage:
     python3 bench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-With ``--trace 0`` it measures the end-to-end metrics: set-up time in fresh
-processes, then one job after another (closed loop, one client) for about
-``S`` seconds, each job in a fresh process. With ``--trace 1`` it runs the
-job in this process instead, alternating untraced and traced jobs, and
-reports the per-layer metrics. Every job's outputs are checked; the last
-line of stdout is one JSON object with ``correct``, ``attempted``,
-``failed`` and ``metrics``. See README.md next to this file.
+With ``--trace 0`` it measures the end-to-end metrics: one job after
+another (closed loop, one client) for about ``S`` seconds, each job in a
+fresh process and each preceded by set-up timings in fresh processes.
+With ``--trace 1`` it runs the job in this process instead, in pairs of an
+untraced and a traced job, and reports the per-layer metrics. Every job's
+outputs are checked; the last line of stdout is one JSON object with
+``correct``, ``attempted``, ``failed`` and ``metrics``. See README.md next
+to this file.
 """
 
 from __future__ import annotations
@@ -34,9 +35,14 @@ from tracing import Tracer
 from workloads import ROOT, SRC, WORKLOADS
 
 WORK = ROOT / ".bench_work"
-SETUP_SAMPLES = 5
-MIN_JOBS = workloads.PARTS + 1  # every input, and the first one twice
-MIN_TRACED_PAIRS = 2
+#: Set-up timings before each job, spread over the run so that their
+#: median is not taken at one moment of the host's drift.
+SETUP_PER_JOB = 3
+#: Every input once. Repeated inputs, whose output digests must match, come
+#: in the traced run (seven jobs on one input) and in timed runs long enough
+#: for more jobs. One more job here would make each run a third longer.
+MIN_JOBS = workloads.PARTS
+MIN_TRACED_PAIRS = 3
 RSS_POLL_S = 0.02
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -45,10 +51,20 @@ BENCH_DIR = Path(__file__).resolve().parent
 ARM_CODE = f"import sys; sys.path.append({str(BENCH_DIR)!r}); import calibration; calibration.arm(); "
 
 #: Imports ktsim, validates the config, then prints where ktsim came from.
-SETUP_CODE = ARM_CODE + (
-    "import json, ktsim; ktsim.scenario_from_dict(json.load(open(sys.argv[1]))); "
-    "calibration.disarm(); print(ktsim.__file__, flush=True)"
+SETUP_CODE = (
+    "import json, sys, ktsim; ktsim.scenario_from_dict(json.load(open(sys.argv[1]))); "
+    "print(ktsim.__file__, flush=True)"
 )
+
+#: The yardstick for a set-up timing: a fresh interpreter that imports numpy
+#: and nothing of ktsim, which is most of what a set-up process does. It is
+#: timed right before each set-up process, so the pair sees the same host
+#: speed, and no change to ktsim can move it.
+YARDSTICK_CODE = "import numpy; print(numpy.__file__, flush=True)"
+
+#: Typical yardstick time on the 2-vCPU Intel Xeon host where the baseline
+#: was recorded. It only sets the scale: set-up times read as seconds there.
+YARDSTICK_S = 0.2
 
 #: The body of the ``ktsim`` console script, so the cli-sweep job is what a
 #: user typing ``ktsim sweep ...`` runs, without needing an installed copy.
@@ -73,10 +89,11 @@ def per_layer_unit(name: str) -> str:
     return "count"
 
 
-def child_env(sample_dir: Path) -> dict:
+def child_env(sample_dir: Path | None = None) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    env[calibration.ENV] = str(sample_dir)
+    if sample_dir is not None:
+        env[calibration.ENV] = str(sample_dir)
     return env
 
 
@@ -154,15 +171,15 @@ def run_child(argv: list[str], log_dir: Path, sample_dir: Path) -> dict:
         }
 
 
-def measure_setup(config_path: Path, sample_dir: Path) -> tuple[float, float]:
-    """Seconds from starting a fresh interpreter until ktsim is imported and
-    the config validated: as measured, and scaled by ``calibration``."""
+def time_start(code: str, *args: str) -> tuple[float, str]:
+    """Seconds from starting a fresh interpreter on ``code`` until it prints
+    its first line, and that line."""
     start = time.perf_counter()
     proc = subprocess.Popen(
-        [sys.executable, "-c", SETUP_CODE, str(config_path)],
+        [sys.executable, "-c", code, *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
-        env=child_env(sample_dir),
+        env=child_env(),
         cwd=ROOT,
     )
     try:
@@ -172,10 +189,20 @@ def measure_setup(config_path: Path, sample_dir: Path) -> tuple[float, float]:
     finally:
         proc.stdout.close()
         proc.wait()
-    if proc.returncode != 0 or Path(line).resolve().parent != (SRC / "ktsim").resolve():
-        raise RuntimeError(f"set-up process failed (exit {proc.returncode}, ktsim from {line!r})")
-    samples = calibration.collect(sample_dir, proc.pid)
-    return elapsed, samples.scale(elapsed, samples.main_s)
+    if proc.returncode != 0 or not line:
+        raise RuntimeError(f"process {code!r} failed (exit {proc.returncode})")
+    return elapsed, line
+
+
+def measure_setup(config_path: Path) -> tuple[float, float]:
+    """Seconds from starting a fresh interpreter until ktsim is imported and
+    the config validated: as measured, and scaled by the yardstick timed
+    right before it. ``calibration`` cannot sample a process this short."""
+    yardstick, _ = time_start(YARDSTICK_CODE)
+    elapsed, where = time_start(SETUP_CODE, str(config_path))
+    if Path(where).resolve().parent != (SRC / "ktsim").resolve():
+        raise RuntimeError(f"set-up process imported ktsim from {where!r}, not from {SRC}")
+    return elapsed, elapsed * YARDSTICK_S / yardstick
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +223,18 @@ def _inspect(spec: dict, out: Path, record: dict) -> dict:
     return record
 
 
-def timed_job(spec: dict, work: Path, out: Path) -> dict:
-    """One job in a fresh process. Wall and CPU time are measured as the
-    job's user sees them, then scaled by ``calibration``."""
+def job_argv(spec: dict, work: Path, out: Path) -> list[str]:
+    """The command that runs one job in a fresh process."""
     part = spec["part"]
     if spec["kind"] == "cli-sweep":
         config_path = work / f"config{part}.json"
-        argv = [sys.executable, "-c", CLI_CODE, *workloads.cli_args(spec, config_path, out, jobs=spec["jobs"])]
-    else:
-        argv = [sys.executable, str(BENCH_DIR / "job.py"), str(work / f"spec{part}.json"), str(out)]
+        return [sys.executable, "-c", CLI_CODE, *workloads.cli_args(spec, config_path, out, jobs=spec["jobs"])]
+    return [sys.executable, str(BENCH_DIR / "job.py"), str(work / f"spec{part}.json"), str(out)]
+
+
+def timed_job(spec: dict, argv: list[str], work: Path, out: Path) -> dict:
+    """One job, run by ``argv`` in a fresh process. Wall and CPU time are
+    measured as the job's user sees them, then scaled by ``calibration``."""
     sample_dir = _fresh(work / "calibration")
     child = run_child(argv, work / "logs", sample_dir)
     record = {"part": spec["part"], "peak_rss_mb": child["peak_rss_mb"], "problems": []}
@@ -226,7 +256,7 @@ def timed_job(spec: dict, work: Path, out: Path) -> dict:
         measured_wall_s=wall,
         measured_cpu_s=cpu,
         wall_s=samples.scale(wall, wall_handler),
-        cpu_s=samples.scale(cpu, samples.total_s),
+        cpu_s=samples.scale(cpu, samples.total_s, cpu=True),
         kernel_ms=samples.mean_kernel_s * 1e3,
     )
     return _inspect(spec, out, record)
@@ -285,18 +315,23 @@ def _fresh(path: Path) -> Path:
 # Modes
 # ---------------------------------------------------------------------------
 
-def end_to_end(specs: list[dict], seconds: float, work: Path) -> tuple[list[dict], dict]:
+def write_inputs(specs: list[dict], work: Path) -> None:
+    """Write each job spec and its config where ``job_argv`` reads them."""
     for spec in specs:
         (work / f"spec{spec['part']}.json").write_text(json.dumps(spec))
         (work / f"config{spec['part']}.json").write_text(json.dumps(spec["config"]))
-    setups = [measure_setup(work / "config0.json", _fresh(work / "calibration")) for _ in range(SETUP_SAMPLES)]
-    print(f"setup measured: median {statistics.median(m for m, _ in setups):.6g} s over {len(setups)} processes")
-    metrics = {"setup_s": statistics.median(scaled for _, scaled in setups)}
+
+
+def end_to_end(specs: list[dict], seconds: float, work: Path) -> tuple[list[dict], dict]:
+    write_inputs(specs, work)
+    setups: list[tuple[float, float]] = []
 
     def step(n: int) -> dict:
+        setups.extend(measure_setup(work / "config0.json") for _ in range(SETUP_PER_JOB))
         out = work / f"job{n}"
         try:
-            return timed_job(specs[n % len(specs)], work, out)
+            spec = specs[n % len(specs)]
+            return timed_job(spec, job_argv(spec, work, out), work, out)
         finally:
             shutil.rmtree(out, ignore_errors=True)
 
@@ -305,6 +340,9 @@ def end_to_end(specs: list[dict], seconds: float, work: Path) -> tuple[list[dict
     shown = ("measured_wall_s", "measured_cpu_s", "kernel_ms", "wall_s", "cpu_s", "peak_rss_mb")
     for index, r in enumerate(records):
         print(f"job {index} (input part {r['part']}): " + ", ".join(f"{k} {r[k]:.6g}" for k in shown if k in r))
+    print(f"setup over {len(setups)} processes: measured median {statistics.median(m for m, _ in setups):.6g} s, "
+          "scaled " + ", ".join(f"{s:.4g}" for _, s in setups))
+    metrics = {"setup_s": statistics.median(s for _, s in setups)}
     measured = [r for r in records if "wall_s" in r]
     for name in ("wall_s", "cpu_s", "peak_rss_mb", "output_bytes"):
         values = [r[name] for r in measured if name in r]
@@ -315,27 +353,34 @@ def end_to_end(specs: list[dict], seconds: float, work: Path) -> tuple[list[dict
 
 def traced(spec: dict, seconds: float, work: Path, seed: int) -> tuple[list[dict], dict]:
     tracer = Tracer()
-    untraced_walls, traced_walls, summaries = [], [], []
+    overheads, summaries = [], []
     spans: list[dict] = []
 
-    def step(n: int) -> list[dict]:
-        pair = []
-        for use_tracer in (None, tracer):
-            out = work / f"job{n}-{'traced' if use_tracer else 'untraced'}"
-            tracer.reset()
-            try:
-                record = in_process_job(spec, out, use_tracer)
-            finally:
-                shutil.rmtree(out, ignore_errors=True)
-            if "wall_s" in record:
-                (traced_walls if use_tracer else untraced_walls).append(record["wall_s"])
-            if use_tracer and not record["problems"]:
-                summaries.append(tracer.summary())
-                spans[:] = tracer.span_records(job=n)
-            pair.append(record)
-        return pair
+    def job(name: str, use_tracer: Tracer | None) -> dict:
+        out = work / name
+        tracer.reset()
+        try:
+            record = in_process_job(spec, out, use_tracer)
+        finally:
+            shutil.rmtree(out, ignore_errors=True)
+        if use_tracer and not record["problems"]:
+            summaries.append(tracer.summary())
+            spans[:] = tracer.span_records(job=len(summaries))
+        return record
 
-    records = [r for pair in _loop(seconds, MIN_TRACED_PAIRS, step) for r in pair]
+    def step(n: int) -> list[dict]:
+        # Alternate which side runs first, so neither always runs in the
+        # other's wake.
+        order = (None, tracer) if n % 2 == 0 else (tracer, None)
+        pair = {bool(t): job(f"job{n}-{'traced' if t else 'untraced'}", t) for t in order}
+        if all("wall_s" in r for r in pair.values()):
+            overheads.append(pair[True]["wall_s"] / pair[False]["wall_s"] - 1)
+        return list(pair.values())
+
+    # The first job in this process pays for lazy imports and caches, so it
+    # is checked but not timed.
+    records = [job("warmup", None)]
+    records += [r for pair in _loop(seconds, MIN_TRACED_PAIRS, step) for r in pair]
     # Tracing must not change results: traced and untraced digests must agree.
     _mark_digest_mismatches(records)
 
@@ -355,8 +400,8 @@ def traced(spec: dict, seconds: float, work: Path, seed: int) -> tuple[list[dict
                 metrics[name] = values[-1]
                 if len(set(values)) != 1:
                     records[-1]["problems"].append(f"{name} differs between traced jobs: {values}")
-    if untraced_walls and traced_walls:
-        metrics["trace_overhead_frac"] = statistics.median(traced_walls) / statistics.median(untraced_walls) - 1
+    if overheads:
+        metrics["trace_overhead_frac"] = statistics.median(overheads)
     return records, metrics
 
 

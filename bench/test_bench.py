@@ -29,7 +29,7 @@ def tiny(monkeypatch, tmp_path):
     tiny_workloads = {name: replace(w, **TINY[name]) for name, w in workloads.WORKLOADS.items()}
     monkeypatch.setattr(run, "WORKLOADS", tiny_workloads)
     monkeypatch.setattr(run, "WORK", tmp_path / "work")
-    monkeypatch.setattr(run, "SETUP_SAMPLES", 1)
+    monkeypatch.setattr(run, "SETUP_PER_JOB", 1)
     monkeypatch.setattr(run, "MIN_JOBS", 1)
     monkeypatch.setattr(run, "MIN_TRACED_PAIRS", 1)
     return tiny_workloads
@@ -111,4 +111,6 @@ def test_one_replicate_sweep_recomputes_invariant_stages_per_mask(tmp_path):
         assert summary[f"{stage}.useful_ratio"] == 0.125, stage
     assert summary["mining.mine.useful_ratio"] == 0.25
     assert summary["orchestrator.run.calls"] == 8
+    # sweep.csv (through Path.open) and summary.json (through write_text)
+    assert summary["orchestrator.write.calls"] == 2
     assert 0 < summary["orchestrator.invariant_time_share"] < 1

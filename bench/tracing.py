@@ -1,7 +1,7 @@
 """Layer-by-layer tracing of ktsim from outside the package.
 
 The tracer wraps the public functions named in ``TRACED`` (and the
-orchestrator's whole-file writes) in every loaded ``ktsim`` module, records
+orchestrator's file writes) in every loaded ``ktsim`` module, records
 one span per call with a link to the span that was open when it started,
 and keeps the spans in memory until the caller writes them out. No ktsim
 source is touched, and everything is restored when ``installed()`` exits.
@@ -44,7 +44,8 @@ TRACED = {
     "cli": ("main",),
 }
 
-#: Span around each ``Path.write_text`` issued by the orchestrator module.
+#: Span around each file write of the orchestrator module: a ``Path.write_text``
+#: call, or a file it opened with ``Path.open`` for writing, from open to close.
 WRITE_SPAN = "orchestrator.write"
 
 SPAN_NAMES = tuple(f"{m}.{f}" for m, names in TRACED.items() for f in names) + (WRITE_SPAN,)
@@ -93,6 +94,40 @@ WORK_COUNTS = {
 }
 
 
+class _SpannedFile:
+    """A file opened for writing whose lifetime, open to close, is one
+    ``WRITE_SPAN``; the code writing it inside a ``with`` block is covered."""
+
+    def __init__(self, tracer: "Tracer", opener: Callable) -> None:
+        self._tracer = tracer
+        self._span = tracer.begin(WRITE_SPAN)
+        try:
+            self._file = opener()
+        except BaseException:
+            tracer.end(self._span)
+            raise
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+    def __iter__(self):
+        return iter(self._file)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def close(self) -> None:
+        if self._span is not None:
+            try:
+                self._file.close()
+            finally:
+                self._tracer.end(self._span)
+                self._span = None
+
+
 def self_times(spans: Sequence[Sequence]) -> list[int]:
     """Self time of each ``(name, start, end, parent)`` span, in the clock's units.
 
@@ -132,6 +167,18 @@ class Tracer:
         self.counts.clear()
         for kept in self._kept.values():
             kept.clear()
+
+    def begin(self, name: str) -> int:
+        """Open a span under the innermost open one; returns its index."""
+        index = len(self.spans)
+        self.spans.append([name, 0, 0, self._open[-1] if self._open else -1])
+        self._open.append(index)
+        self.spans[index][1] = time.perf_counter_ns()
+        return index
+
+    def end(self, index: int) -> None:
+        self.spans[index][2] = time.perf_counter_ns()
+        self._open.remove(index)
 
     def wrap(self, name: str, fn: Callable) -> Callable:
         spans, open_spans = self.spans, self._open
@@ -195,8 +242,17 @@ class Tracer:
                     return traced_write(path, *args, **kwargs)
                 return original_write(path, *args, **kwargs)
 
+            original_open = pathlib.Path.open
+
+            def open_(path, mode="r", *args, **kwargs):
+                if "r" in mode or sys._getframe(1).f_globals.get("__name__") != "ktsim.orchestrator":
+                    return original_open(path, mode, *args, **kwargs)
+                return _SpannedFile(self, lambda: original_open(path, mode, *args, **kwargs))
+
             patches.append((pathlib.Path, "write_text", original_write))
             pathlib.Path.write_text = write_text
+            patches.append((pathlib.Path, "open", original_open))
+            pathlib.Path.open = open_
             yield self
         finally:
             for owner, attr, original in reversed(patches):
