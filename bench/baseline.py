@@ -75,7 +75,10 @@ def _run(workload: str, seed: int, seconds: int, trace: int) -> dict:
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         capture_output=True, text=True, cwd=workloads.ROOT, check=True,
     )
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    if not result["correct"]:
+        print(f"{workload} seed {seed} trace {trace}:\n{out.stderr}", file=sys.stderr)
+    return result
 
 
 def main(argv=None) -> int:

@@ -64,18 +64,29 @@ def kernel() -> tuple[float, float]:
 
 
 _log: dict[int, TextIO] = {}  # pid -> this process's sample file
+_in_tick = False
 
 
 def _on_tick(signum, frame) -> None:
-    # The first run brings the kernel's code and data into cache, so the
-    # timed second run does not depend on how much of the cache the job uses.
-    warm_up, _ = kernel()
-    elapsed, cpu = kernel()
-    pid = os.getpid()
-    if pid not in _log:
-        # Line-buffered: pool workers leave through os._exit, which flushes nothing.
-        _log[pid] = open(Path(os.environ[ENV]) / f"{pid}.txt", "a", buffering=1)
-    _log[pid].write(f"{warm_up + elapsed!r} {elapsed!r} {cpu!r}\n")
+    global _in_tick
+    # Writing the sample can check for signals, so a tick can arrive inside
+    # this handler; a nested write to the same file would raise RuntimeError
+    # (reentrant call) and kill the job. Such a tick is skipped.
+    if _in_tick:
+        return
+    _in_tick = True
+    try:
+        # The first run brings the kernel's code and data into cache, so the
+        # timed second run does not depend on how much of the cache the job uses.
+        warm_up, _ = kernel()
+        elapsed, cpu = kernel()
+        pid = os.getpid()
+        if pid not in _log:
+            # Line-buffered: pool workers leave through os._exit, which flushes nothing.
+            _log[pid] = open(Path(os.environ[ENV]) / f"{pid}.txt", "a", buffering=1)
+        _log[pid].write(f"{warm_up + elapsed!r} {elapsed!r} {cpu!r}\n")
+    finally:
+        _in_tick = False
 
 
 def _start_timer() -> None:

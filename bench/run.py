@@ -24,6 +24,7 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -239,8 +240,8 @@ def timed_job(spec: dict, argv: list[str], work: Path, out: Path) -> dict:
     child = run_child(argv, work / "logs", sample_dir)
     record = {"part": spec["part"], "peak_rss_mb": child["peak_rss_mb"], "problems": []}
     if child["returncode"] != 0:
-        tail = child["stderr"].strip().splitlines()[-1:] or [""]
-        record["problems"].append(f"job exited with code {child['returncode']}: {tail[0]}")
+        tail = " | ".join(child["stderr"].strip().splitlines()[-3:])
+        record["problems"].append(f"job exited with code {child['returncode']}: {tail}")
         return record
     samples = calibration.collect(sample_dir, child["pid"])
     if spec["kind"] == "cli-sweep":
@@ -384,7 +385,8 @@ def traced(spec: dict, seconds: float, work: Path, seed: int) -> tuple[list[dict
     # Tracing must not change results: traced and untraced digests must agree.
     _mark_digest_mismatches(records)
 
-    trace_path = work / f"trace-seed{seed}.jsonl"
+    trace_path = WORK / "traces" / f"{spec['workload']}-seed{seed}.jsonl"
+    trace_path.parent.mkdir(parents=True, exist_ok=True)
     with trace_path.open("w") as fh:
         for span in spans:
             fh.write(json.dumps(span) + "\n")
@@ -422,13 +424,19 @@ def main(argv=None) -> int:
     workload = WORKLOADS[args.workload]
     parts = 1 if args.trace else workloads.PARTS
     specs = [workloads.make_spec(workload, args.seed, part) for part in range(parts)]
-    work = _fresh(WORK / workload.name)
-    if args.trace:
-        records, metrics = traced(specs[0], args.seconds, work, args.seed)
-        units = {name: per_layer_unit(name) for name in metrics}
-    else:
-        records, metrics = end_to_end(specs, args.seconds, work)
-        units = E2E_UNITS
+    # A directory of this run's own, so that runs started side by side in
+    # one checkout do not delete each other's inputs and outputs.
+    WORK.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f"{workload.name}-", dir=WORK))
+    try:
+        if args.trace:
+            records, metrics = traced(specs[0], args.seconds, work, args.seed)
+            units = {name: per_layer_unit(name) for name in metrics}
+        else:
+            records, metrics = end_to_end(specs, args.seconds, work)
+            units = E2E_UNITS
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
     failed = [r for r in records if r["problems"]]
     print(f"workload {workload.name}: {workload.why}")
@@ -436,7 +444,7 @@ def main(argv=None) -> int:
     print(f"jobs {len(records)}, failed {len(failed)}, failed_frac {len(failed) / len(records):.4g}")
     for record in failed:
         for problem in record["problems"][:5]:
-            print(f"  FAILED: {problem}")
+            print(f"FAILED (input part {record['part']}): {problem}", file=sys.stderr)
     for part, digests in sorted(_first_digests(records).items()):
         for name, digest in digests.items():
             print(f"sha256 input part {part} {name} {digest}")

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+import calibration
 import run
 import workloads
 from tracing import Tracer, self_times
@@ -114,3 +115,20 @@ def test_one_replicate_sweep_recomputes_invariant_stages_per_mask(tmp_path):
     # sweep.csv (through Path.open) and summary.json (through write_text)
     assert summary["orchestrator.write.calls"] == 2
     assert 0 < summary["orchestrator.invariant_time_share"] < 1
+
+
+def test_tick_arriving_inside_a_tick_is_skipped(monkeypatch, tmp_path):
+    monkeypatch.setenv(calibration.ENV, str(tmp_path))
+    monkeypatch.setattr(calibration, "_log", {})
+    real_kernel = calibration.kernel
+
+    def kernel_interrupted_by_a_tick():
+        calibration._on_tick(None, None)
+        return real_kernel()
+
+    monkeypatch.setattr(calibration, "kernel", kernel_interrupted_by_a_tick)
+    calibration._on_tick(None, None)
+    for fh in calibration._log.values():
+        fh.close()
+    (sample_file,) = tmp_path.glob("*.txt")
+    assert len(sample_file.read_text().splitlines()) == 1
