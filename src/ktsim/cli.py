@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import secrets
+import shutil
 import sys
 from pathlib import Path
 
@@ -44,6 +45,23 @@ def _load_config(path: str) -> ScenarioConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
     return scenario_from_dict(data)
+
+
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _fresh_sibling(target: Path, tag: str) -> Path:
+    """Create and return a new, empty hidden directory next to ``target``."""
+    path = target.with_name(f".{target.name}.{tag}-{secrets.token_hex(6)}")
+    path.mkdir(parents=True)
+    return path
 
 
 def _say(args, text: str, stream=sys.stdout) -> None:
@@ -85,8 +103,23 @@ def _cmd_sweep(args) -> int:
     target = Path(args.out) / cfg.name
     if target.exists() and any(target.iterdir()) and not args.force:
         raise OSError(f"output directory {target} is not empty; pass --force to reuse it")
-    result = sweep(cfg, replicates, out_dir=target, jobs=args.jobs)
-    csv_path, summary_path = write_sweep_outputs(result, target)
+    # Build the whole sweep beside the target and swap it in only when it is
+    # complete, so the directory never mixes files of two sweeps.
+    staging = _fresh_sibling(target, "partial")
+    try:
+        result = sweep(cfg, replicates, out_dir=staging, jobs=args.jobs)
+        written = write_sweep_outputs(result, staging)
+        if target.exists():
+            retired = _fresh_sibling(target, "retired")
+            target.rename(retired / target.name)
+            staging.rename(target)
+            shutil.rmtree(retired)
+        else:
+            staging.rename(target)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    csv_path, summary_path = (target / path.name for path in written)
     _say(args, f"scenario: {cfg.name}  replicates: {replicates}  master_seed: {cfg.master_seed}")
     _say(args, f"rows: {len(result.rows)} -> {csv_path}")
     _say(args, f"summary: {summary_path}")
@@ -157,7 +190,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ktsim", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--quiet", action="store_true", help="suppress human-readable output")
-    common.add_argument("--seed", type=int, default=None, help="deterministic seed (printed when chosen)")
+    common.add_argument("--seed", type=_seed, default=None, help="deterministic non-negative seed (printed when chosen)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", parents=[common], help="execute one scenario run")

@@ -201,6 +201,7 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
     check(0.0 <= exp.noise_rate < 0.5, "experiment.noise_rate", f"must lie in [0, 0.5), got {exp.noise_rate}")
     check(exp.samples >= 1, "experiment.samples", f"must be >= 1, got {exp.samples}")
     check(cfg.replicates >= 1, "replicates", f"must be >= 1, got {cfg.replicates}")
+    check(cfg.master_seed >= 0, "master_seed", f"must be a non-negative integer, got {cfg.master_seed}")
 
     n_mine = cfg.teams.mining.count
     n_exp = cfg.teams.experimenting.count

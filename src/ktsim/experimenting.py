@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .knowledge import GroundTruth, KnowledgeBase, Polarity
+from .knowledge import GroundTruth, KnowledgeBase, split_keys
 
 #: Upper bound on rejection-sampling rounds; unreachable for valid designs
 #: because a selection on a marginally fair bit accepts about half of draws.
@@ -160,10 +160,8 @@ def design_experiment(
         raise ConfigError(f"selection_prob must lie in [0, 1], got {selection_prob}")
 
     neighbors: dict[int, set[int]] = {}
-    for wc in team_kb:
-        if wc.claim.polarity is not Polarity.DEPENDENT:
-            continue
-        u, v = wc.claim.pair
+    us, vs = split_keys(team_kb.keys[team_kb.dep])
+    for u, v in zip(us.tolist(), vs.tolist()):
         neighbors.setdefault(u, set()).add(v)
         neighbors.setdefault(v, set()).add(u)
 

@@ -109,47 +109,109 @@ class WeightedClaim:
         )
 
 
+_POLARITY_VALUE = {True: Polarity.DEPENDENT.value, False: Polarity.INDEPENDENT.value}
+
+#: Bits a variable id occupies in a pair key ``u << 32 | v``.
+_KEY_SHIFT = 32
+_KEY_MASK = (1 << _KEY_SHIFT) - 1
+
+
+def pair_key(u: int, v: int) -> int:
+    """Sort key of the unordered pair {u, v}: the smaller id in the high bits,
+    so ascending keys give the ``combinations`` order of pairs."""
+    return (u << _KEY_SHIFT | v) if u < v else (v << _KEY_SHIFT | u)
+
+
+def split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both variable ids of every pair key."""
+    return keys >> _KEY_SHIFT, keys & _KEY_MASK
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class KnowledgeBase:
     """Conflict-free collection of weighted claims, at most one per pair.
 
-    Immutable after construction; iteration is sorted by pair so any
-    serialization derived from a knowledge base is deterministic.
+    Stored as three aligned read-only arrays sorted by pair key (see
+    ``pair_key``): ``keys`` (int64), ``dep`` (True for a Dependent claim) and
+    ``conf`` (float64 confidence). Iteration yields ``WeightedClaim`` objects
+    in key order, so any serialization derived from a knowledge base is
+    deterministic.
     """
 
-    __slots__ = ("_by_pair",)
+    __slots__ = ("keys", "dep", "conf")
 
     def __init__(self, claims: Iterable[WeightedClaim] = ()):
-        by_pair: dict[tuple[int, int], WeightedClaim] = {}
-        for wc in claims:
-            key = wc.claim.pair
-            if key in by_pair:
-                raise ConfigError(f"knowledge base holds more than one claim for pair {key}")
-            by_pair[key] = wc
-        self._by_pair = by_pair
+        rows = [(wc.claim.u, wc.claim.v, wc.claim.polarity is Polarity.DEPENDENT, wc.confidence) for wc in claims]
+        for u, v, _, _ in rows:
+            if v > _KEY_MASK:
+                raise ConfigError(f"variable ids must lie below 2**{_KEY_SHIFT}, got ({u}, {v})")
+        keys = np.array([pair_key(u, v) for u, v, _, _ in rows], dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            u, v = divmod(int(keys[repeated[0]]), 1 << _KEY_SHIFT)
+            raise ConfigError(f"knowledge base holds more than one claim for pair {(u, v)}")
+        self._set(
+            keys,
+            np.array([row[2] for row in rows], dtype=bool)[order],
+            np.array([row[3] for row in rows], dtype=np.float64)[order],
+        )
+
+    def _set(self, keys: np.ndarray, dep: np.ndarray, conf: np.ndarray) -> None:
+        self.keys = _frozen(keys)
+        self.dep = _frozen(dep)
+        self.conf = _frozen(conf)
+
+    @classmethod
+    def from_arrays(cls, keys: np.ndarray, dep: np.ndarray, conf: np.ndarray) -> "KnowledgeBase":
+        """Wrap aligned arrays whose keys are already strictly ascending."""
+        kb = cls.__new__(cls)
+        kb._set(keys, dep, conf)
+        return kb
 
     def __len__(self) -> int:
-        return len(self._by_pair)
+        return self.keys.shape[0]
 
     def __iter__(self) -> Iterator[WeightedClaim]:
-        for key in sorted(self._by_pair):
-            yield self._by_pair[key]
+        us, vs = split_keys(self.keys)
+        for u, v, dep, conf in zip(us.tolist(), vs.tolist(), self.dep.tolist(), self.conf.tolist()):
+            yield WeightedClaim(Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT), conf)
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
-        return tuple(sorted(pair)) in self._by_pair
+        return self._row(*pair) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeBase):
             return NotImplemented
-        return self._by_pair == other._by_pair
+        return (
+            np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.dep, other.dep)
+            and np.array_equal(self.conf, other.conf)
+        )
 
     def __repr__(self) -> str:
         return f"KnowledgeBase({len(self)} claims)"
 
+    def _row(self, u: int, v: int) -> Optional[int]:
+        key = pair_key(u, v)
+        row = int(np.searchsorted(self.keys, key))
+        return row if row < len(self) and self.keys[row] == key else None
+
     def get(self, u: int, v: int) -> Optional[WeightedClaim]:
-        return self._by_pair.get((u, v) if u < v else (v, u))
+        row = self._row(u, v)
+        if row is None:
+            return None
+        pol = Polarity.DEPENDENT if self.dep[row] else Polarity.INDEPENDENT
+        return WeightedClaim(Claim(u, v, pol), float(self.conf[row]))
 
     def pairs(self) -> set[tuple[int, int]]:
-        return set(self._by_pair)
+        us, vs = split_keys(self.keys)
+        return set(zip(us.tolist(), vs.tolist()))
 
     def claims(self) -> tuple[Claim, ...]:
         return tuple(wc.claim for wc in self)
@@ -158,8 +220,20 @@ class KnowledgeBase:
         """New base with one extra claim; the pair must be free."""
         return KnowledgeBase([*self, wc])
 
+    def contradicted(self, keys: np.ndarray, dep: np.ndarray, min_confidence: float) -> np.ndarray:
+        """Mask of the claims given as pair keys and polarities that this base
+        holds with the opposite polarity and at least ``min_confidence``."""
+        if not len(self):
+            return np.zeros(keys.shape, dtype=bool)
+        rows = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
+        return (self.keys[rows] == keys) & (self.conf[rows] >= min_confidence) & (self.dep[rows] != dep)
+
     def to_json(self) -> list[dict]:
-        return [wc.to_json() for wc in self]
+        us, vs = split_keys(self.keys)
+        return [
+            {"u": u, "v": v, "polarity": _POLARITY_VALUE[dep], "confidence": conf}
+            for u, v, dep, conf in zip(us.tolist(), vs.tolist(), self.dep.tolist(), self.conf.tolist())
+        ]
 
     @staticmethod
     def from_json(items: Sequence[dict]) -> "KnowledgeBase":
@@ -233,9 +307,20 @@ class GroundTruth:
                 stack.extend(self.children[v])
         return tuple(ids)
 
+    @cached_property
+    def _tree_array(self) -> np.ndarray:
+        return _frozen(np.array(self.tree_ids, dtype=np.int64))
+
     @property
     def tree_count(self) -> int:
         return len(self.roots)
+
+    def same_tree_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each pair key joins two variables of one tree."""
+        us, vs = split_keys(keys)
+        if vs.size and int(vs.max()) >= self.m:
+            raise ConfigError(f"a claim is outside the variable range [0, {self.m})")
+        return self._tree_array[us] == self._tree_array[vs]
 
     def same_tree(self, u: int, v: int) -> bool:
         return self.tree_ids[u] == self.tree_ids[v]
@@ -333,6 +418,8 @@ def _forest_count(n: int, k: int) -> int:
         return 0
     if n == 0:
         return 1
+    if k == 1:
+        return _tree_count_on(n)
     total = 0
     # s = size of the component containing the lowest-labeled vertex
     for s in range(1, n - k + 2):
@@ -469,6 +556,13 @@ def membership(claim: Claim, gt: GroundTruth) -> Membership:
     return Membership.IN_K if holds else Membership.IN_KC
 
 
+@lru_cache(maxsize=8)
+def _all_pair_keys(m: int) -> np.ndarray:
+    """Key of every pair of ``m`` variables, in ``combinations`` order."""
+    us, vs = np.triu_indices(m, 1)
+    return _frozen(us.astype(np.int64) << _KEY_SHIFT | vs)
+
+
 def sample_agent_prior(
     gt: GroundTruth,
     coverage: float,
@@ -482,19 +576,12 @@ def sample_agent_prior(
         raise ConfigError(f"coverage must lie in [0, 1], got {coverage}")
     if not (0.0 <= accuracy <= 1.0):
         raise ConfigError(f"accuracy must lie in [0, 1], got {accuracy}")
-    pairs = list(gt.all_pairs())
-    include = rng.random(len(pairs)) < coverage
-    truthful = rng.random(len(pairs)) < accuracy
-    confidence = rng.uniform(0.5, 1.0, len(pairs))
-    claims = []
-    for idx, (u, v) in enumerate(pairs):
-        if not include[idx]:
-            continue
-        pol = Polarity.DEPENDENT if gt.same_tree(u, v) else Polarity.INDEPENDENT
-        if not truthful[idx]:
-            pol = pol.flipped
-        claims.append(WeightedClaim(Claim(u, v, pol), float(confidence[idx])))
-    return KnowledgeBase(claims)
+    keys = _all_pair_keys(gt.m)
+    include = rng.random(keys.size) < coverage
+    truthful = rng.random(keys.size) < accuracy
+    confidence = rng.uniform(0.5, 1.0, keys.size)
+    dep = gt.same_tree_keys(keys) == truthful
+    return KnowledgeBase.from_arrays(keys[include], dep[include], confidence[include])
 
 
 def sample_agent_pool(
@@ -514,20 +601,19 @@ def rectify(member_priors: Sequence[KnowledgeBase]) -> KnowledgeBase:
 
     Per pair, strict majority polarity wins with confidence equal to the mean
     confidence of the agreeing members; exact ties drop the pair entirely.
+    The agreeing confidences are summed in member order (``bincount`` adds its
+    weights in input order), so the mean is bit-identical to a running sum.
     """
     if not member_priors:
         raise ConfigError("rectify needs at least one knowledge base")
-    all_pairs: set[tuple[int, int]] = set()
-    for kb in member_priors:
-        all_pairs |= kb.pairs()
-    merged = []
-    for pair in sorted(all_pairs):
-        votes = [kb.get(*pair) for kb in member_priors]
-        deps = [wc for wc in votes if wc is not None and wc.claim.polarity is Polarity.DEPENDENT]
-        inds = [wc for wc in votes if wc is not None and wc.claim.polarity is Polarity.INDEPENDENT]
-        if len(deps) == len(inds):
-            continue
-        winners = deps if len(deps) > len(inds) else inds
-        confidence = sum(wc.confidence for wc in winners) / len(winners)
-        merged.append(WeightedClaim(winners[0].claim, confidence))
-    return KnowledgeBase(merged)
+    dep = np.concatenate([kb.dep for kb in member_priors])
+    conf = np.concatenate([kb.conf for kb in member_priors])
+    keys, slot = np.unique(np.concatenate([kb.keys for kb in member_priors]), return_inverse=True)
+    dep_votes = np.bincount(slot[dep], minlength=keys.size)
+    ind_votes = np.bincount(slot, minlength=keys.size) - dep_votes
+    dep_sum = np.bincount(slot, weights=np.where(dep, conf, 0.0), minlength=keys.size)
+    ind_sum = np.bincount(slot, weights=np.where(dep, 0.0, conf), minlength=keys.size)
+    won = dep_votes > ind_votes
+    keep = dep_votes != ind_votes
+    mean = np.where(won, dep_sum, ind_sum)[keep] / np.where(won, dep_votes, ind_votes)[keep]
+    return KnowledgeBase.from_arrays(keys[keep], won[keep], mean)

@@ -19,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ConfigError
 from .experimenting import Datasheet
-from .knowledge import Claim, KnowledgeBase, Polarity, negate
+from .knowledge import Claim, KnowledgeBase, Polarity, pair_key, split_keys
 from .mining import (
     DEFAULT_DEP_THRESHOLD,
     DEFAULT_IND_THRESHOLD,
@@ -30,7 +32,7 @@ from .mining import (
     TAG_NOISE_CORRECTED,
     TAG_SELECTION_CONDITIONED,
     Information,
-    Pattern,
+    contradicted_patterns,
     correct_attenuation,
 )
 
@@ -96,8 +98,7 @@ class LabeledKnowledge:
     teams: tuple[int, int, int]
 
     def __post_init__(self) -> None:
-        pairs = [e.claim.pair for e in self.entries]
-        if len(pairs) != len(set(pairs)):
+        if len({(e.claim.u, e.claim.v) for e in self.entries}) != len(self.entries):
             raise ConfigError("labeled knowledge must hold at most one claim per pair")
 
     @property
@@ -120,29 +121,14 @@ def build_effective_prior(
     """Union of every delivered base; per-pair conflicts go to the strongest
     source (labeler, then miner, then experimenter, then peers in list order).
     """
-    merged: dict[tuple[int, int], object] = {}
-    layers: list[KnowledgeBase] = [kb for kb in reversed(list(peers))]
-    if delivered_exp is not None:
-        layers.append(delivered_exp)
-    if delivered_miner is not None:
-        layers.append(delivered_miner)
-    layers.append(own)
-    for base in layers:
-        for wc in base:
-            merged[wc.claim.pair] = wc
-    return EffectivePrior(KnowledgeBase(merged[k] for k in sorted(merged)))
-
-
-def _veto_applies(pattern: Pattern, prior: EffectivePrior, params: LabelingParams) -> bool:
-    implied = pattern.implied_polarity(params.dep_threshold, params.ind_threshold)
-    if implied is None:
-        return False
-    wc = prior.claims.get(*pattern.pair)
-    return (
-        wc is not None
-        and wc.confidence >= params.veto_confidence
-        and wc.claim.polarity is not implied
-    )
+    layers = [kb for kb in (own, delivered_miner, delivered_exp, *peers) if kb is not None]
+    if len(layers) == 1:
+        return EffectivePrior(own)
+    # Strongest first: np.unique keeps the first occurrence of every key.
+    keys, first = np.unique(np.concatenate([kb.keys for kb in layers]), return_index=True)
+    dep = np.concatenate([kb.dep for kb in layers])[first]
+    conf = np.concatenate([kb.conf for kb in layers])[first]
+    return EffectivePrior(KnowledgeBase.from_arrays(keys, dep, conf))
 
 
 def reinterpret(
@@ -195,11 +181,8 @@ def reinterpret(
             for p in patterns
         ]
 
-    kept = []
-    for p in patterns:
-        if TAG_DISPUTED not in p.tags and _veto_applies(p, prior, params):
-            continue
-        kept.append(p)
+    vetoed = contradicted_patterns(patterns, [prior.claims], params)
+    kept = [p for p, veto in zip(patterns, vetoed) if TAG_DISPUTED in p.tags or not veto]
     return Information(tuple(kept), replace(sheet, corrections_applied=frozenset(corrections)))
 
 
@@ -219,7 +202,7 @@ def label(
     trust threshold pass through afterwards and overwrite pattern labels on
     their pair.
     """
-    chosen: dict[tuple[int, int], LabeledClaim] = {}
+    chosen: dict[int, LabeledClaim] = {}
     for p in info.patterns:
         if TAG_DEGENERATE in p.tags or TAG_DISPUTED in p.tags:
             continue
@@ -229,10 +212,12 @@ def label(
         if implied is Polarity.INDEPENDENT and TAG_SELECTION_CONDITIONED in p.tags:
             continue
         u, v = p.pair
-        chosen[p.pair] = LabeledClaim(Claim(u, v, implied), ORIGIN_PATTERN)
-    for wc in prior.claims:
-        if wc.confidence >= params.trust_confidence:
-            claim = negate(wc.claim) if params.break_passthrough else wc.claim
-            chosen[claim.pair] = LabeledClaim(claim, ORIGIN_PRIOR)
-    entries = tuple(chosen[k] for k in sorted(chosen))
-    return LabeledKnowledge(entries, teams)
+        chosen[pair_key(u, v)] = LabeledClaim(Claim(u, v, implied), ORIGIN_PATTERN)
+    kb = prior.claims
+    trusted = kb.conf >= params.trust_confidence
+    keys = kb.keys[trusted]
+    us, vs = split_keys(keys)
+    dep = kb.dep[trusted] != params.break_passthrough
+    for key, u, v, d in zip(keys.tolist(), us.tolist(), vs.tolist(), dep.tolist()):
+        chosen[key] = LabeledClaim(Claim(u, v, Polarity.DEPENDENT if d else Polarity.INDEPENDENT), ORIGIN_PRIOR)
+    return LabeledKnowledge(tuple(chosen[k] for k in sorted(chosen)), teams)

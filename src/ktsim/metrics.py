@@ -33,6 +33,7 @@ from .knowledge import (
     build_ground_truth,
     membership,
     negate,
+    pair_key,
     sample_agent_prior,
 )
 from .labeling import EffectivePrior, LabeledKnowledge, build_effective_prior, label, reinterpret
@@ -79,36 +80,54 @@ class OpennessReport:
         }
 
 
-def _score(claims: set[Claim], gt: GroundTruth) -> tuple[int, int]:
-    true_count = sum(1 for c in claims if membership(c, gt) is Membership.IN_K)
-    return true_count, len(claims) - true_count
+def _claim_codes(lk: LabeledKnowledge) -> np.ndarray:
+    """Claims of one labeling (distinct: one per pair) as ``pair_key * 2 + dependent``."""
+    return np.array(
+        [(pair_key(c.u, c.v) << 1) | (c.polarity is Polarity.DEPENDENT) for c in lk.claims],
+        dtype=np.int64,
+    )
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    # Sort and drop repeats: a plain np.unique call imports numpy.ma, which
+    # adds about 2 MB to every process that scores a run.
+    codes = np.sort(codes)
+    keep = np.ones(codes.shape, dtype=bool)
+    keep[1:] = codes[1:] != codes[:-1]
+    return codes[keep]
+
+
+def _score(codes: np.ndarray, gt: GroundTruth) -> tuple[int, int]:
+    true_count = int(np.count_nonzero(gt.same_tree_keys(codes >> 1) == (codes & 1).astype(bool)))
+    return true_count, len(codes) - true_count
 
 
 def openness(labelings: Sequence[LabeledKnowledge], gt: GroundTruth) -> OpennessReport:
     """True-minus-false count over the deduplicated union of all labelings."""
-    union: set[Claim] = set()
     per_triple = []
+    per_labeling = []
     for lk in labelings:
-        claims = set(lk.claims)
-        union |= claims
-        t, f = _score(claims, gt)
+        codes = _claim_codes(lk)
+        per_labeling.append(codes)
+        t, f = _score(codes, gt)
         per_triple.append(
             TripleReport(
                 teams=lk.teams,
-                union_size=len(claims),
+                union_size=len(codes),
                 true_count=t,
                 false_count=f,
                 openness=t - f,
-                normalized=(t - f) / len(claims) if claims else 0.0,
+                normalized=(t - f) / len(codes) if len(codes) else 0.0,
             )
         )
+    union = _distinct(np.concatenate([np.zeros(0, dtype=np.int64), *per_labeling]))
     t, f = _score(union, gt)
     return OpennessReport(
         union_size=len(union),
         true_count=t,
         false_count=f,
         openness=t - f,
-        normalized=(t - f) / len(union) if union else 0.0,
+        normalized=(t - f) / len(union) if len(union) else 0.0,
         per_triple=tuple(per_triple),
     )
 

@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import ConfigError
 from .experimenting import Dataset, Datasheet
-from .knowledge import KnowledgeBase, Polarity
+from .knowledge import KnowledgeBase, Polarity, pair_key
 
 TAG_NOISE_CORRECTED = "noise_corrected"
 TAG_SELECTION_CONDITIONED = "selection_conditioned"
@@ -27,6 +29,10 @@ TAG_DISPUTED = "disputed"
 
 DEFAULT_DEP_THRESHOLD = 0.3
 DEFAULT_IND_THRESHOLD = 0.05
+
+#: Rows per block of the Gram matrix in ``mine``; bounds the float copy of
+#: the dataset and keeps every block's counts exact in float64.
+_GRAM_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -129,10 +135,11 @@ def phi_coefficient(ds: Dataset, u: int, v: int) -> Optional[float]:
     """
     x = ds.column(u)
     y = ds.column(v)
-    n = x.shape[0]
-    a = int((x & y).sum())  # 11
-    row1 = int(x.sum())
-    col1 = int(y.sum())
+    return _phi(x.shape[0], int((x & y).sum()), int(x.sum()), int(y.sum()))
+
+
+def _phi(n: int, a: int, row1: int, col1: int) -> Optional[float]:
+    """phi from the row count, the 11 count and both column sums (exact ints)."""
     b = row1 - a  # 10
     c = col1 - a  # 01
     d = n - row1 - col1 + a  # 00
@@ -150,19 +157,31 @@ def correct_attenuation(phi: float, noise_rate: float) -> float:
     return max(-1.0, min(1.0, phi / factor))
 
 
-def _disputed(
-    pattern: Pattern,
-    bases: Sequence[KnowledgeBase],
-    params: MiningParams,
-) -> bool:
-    implied = pattern.implied_polarity(params.dep_threshold, params.ind_threshold)
-    if implied is None:
-        return False
+def contradicted_patterns(patterns: Sequence[Pattern], bases: Sequence[KnowledgeBase], params) -> list[bool]:
+    """Per pattern, whether any base holds a claim on its pair with at least
+    ``params.veto_confidence`` and the polarity opposite to the one the
+    pattern implies under ``params``' thresholds (a pattern in the abstention
+    band is never contradicted). ``params`` is a MiningParams or a
+    LabelingParams.
+    """
+    keys = np.array([pair_key(*p.pair) for p in patterns], dtype=np.int64)
+    strength = np.abs(np.array([p.phi for p in patterns], dtype=np.float64))
+    degenerate = np.array([TAG_DEGENERATE in p.tags for p in patterns], dtype=bool)
+    dep = strength >= params.dep_threshold
+    hit = np.zeros(keys.shape, dtype=bool)
     for base in bases:
-        wc = base.get(*pattern.pair)
-        if wc is not None and wc.confidence >= params.veto_confidence and wc.claim.polarity is not implied:
-            return True
-    return False
+        hit |= base.contradicted(keys, dep, params.veto_confidence)
+    return (hit & ~degenerate & (dep | (strength <= params.ind_threshold))).tolist()
+
+
+def _gram(rows: np.ndarray) -> list[list[int]]:
+    """Exact ``XᵀX`` of a 0/1 matrix: pairwise 11 counts, column sums on the
+    diagonal. Summed over row blocks, so no full float copy is made."""
+    gram = np.zeros((rows.shape[1], rows.shape[1]), dtype=np.int64)
+    for start in range(0, rows.shape[0], _GRAM_BLOCK_ROWS):
+        block = rows[start:start + _GRAM_BLOCK_ROWS].astype(np.float64)
+        gram += (block.T @ block).astype(np.int64)
+    return gram.tolist()
 
 
 def mine(
@@ -181,15 +200,13 @@ def mine(
     """
     apply_noise = delivered is not None and delivered.noise_rate > 0.0
     selection = delivered.selection if delivered is not None else None
-    prior_bases = [miner_kb, *peer_kbs]
     patterns = []
     cols = ds.columns
+    counts = _gram(ds.rows)
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
-            u, v = cols[i], cols[j]
-            if u > v:
-                u, v = v, u
-            raw = phi_coefficient(ds, u, v)
+            (u, x), (v, y) = sorted(((cols[i], i), (cols[j], j)))
+            raw = _phi(ds.n, counts[i][j], counts[x][x], counts[y][y])
             tags = set()
             if raw is None:
                 value = 0.0
@@ -201,10 +218,12 @@ def mine(
                     tags.add(TAG_NOISE_CORRECTED)
             if selection is not None and selection.variable not in (u, v):
                 tags.add(TAG_SELECTION_CONDITIONED)
-            pattern = Pattern((u, v), value, ds.n, frozenset(tags))
-            if _disputed(pattern, prior_bases, params):
-                pattern = replace(pattern, tags=pattern.tags | {TAG_DISPUTED})
-            patterns.append(pattern)
+            patterns.append(Pattern((u, v), value, ds.n, frozenset(tags)))
+    disputed = contradicted_patterns(patterns, [miner_kb, *peer_kbs], params)
+    patterns = [
+        replace(p, tags=p.tags | {TAG_DISPUTED}) if flag else p
+        for p, flag in zip(patterns, disputed)
+    ]
     sheet = InfoSheet(
         team_id=team_id,
         params=params,

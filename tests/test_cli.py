@@ -163,3 +163,52 @@ def test_quiet_output_of_validate_is_pure_json(config_path, capsys):
     captured = capsys.readouterr()
     json.loads(captured.out)  # must not raise
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-1"],
+    ["oracle", "--p-stay", "0.9", "--dist", "1", "--seed", "-5"],
+    ["validate", "--trials", "2", "--seed", "-3"],
+    ["run", "--seed", "seven"],
+])
+def test_bad_seed_exits_1_with_an_error_line(config_path, tmp_path, capsys, argv):
+    if argv[0] == "run":
+        argv = argv + ["--config", str(config_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: argument --seed:")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_master_seed_exits_1_naming_the_field(config_path, tmp_path, capsys):
+    data = json.loads(config_path.read_text())
+    data["master_seed"] = -1
+    config_path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: master_seed:")
+
+
+def test_forced_sweep_replaces_a_larger_earlier_sweep(config_path, tmp_path, capsys):
+    out = tmp_path / "sweeps"
+    target = out / "clitest"
+    sweep_args = ["sweep", "--config", str(config_path), "--out", str(out), "--quiet"]
+    assert main(sweep_args + ["--replicates", "3"]) == EXIT_OK
+    assert (target / "combo5" / "rep2.json").is_file()
+    assert main(sweep_args + ["--replicates", "1", "--force"]) == EXIT_OK
+    capsys.readouterr()
+    for mask in range(8):
+        assert sorted(p.name for p in (target / f"combo{mask}").iterdir()) == ["rep0.json"]
+    assert len((target / "sweep.csv").read_text().strip().splitlines()) == 1 + 8
+    assert [p.name for p in out.iterdir()] == ["clitest"]
+
+
+def test_failed_forced_sweep_keeps_the_earlier_sweep(config_path, tmp_path, capsys):
+    out = tmp_path / "sweeps"
+    sweep_args = ["sweep", "--config", str(config_path), "--out", str(out), "--quiet"]
+    assert main(sweep_args + ["--replicates", "1"]) == EXIT_OK
+    before = (out / "clitest" / "sweep.csv").read_bytes()
+    assert main(sweep_args + ["--replicates", "0", "--force"]) == EXIT_CONFIG
+    capsys.readouterr()
+    assert (out / "clitest" / "sweep.csv").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["clitest"]

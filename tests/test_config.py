@@ -61,6 +61,15 @@ def test_out_of_range_values_name_their_field():
         scenario_from_dict(data)
 
 
+def test_negative_master_seed_names_its_field():
+    data = default_scenario().to_json()
+    data["master_seed"] = -1
+    with pytest.raises(ConfigError, match="^master_seed: "):
+        scenario_from_dict(data)
+    data["master_seed"] = 0
+    assert scenario_from_dict(data).master_seed == 0
+
+
 def test_peer_access_indices_are_validated():
     data = default_scenario().to_json()
     data["peer_access"]["mining"] = [[0, 0]]

@@ -1,0 +1,283 @@
+"""The array-backed knowledge operations against plain per-claim references.
+
+Each reference below is the straightforward dict/per-pair version of the
+algorithm: one claim object per pair, Python sums, one contingency table per
+pattern. Hypothesis draws small bases (m <= 8, empty bases and exact vote
+ties included) and every result must match the reference exactly, floats
+bit for bit.
+"""
+
+import math
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ktsim.errors import ConfigError
+from ktsim.experimenting import Dataset
+from ktsim.knowledge import (
+    Claim,
+    KnowledgeBase,
+    Membership,
+    Polarity,
+    WeightedClaim,
+    build_ground_truth,
+    membership,
+    negate,
+    rectify,
+)
+from ktsim.labeling import (
+    ORIGIN_PATTERN,
+    ORIGIN_PRIOR,
+    EffectivePrior,
+    LabeledClaim,
+    LabeledKnowledge,
+    LabelingParams,
+    build_effective_prior,
+    label,
+    reinterpret,
+)
+from ktsim.metrics import openness
+from ktsim.mining import (
+    TAG_DEGENERATE,
+    TAG_DISPUTED,
+    TAG_NOISE_CORRECTED,
+    TAG_SELECTION_CONDITIONED,
+    Information,
+    InfoSheet,
+    MiningParams,
+    Pattern,
+    mine,
+    phi_coefficient,
+)
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+#: Threshold values are drawn often so comparisons at the boundary are hit.
+CONFIDENCES = st.one_of(st.sampled_from([0.5, 0.9, 0.95, 1.0]), st.floats(0.01, 1.0))
+PHIS = st.one_of(st.sampled_from([0.0, 0.05, -0.05, 0.3, -0.3, 0.1, 1.0]), st.floats(-1.0, 1.0))
+TAGS = st.just(frozenset()) | st.frozensets(st.sampled_from([TAG_DEGENERATE, TAG_DISPUTED, TAG_SELECTION_CONDITIONED]))
+
+
+@st.composite
+def claim_lists(draw, m):
+    """Weighted claims on distinct pairs of m variables, in drawn order."""
+    pairs = list(combinations(range(m), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    return [
+        WeightedClaim(Claim(v, u, draw(st.sampled_from(Polarity))), draw(CONFIDENCES))
+        if draw(st.booleans())
+        else WeightedClaim(Claim(u, v, draw(st.sampled_from(Polarity))), draw(CONFIDENCES))
+        for u, v in chosen
+    ]
+
+
+def _as_dict(claims):
+    return {wc.claim.pair: wc for wc in claims}
+
+
+def _rows(claims):
+    """(u, v, polarity, confidence) per claim, sorted by pair."""
+    return sorted((wc.claim.u, wc.claim.v, wc.claim.polarity, wc.confidence) for wc in claims)
+
+
+# ---------------------------------------------------------------------------
+# References
+# ---------------------------------------------------------------------------
+
+def ref_rectify(members):
+    bases = [_as_dict(claims) for claims in members]
+    merged = []
+    for pair in sorted(set().union(*bases)):
+        votes = [base[pair] for base in bases if pair in base]
+        deps = [wc for wc in votes if wc.claim.polarity is Polarity.DEPENDENT]
+        inds = [wc for wc in votes if wc.claim.polarity is Polarity.INDEPENDENT]
+        if len(deps) == len(inds):
+            continue
+        winners = deps if len(deps) > len(inds) else inds
+        merged.append(WeightedClaim(winners[0].claim, sum(wc.confidence for wc in winners) / len(winners)))
+    return merged
+
+
+def ref_effective_prior(own, miner, exp, peers):
+    merged = {}
+    for base in [*reversed(peers), exp or [], miner or [], own]:
+        merged.update(_as_dict(base))
+    return list(merged.values())
+
+
+def ref_contradicted(pattern, base, params):
+    implied = pattern.implied_polarity(params.dep_threshold, params.ind_threshold)
+    wc = base.get(pattern.pair)
+    return (
+        implied is not None
+        and wc is not None
+        and wc.confidence >= params.veto_confidence
+        and wc.claim.polarity is not implied
+    )
+
+
+def ref_label(patterns, prior, params):
+    chosen = {}
+    for p in patterns:
+        if TAG_DEGENERATE in p.tags or TAG_DISPUTED in p.tags:
+            continue
+        implied = p.implied_polarity(params.dep_threshold, params.ind_threshold)
+        if implied is None or (implied is Polarity.INDEPENDENT and TAG_SELECTION_CONDITIONED in p.tags):
+            continue
+        chosen[p.pair] = (Claim(*p.pair, implied), ORIGIN_PATTERN)
+    for wc in prior:
+        if wc.confidence >= params.trust_confidence:
+            claim = negate(wc.claim) if params.break_passthrough else wc.claim
+            chosen[claim.pair] = (claim, ORIGIN_PRIOR)
+    return [chosen[pair] for pair in sorted(chosen)]
+
+
+def ref_score(claims, gt):
+    true_count = sum(1 for c in claims if membership(c, gt) is Membership.IN_K)
+    return true_count, len(claims) - true_count
+
+
+def ref_phi(rows, i, j):
+    x = [r[i] for r in rows]
+    y = [r[j] for r in rows]
+    a = sum(1 for p, q in zip(x, y) if p and q)
+    b = sum(1 for p, q in zip(x, y) if p and not q)
+    c = sum(1 for p, q in zip(x, y) if q and not p)
+    d = len(rows) - a - b - c
+    denom = (a + b) * (c + d) * (a + c) * (b + d)
+    return None if denom == 0 else (a * d - b * c) / math.sqrt(denom)
+
+
+# ---------------------------------------------------------------------------
+# Properties
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(st.data(), st.integers(2, 8), st.integers(1, 5))
+def test_rectify_matches_the_reference(data, m, count):
+    members = [data.draw(claim_lists(m)) for _ in range(count)]
+    if data.draw(st.booleans()):
+        # An exact tie: two members that disagree on every pair of the first.
+        first = members[0]
+        members[1:1] = [[WeightedClaim(negate(wc.claim), wc.confidence) for wc in first]]
+    merged = rectify([KnowledgeBase(claims) for claims in members])
+    assert _rows(merged) == _rows(ref_rectify(members))
+    assert merged == KnowledgeBase(ref_rectify(members))
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 8))
+def test_effective_prior_matches_the_reference(data, m):
+    own = data.draw(claim_lists(m))
+    miner = data.draw(st.none() | claim_lists(m))
+    exp = data.draw(st.none() | claim_lists(m))
+    peers = data.draw(st.lists(claim_lists(m), max_size=3))
+    prior = build_effective_prior(
+        KnowledgeBase(own),
+        None if miner is None else KnowledgeBase(miner),
+        None if exp is None else KnowledgeBase(exp),
+        [KnowledgeBase(p) for p in peers],
+    )
+    assert _rows(prior.claims) == _rows(ref_effective_prior(own, miner, exp, peers))
+
+
+@st.composite
+def patterns(draw, m):
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(m), 2))), unique=True))
+    return [Pattern(pair, draw(PHIS), 100, draw(TAGS)) for pair in pairs]
+
+
+def _info(patterns):
+    sheet = InfoSheet(team_id=0, params=MiningParams(), corrections_applied=frozenset(), upstream_datasheet=None)
+    return Information(tuple(patterns), sheet)
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 5), st.booleans())
+def test_label_matches_the_reference(data, m, broken):
+    found = data.draw(patterns(m))
+    prior = data.draw(claim_lists(m))
+    params = LabelingParams(break_passthrough=broken)
+    out = label(_info(found), EffectivePrior(KnowledgeBase(prior)), params)
+    assert [(e.claim, e.origin) for e in out.entries] == ref_label(found, prior, params)
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 5))
+def test_veto_matches_the_reference(data, m):
+    found = data.draw(patterns(m))
+    prior = data.draw(claim_lists(m))
+    params = LabelingParams()
+    out = reinterpret(_info(found), EffectivePrior(KnowledgeBase(prior)), None, params)
+    base = _as_dict(prior)
+    expected = [p for p in found if TAG_DISPUTED in p.tags or not ref_contradicted(p, base, params)]
+    assert list(out.patterns) == expected
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 8), st.integers(0, 2**32 - 1))
+def test_openness_matches_the_reference(data, m, seed):
+    gt = build_ground_truth(m, data.draw(st.integers(1, m)), 0.9, np.random.default_rng(seed))
+    labelings = []
+    for t in range(data.draw(st.integers(0, 3))):
+        claims = [wc.claim for wc in data.draw(claim_lists(m))]
+        labelings.append(LabeledKnowledge(tuple(LabeledClaim(c, ORIGIN_PATTERN) for c in claims), (t, 0, 0)))
+    report = openness(labelings, gt)
+    union = set().union(*(set(lk.claims) for lk in labelings))
+    assert (report.true_count, report.false_count) == ref_score(union, gt)
+    assert report.union_size == len(union)
+    for lk, triple in zip(labelings, report.per_triple):
+        assert (triple.true_count, triple.false_count) == ref_score(set(lk.claims), gt)
+        assert triple.union_size == len(lk.claims)
+    assert report.normalized == ((report.openness / len(union)) if union else 0.0)
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 6), st.integers(0, 40))
+def test_mined_phi_and_disputes_match_per_pair_references(data, width, n):
+    m = 8
+    columns = data.draw(st.lists(st.integers(0, m - 1), min_size=width, max_size=width, unique=True))
+    bits = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=n, max_size=n))
+    rows = [[word >> k & 1 for k in range(width)] for word in bits]
+    ds = Dataset(columns, np.array(rows, dtype=np.uint8).reshape(n, width))
+    miner = data.draw(claim_lists(m))
+    peers = data.draw(st.lists(claim_lists(m), max_size=2))
+    params = MiningParams()
+    info = mine(ds, KnowledgeBase(miner), None, [KnowledgeBase(p) for p in peers], params)
+    assert len(info.patterns) == width * (width - 1) // 2
+    expected_pairs = []
+    for i, j in combinations(range(width), 2):
+        expected_pairs.append((min(columns[i], columns[j]), max(columns[i], columns[j]), ref_phi(rows, i, j)))
+    for pattern, (u, v, phi) in zip(info.patterns, expected_pairs):
+        assert pattern.pair == (u, v)
+        assert pattern.phi == (0.0 if phi is None else phi)
+        assert (TAG_DEGENERATE in pattern.tags) == (phi is None)
+        assert TAG_NOISE_CORRECTED not in pattern.tags
+        plain = Pattern(pattern.pair, pattern.phi, pattern.support, pattern.tags - {TAG_DISPUTED})
+        disputed = any(ref_contradicted(plain, _as_dict(base), params) for base in [miner, *peers])
+        assert (TAG_DISPUTED in pattern.tags) == disputed
+
+
+def test_mined_phi_is_exact_over_several_row_blocks():
+    rng = np.random.default_rng(5)
+    rows = (rng.random((20_000, 4)) < [0.5, 0.3, 0.02, 0.9]).astype(np.uint8)
+    rows[:, 1] |= rows[:, 0]
+    ds = Dataset((3, 0, 7, 5), rows)
+    info = mine(ds, KnowledgeBase(), None, [], MiningParams())
+    for pattern in info.patterns:
+        assert pattern.phi == phi_coefficient(ds, *pattern.pair)
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 8))
+def test_a_repeated_pair_is_still_rejected(data, m):
+    claims = data.draw(claim_lists(m).filter(bool))
+    repeat = data.draw(st.sampled_from(claims))
+    u, v = repeat.claim.pair
+    twin = WeightedClaim(Claim(v, u, data.draw(st.sampled_from(Polarity))), data.draw(CONFIDENCES))
+    order = data.draw(st.permutations(claims + [twin]))
+    with pytest.raises(ConfigError, match=rf"pair \({u}, {v}\)"):
+        KnowledgeBase(order)
