@@ -1,24 +1,27 @@
 """Scenario configuration: one JSON document drives a whole run or sweep.
 
-Validation is strict (unknown keys are rejected, every error names the field
-path) so that a typo in a sweep config fails fast instead of silently running
-the default value.
+The document's keys are the field names of the config records, and one
+parser walks those fields. Validation is strict (unknown keys are rejected,
+every error names the field path) so that a typo in a sweep config fails fast
+instead of silently running the default value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import lru_cache
+from typing import Any, Mapping, Optional, get_args, get_type_hints
 
 from .errors import ConfigError
 from .labeling import LabelingParams
 from .mining import MiningParams
+from .records import Record
 
 SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ChannelPolicy:
+class ChannelPolicy(Record):
     """Which provenance channels are open.
 
     ch1 ships the datasheet from experimenter to miner, ch2 ships the miner's
@@ -45,89 +48,53 @@ class ChannelPolicy:
             raise ConfigError(f"channel mask must lie in [0, 7], got {mask}")
         return ChannelPolicy(bool(mask & 1), bool(mask & 2), bool(mask & 4))
 
-    def to_json(self) -> dict:
-        return {"ch1": self.ch1, "ch2": self.ch2, "ch3": self.ch3}
-
 
 @dataclass(frozen=True)
-class AgentSpec:
+class AgentSpec(Record):
     count: int = 12
     coverage: float = 0.2
     accuracy: float = 0.85
 
-    def to_json(self) -> dict:
-        return {"count": self.count, "coverage": self.coverage, "accuracy": self.accuracy}
-
 
 @dataclass(frozen=True)
-class TeamSpec:
+class TeamSpec(Record):
     count: int = 2
     size: int = 3
 
-    def to_json(self) -> dict:
-        return {"count": self.count, "size": self.size}
-
 
 @dataclass(frozen=True)
-class TeamsSpec:
+class TeamsSpec(Record):
     experimenting: TeamSpec = field(default_factory=TeamSpec)
     mining: TeamSpec = field(default_factory=TeamSpec)
     labeling: TeamSpec = field(default_factory=TeamSpec)
 
-    def to_json(self) -> dict:
-        return {
-            "experimenting": self.experimenting.to_json(),
-            "mining": self.mining.to_json(),
-            "labeling": self.labeling.to_json(),
-        }
-
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(Record):
     target_width: int = 8
     selection_prob: float = 0.5
     noise_rate: float = 0.1
     samples: int = 5000
 
-    def to_json(self) -> dict:
-        return {
-            "target_width": self.target_width,
-            "selection_prob": self.selection_prob,
-            "noise_rate": self.noise_rate,
-            "samples": self.samples,
-        }
-
 
 @dataclass(frozen=True)
-class PeerAccess:
+class PeerAccess(Record):
     """Grants of miner-team knowledge to other consumers, by team index."""
 
     mining: tuple[tuple[int, int], ...] = ()
     labeling: tuple[tuple[int, int], ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "mining": [list(p) for p in self.mining],
-            "labeling": [list(p) for p in self.labeling],
-        }
-
 
 @dataclass(frozen=True)
-class Wiring:
+class Wiring(Record):
     """Explicit read graph; None means complete bipartite wiring."""
 
     mining: Optional[tuple[tuple[int, int], ...]] = None
     labeling: Optional[tuple[tuple[int, int, int], ...]] = None
 
-    def to_json(self) -> dict:
-        return {
-            "mining": None if self.mining is None else [list(p) for p in self.mining],
-            "labeling": None if self.labeling is None else [list(p) for p in self.labeling],
-        }
-
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     name: str = "default"
     m: int = 30
     tree_count: int = 3
@@ -151,28 +118,23 @@ class ScenarioConfig:
         return replace(self, channels=channels)
 
     def to_json(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "name": self.name,
-            "m": self.m,
-            "tree_count": self.tree_count,
-            "p_stay": self.p_stay,
-            "agents": self.agents.to_json(),
-            "teams": self.teams.to_json(),
-            "experiment": self.experiment.to_json(),
-            "mining": self.mining.to_json(),
-            "labeling": self.labeling.to_json(),
-            "peer_access": self.peer_access.to_json(),
-            "wiring": self.wiring.to_json(),
-            "channels": self.channels.to_json(),
-            "self_driving": self.self_driving,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-        }
+        return {"schema": SCHEMA_VERSION, **super().to_json()}
 
 
 def default_scenario() -> ScenarioConfig:
     return ScenarioConfig()
+
+
+def mining_wiring(cfg: ScenarioConfig) -> tuple[tuple[int, int], ...]:
+    """Every (miner, experimenter) pair that mines: the configured wiring,
+    sorted, or else each miner on each experimenter's dataset."""
+    if cfg.wiring.mining is not None:
+        return tuple(sorted(cfg.wiring.mining))
+    return tuple(
+        (j, i)
+        for j in range(cfg.teams.mining.count)
+        for i in range(cfg.teams.experimenting.count)
+    )
 
 
 def _validate_scenario(cfg: ScenarioConfig) -> None:
@@ -223,14 +185,9 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
             path = f"wiring.mining[{idx}]"
             check(0 <= j < n_mine, path, f"miner index {j} out of range [0, {n_mine})")
             check(0 <= i < n_exp, path, f"experimenter index {i} out of range [0, {n_exp})")
-    effective_mining = (
-        mining_pairs
-        if mining_pairs is not None
-        else tuple((j, i) for j in range(n_mine) for i in range(n_exp))
-    )
     if cfg.wiring.labeling is not None:
         check(len(cfg.wiring.labeling) >= 1, "wiring.labeling", "must list at least one (labeler, experimenter, miner) triple")
-        mined = set(effective_mining)
+        mined = set(mining_wiring(cfg))
         for idx, (l, i, j) in enumerate(cfg.wiring.labeling):
             path = f"wiring.labeling[{idx}]"
             check(0 <= l < n_lab, path, f"labeler index {l} out of range [0, {n_lab})")
@@ -259,6 +216,10 @@ def _take(obj: Mapping[str, Any], path: str, allowed: set[str]) -> None:
 
 _REQUIRED = object()
 
+#: Path of the document root in error messages; fields of the root are named
+#: without it (``agents.count``), except its scalars (``config.m``).
+_ROOT = "config"
+
 
 def _get(obj: Mapping[str, Any], key: str, path: str, kind, default=_REQUIRED):
     if key not in obj:
@@ -266,9 +227,11 @@ def _get(obj: Mapping[str, Any], key: str, path: str, kind, default=_REQUIRED):
             raise ConfigError(f"{path}.{key}: required field is missing")
         return default
     value = obj[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    # bool is a subclass of int, so it is accepted only where a bool is declared.
+    is_bool = isinstance(value, bool)
+    if kind is float and isinstance(value, int) and not is_bool:
         value = float(value)
-    if kind is not None and not isinstance(value, kind):
+    if not isinstance(value, kind) or is_bool != (kind is bool):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -286,119 +249,56 @@ def _parse_pairs(obj: Any, path: str, arity: int) -> tuple[tuple[int, ...], ...]
     return tuple(out)
 
 
+def _parse_record(obj: Any, path: str, default: Any) -> Any:
+    """Parse one config object into a record of ``default``'s type.
+
+    Keys are the record's field names; a missing key takes ``default``'s
+    value. Each value's kind comes from the field's declared type: a nested
+    record recurses, a tuple of index tuples goes through ``_parse_pairs`` and
+    a scalar through ``_get``.
+    """
+    mapping = _expect_mapping(obj, path)
+    cls = type(default)
+    kinds = _field_kinds(cls)
+    _take(mapping, path, set(kinds))
+    values = {}
+    for name, kind in kinds.items():
+        value = getattr(default, name)
+        sub = name if path == _ROOT else f"{path}.{name}"
+        if is_dataclass(value):
+            values[name] = _parse_record(mapping.get(name, {}), sub, value)
+        elif kind in (bool, int, float, str):
+            values[name] = _get(mapping, name, path, kind, value)
+        else:
+            arity, nullable = _pairs_kind(kind)
+            raw = mapping.get(name, value)
+            values[name] = None if raw is None and nullable else _parse_pairs(raw, sub, arity)
+    return cls(**values)
+
+
+@lru_cache(maxsize=None)
+def _field_kinds(cls: type) -> dict[str, Any]:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _pairs_kind(kind: Any) -> tuple[int, bool]:
+    """Arity and nullability of a field declared as a tuple of int tuples,
+    such as ``Optional[tuple[tuple[int, int], ...]]``."""
+    args = get_args(kind)
+    nullable = type(None) in args
+    if nullable:
+        args = get_args(args[0])
+    return len(get_args(args[0])), nullable
+
+
 def scenario_from_dict(data: Mapping[str, Any]) -> ScenarioConfig:
     """Parse and validate a config document; raises ConfigError with the
     offending field path on any problem."""
-    root = _expect_mapping(data, "config")
-    _take(root, "config", {
-        "schema", "name", "m", "tree_count", "p_stay", "agents", "teams",
-        "experiment", "mining", "labeling", "peer_access", "wiring",
-        "channels", "self_driving", "replicates", "master_seed",
-    })
-    schema = _get(root, "schema", "config", int)
+    root = _expect_mapping(data, _ROOT)
+    _take(root, _ROOT, {"schema", *_field_kinds(ScenarioConfig)})
+    schema = _get(root, "schema", _ROOT, int)
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"schema: expected {SCHEMA_VERSION}, got {schema}")
-
-    defaults = ScenarioConfig.__dataclass_fields__
-
-    agents_obj = _expect_mapping(root.get("agents", {}), "agents")
-    _take(agents_obj, "agents", {"count", "coverage", "accuracy"})
-    agents = AgentSpec(
-        count=_get(agents_obj, "count", "agents", int, AgentSpec.count),
-        coverage=_get(agents_obj, "coverage", "agents", float, AgentSpec.coverage),
-        accuracy=_get(agents_obj, "accuracy", "agents", float, AgentSpec.accuracy),
-    )
-
-    def parse_team(obj: Any, path: str) -> TeamSpec:
-        tm = _expect_mapping(obj, path)
-        _take(tm, path, {"count", "size"})
-        return TeamSpec(
-            count=_get(tm, "count", path, int, TeamSpec.count),
-            size=_get(tm, "size", path, int, TeamSpec.size),
-        )
-
-    teams_obj = _expect_mapping(root.get("teams", {}), "teams")
-    _take(teams_obj, "teams", {"experimenting", "mining", "labeling"})
-    teams = TeamsSpec(
-        experimenting=parse_team(teams_obj.get("experimenting", {}), "teams.experimenting"),
-        mining=parse_team(teams_obj.get("mining", {}), "teams.mining"),
-        labeling=parse_team(teams_obj.get("labeling", {}), "teams.labeling"),
-    )
-
-    exp_obj = _expect_mapping(root.get("experiment", {}), "experiment")
-    _take(exp_obj, "experiment", {"target_width", "selection_prob", "noise_rate", "samples"})
-    experiment = ExperimentSpec(
-        target_width=_get(exp_obj, "target_width", "experiment", int, ExperimentSpec.target_width),
-        selection_prob=_get(exp_obj, "selection_prob", "experiment", float, ExperimentSpec.selection_prob),
-        noise_rate=_get(exp_obj, "noise_rate", "experiment", float, ExperimentSpec.noise_rate),
-        samples=_get(exp_obj, "samples", "experiment", int, ExperimentSpec.samples),
-    )
-
-    mining_obj = _expect_mapping(root.get("mining", {}), "mining")
-    _take(mining_obj, "mining", {"report_all", "veto_confidence", "dep_threshold", "ind_threshold"})
-    mining = MiningParams(
-        report_all=_get(mining_obj, "report_all", "mining", bool, True),
-        veto_confidence=_get(mining_obj, "veto_confidence", "mining", float, MiningParams.veto_confidence),
-        dep_threshold=_get(mining_obj, "dep_threshold", "mining", float, MiningParams.dep_threshold),
-        ind_threshold=_get(mining_obj, "ind_threshold", "mining", float, MiningParams.ind_threshold),
-    )
-
-    labeling_obj = _expect_mapping(root.get("labeling", {}), "labeling")
-    _take(labeling_obj, "labeling", {
-        "dep_threshold", "ind_threshold", "veto_confidence", "trust_confidence", "break_passthrough",
-    })
-    labeling = LabelingParams(
-        dep_threshold=_get(labeling_obj, "dep_threshold", "labeling", float, LabelingParams.dep_threshold),
-        ind_threshold=_get(labeling_obj, "ind_threshold", "labeling", float, LabelingParams.ind_threshold),
-        veto_confidence=_get(labeling_obj, "veto_confidence", "labeling", float, LabelingParams.veto_confidence),
-        trust_confidence=_get(labeling_obj, "trust_confidence", "labeling", float, LabelingParams.trust_confidence),
-        break_passthrough=_get(labeling_obj, "break_passthrough", "labeling", bool, False),
-    )
-
-    access_obj = _expect_mapping(root.get("peer_access", {}), "peer_access")
-    _take(access_obj, "peer_access", {"mining", "labeling"})
-    peer_access = PeerAccess(
-        mining=_parse_pairs(access_obj.get("mining", []), "peer_access.mining", 2),
-        labeling=_parse_pairs(access_obj.get("labeling", []), "peer_access.labeling", 2),
-    )
-
-    wiring_obj = _expect_mapping(root.get("wiring", {}), "wiring")
-    _take(wiring_obj, "wiring", {"mining", "labeling"})
-    wiring = Wiring(
-        mining=(
-            None
-            if wiring_obj.get("mining") is None
-            else _parse_pairs(wiring_obj["mining"], "wiring.mining", 2)
-        ),
-        labeling=(
-            None
-            if wiring_obj.get("labeling") is None
-            else _parse_pairs(wiring_obj["labeling"], "wiring.labeling", 3)
-        ),
-    )
-
-    channels_obj = _expect_mapping(root.get("channels", {}), "channels")
-    _take(channels_obj, "channels", {"ch1", "ch2", "ch3"})
-    channels = ChannelPolicy(
-        ch1=_get(channels_obj, "ch1", "channels", bool, True),
-        ch2=_get(channels_obj, "ch2", "channels", bool, True),
-        ch3=_get(channels_obj, "ch3", "channels", bool, True),
-    )
-
-    return ScenarioConfig(
-        name=_get(root, "name", "config", str, defaults["name"].default),
-        m=_get(root, "m", "config", int, defaults["m"].default),
-        tree_count=_get(root, "tree_count", "config", int, defaults["tree_count"].default),
-        p_stay=_get(root, "p_stay", "config", float, defaults["p_stay"].default),
-        agents=agents,
-        teams=teams,
-        experiment=experiment,
-        mining=mining,
-        labeling=labeling,
-        peer_access=peer_access,
-        wiring=wiring,
-        channels=channels,
-        self_driving=_get(root, "self_driving", "config", bool, False),
-        replicates=_get(root, "replicates", "config", int, defaults["replicates"].default),
-        master_seed=_get(root, "master_seed", "config", int, defaults["master_seed"].default),
-    )
+    body = {key: value for key, value in root.items() if key != "schema"}
+    return _parse_record(body, _ROOT, default_scenario())

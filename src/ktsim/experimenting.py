@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .knowledge import GroundTruth, KnowledgeBase, split_keys
+from .records import Record
 
 #: Upper bound on rejection-sampling rounds; unreachable for valid designs
 #: because a selection on a marginally fair bit accepts about half of draws.
@@ -28,7 +29,7 @@ _MAX_REJECTION_ROUNDS = 10_000
 
 
 @dataclass(frozen=True)
-class Selection:
+class Selection(Record):
     variable: int
     value: int
 
@@ -36,12 +37,9 @@ class Selection:
         if self.value not in (0, 1):
             raise ConfigError(f"selection value must be 0 or 1, got {self.value}")
 
-    def to_json(self) -> dict:
-        return {"variable": self.variable, "value": self.value}
-
 
 @dataclass(frozen=True)
-class ExperimentDesign:
+class ExperimentDesign(Record):
     measured: tuple[int, ...]
     selection: Optional[Selection]
     noise_rate: float
@@ -61,14 +59,6 @@ class ExperimentDesign:
             raise ConfigError(f"noise_rate must lie in [0, 0.5), got {self.noise_rate}")
         if self.samples < 1:
             raise ConfigError(f"sample count must be >= 1, got {self.samples}")
-
-    def to_json(self) -> dict:
-        return {
-            "measured": list(self.measured),
-            "selection": self.selection.to_json() if self.selection else None,
-            "noise_rate": self.noise_rate,
-            "samples": self.samples,
-        }
 
 
 class Dataset:
@@ -112,7 +102,7 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Datasheet:
+class Datasheet(Record):
     """Provenance record of the design as actually executed."""
 
     team_id: int
@@ -122,19 +112,6 @@ class Datasheet:
     samples: int
     seed_fingerprint: str
     knowledge_snapshot: Optional[KnowledgeBase] = None
-
-    def to_json(self) -> dict:
-        return {
-            "team_id": self.team_id,
-            "measured": list(self.measured),
-            "selection": self.selection.to_json() if self.selection else None,
-            "noise_rate": self.noise_rate,
-            "samples": self.samples,
-            "seed_fingerprint": self.seed_fingerprint,
-            "knowledge_snapshot": (
-                self.knowledge_snapshot.to_json() if self.knowledge_snapshot is not None else None
-            ),
-        }
 
 
 def design_experiment(

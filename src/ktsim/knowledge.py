@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
+from .records import Record
 
 
 class Polarity(Enum):
@@ -369,7 +370,7 @@ class Role(Enum):
 
 
 @dataclass(frozen=True)
-class Team:
+class Team(Record):
     id: int
     role: Role
     members: tuple[int, ...]
@@ -378,14 +379,6 @@ class Team:
     def __post_init__(self) -> None:
         if not self.members:
             raise ConfigError("a team needs at least one member")
-
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "role": self.role.value,
-            "members": list(self.members),
-            "knowledge": self.knowledge.to_json(),
-        }
 
 
 @dataclass(frozen=True)

@@ -32,16 +32,18 @@ from .mining import (
     TAG_NOISE_CORRECTED,
     TAG_SELECTION_CONDITIONED,
     Information,
+    Pattern,
     contradicted_patterns,
-    correct_attenuation,
+    datasheet_corrections,
 )
+from .records import Record
 
 ORIGIN_PATTERN = "pattern"
 ORIGIN_PRIOR = "prior_passthrough"
 
 
 @dataclass(frozen=True)
-class LabelingParams:
+class LabelingParams(Record):
     dep_threshold: float = DEFAULT_DEP_THRESHOLD
     ind_threshold: float = DEFAULT_IND_THRESHOLD
     veto_confidence: float = 0.9
@@ -60,15 +62,6 @@ class LabelingParams:
             raise ConfigError(f"veto_confidence must lie in (0, 1], got {self.veto_confidence}")
         if not (0.0 < self.trust_confidence <= 1.0):
             raise ConfigError(f"trust_confidence must lie in (0, 1], got {self.trust_confidence}")
-
-    def to_json(self) -> dict:
-        return {
-            "dep_threshold": self.dep_threshold,
-            "ind_threshold": self.ind_threshold,
-            "veto_confidence": self.veto_confidence,
-            "trust_confidence": self.trust_confidence,
-            "break_passthrough": self.break_passthrough,
-        }
 
 
 @dataclass(frozen=True)
@@ -156,30 +149,15 @@ def reinterpret(
     patterns = list(info.patterns)
     corrections = set(sheet.corrections_applied)
 
-    if datasheet is not None and datasheet.noise_rate > 0.0 and TAG_NOISE_CORRECTED not in corrections:
+    if datasheet is not None:
+        correct_noise = datasheet.noise_rate > 0.0 and TAG_NOISE_CORRECTED not in corrections
         fixed = []
         for p in patterns:
-            if TAG_DEGENERATE in p.tags:
-                fixed.append(p)
-            else:
-                fixed.append(
-                    replace(
-                        p,
-                        phi=correct_attenuation(p.phi, datasheet.noise_rate),
-                        tags=p.tags | {TAG_NOISE_CORRECTED},
-                    )
-                )
+            phi, tags = datasheet_corrections(p.pair, p.phi, p.tags, datasheet, correct_noise)
+            fixed.append(p if (phi, tags) == (p.phi, p.tags) else Pattern(p.pair, phi, p.support, tags))
         patterns = fixed
-        corrections.add(TAG_NOISE_CORRECTED)
-
-    if datasheet is not None and datasheet.selection is not None:
-        sel_var = datasheet.selection.variable
-        patterns = [
-            replace(p, tags=p.tags | {TAG_SELECTION_CONDITIONED})
-            if sel_var not in p.pair and TAG_SELECTION_CONDITIONED not in p.tags
-            else p
-            for p in patterns
-        ]
+        if correct_noise:
+            corrections.add(TAG_NOISE_CORRECTED)
 
     vetoed = contradicted_patterns(patterns, [prior.claims], params)
     kept = [p for p, veto in zip(patterns, vetoed) if TAG_DISPUTED in p.tags or not veto]

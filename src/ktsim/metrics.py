@@ -38,10 +38,11 @@ from .knowledge import (
 )
 from .labeling import EffectivePrior, LabeledKnowledge, build_effective_prior, label, reinterpret
 from .mining import mine
+from .records import Record
 
 
 @dataclass(frozen=True)
-class TripleReport:
+class TripleReport(Record):
     teams: tuple[int, int, int]
     union_size: int
     true_count: int
@@ -49,35 +50,15 @@ class TripleReport:
     openness: int
     normalized: float
 
-    def to_json(self) -> dict:
-        return {
-            "teams": list(self.teams),
-            "union_size": self.union_size,
-            "true_count": self.true_count,
-            "false_count": self.false_count,
-            "openness": self.openness,
-            "normalized": self.normalized,
-        }
-
 
 @dataclass(frozen=True)
-class OpennessReport:
+class OpennessReport(Record):
     union_size: int
     true_count: int
     false_count: int
     openness: int
     normalized: float
     per_triple: tuple[TripleReport, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "union_size": self.union_size,
-            "true_count": self.true_count,
-            "false_count": self.false_count,
-            "openness": self.openness,
-            "normalized": self.normalized,
-            "per_triple": [t.to_json() for t in self.per_triple],
-        }
 
 
 def _claim_codes(lk: LabeledKnowledge) -> np.ndarray:
@@ -137,14 +118,11 @@ def openness(labelings: Sequence[LabeledKnowledge], gt: GroundTruth) -> Openness
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SignTestResult:
+class SignTestResult(Record):
     wins: int
     losses: int
     ties: int
     p_greater: float
-
-    def to_json(self) -> dict:
-        return {"wins": self.wins, "losses": self.losses, "ties": self.ties, "p_greater": self.p_greater}
 
 
 def paired_sign_test(first: Sequence[float], second: Sequence[float]) -> SignTestResult:
@@ -170,17 +148,10 @@ def paired_sign_test(first: Sequence[float], second: Sequence[float]) -> SignTes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(Record):
     trials: int
     violations: int
     transcripts: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "transcripts": list(self.transcripts),
-        }
 
 
 def _count_side(lk: LabeledKnowledge, gt: GroundTruth, side: Membership) -> int:
@@ -268,7 +239,7 @@ def validate_monotonicity(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     p_stay: float
     dist: int
     delta: float
@@ -276,17 +247,6 @@ class OracleReport:
     analytic: float
     empirical: float
     abs_diff: float
-
-    def to_json(self) -> dict:
-        return {
-            "p_stay": self.p_stay,
-            "dist": self.dist,
-            "delta": self.delta,
-            "samples": self.samples,
-            "analytic": self.analytic,
-            "empirical": self.empirical,
-            "abs_diff": self.abs_diff,
-        }
 
 
 def correlation_oracle(

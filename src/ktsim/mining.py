@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError
 from .experimenting import Dataset, Datasheet
 from .knowledge import KnowledgeBase, Polarity, pair_key
+from .records import Record
 
 TAG_NOISE_CORRECTED = "noise_corrected"
 TAG_SELECTION_CONDITIONED = "selection_conditioned"
@@ -36,7 +37,7 @@ _GRAM_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
-class MiningParams:
+class MiningParams(Record):
     report_all: bool = True
     veto_confidence: float = 0.9
     dep_threshold: float = DEFAULT_DEP_THRESHOLD
@@ -50,14 +51,6 @@ class MiningParams:
                 "thresholds must satisfy 0 <= ind_threshold < dep_threshold <= 1, "
                 f"got ind={self.ind_threshold} dep={self.dep_threshold}"
             )
-
-    def to_json(self) -> dict:
-        return {
-            "report_all": self.report_all,
-            "veto_confidence": self.veto_confidence,
-            "dep_threshold": self.dep_threshold,
-            "ind_threshold": self.ind_threshold,
-        }
 
 
 @dataclass(frozen=True)
@@ -94,37 +87,18 @@ class Pattern:
 
 
 @dataclass(frozen=True)
-class InfoSheet:
+class InfoSheet(Record):
     team_id: int
     params: MiningParams
     corrections_applied: frozenset[str]
     upstream_datasheet: Optional[Datasheet]
     knowledge_snapshot: Optional[KnowledgeBase] = None
 
-    def to_json(self) -> dict:
-        return {
-            "team_id": self.team_id,
-            "params": self.params.to_json(),
-            "corrections_applied": sorted(self.corrections_applied),
-            "upstream_datasheet": (
-                self.upstream_datasheet.to_json() if self.upstream_datasheet is not None else None
-            ),
-            "knowledge_snapshot": (
-                self.knowledge_snapshot.to_json() if self.knowledge_snapshot is not None else None
-            ),
-        }
-
 
 @dataclass(frozen=True)
-class Information:
+class Information(Record):
     patterns: tuple[Pattern, ...]
     info_sheet: InfoSheet
-
-    def to_json(self) -> dict:
-        return {
-            "patterns": [p.to_json() for p in self.patterns],
-            "info_sheet": self.info_sheet.to_json(),
-        }
 
 
 def phi_coefficient(ds: Dataset, u: int, v: int) -> Optional[float]:
@@ -155,6 +129,32 @@ def correct_attenuation(phi: float, noise_rate: float) -> float:
         raise ConfigError(f"noise_rate must lie in [0, 0.5), got {noise_rate}")
     factor = (1.0 - 2.0 * noise_rate) ** 2
     return max(-1.0, min(1.0, phi / factor))
+
+
+_NO_TAGS = frozenset()
+_DEGENERATE_TAGS = frozenset({TAG_DEGENERATE})
+
+
+def datasheet_corrections(
+    pair: tuple[int, int],
+    phi: float,
+    tags: frozenset[str],
+    datasheet: Datasheet,
+    correct_noise: bool,
+) -> tuple[float, frozenset[str]]:
+    """The phi and tags of one pattern after the corrections a datasheet
+    proves: with ``correct_noise``, a non-degenerate phi is divided by the
+    recorded attenuation and tagged; a recorded selection tags every pair
+    without the selected variable as conditioned. Shared by the miner and by
+    the labeler's reinterpretation, so both routes give identical patterns.
+    """
+    if correct_noise and TAG_DEGENERATE not in tags:
+        phi = correct_attenuation(phi, datasheet.noise_rate)
+        tags = tags | {TAG_NOISE_CORRECTED}
+    selection = datasheet.selection
+    if selection is not None and selection.variable not in pair:
+        tags = tags | {TAG_SELECTION_CONDITIONED}
+    return phi, tags
 
 
 def contradicted_patterns(patterns: Sequence[Pattern], bases: Sequence[KnowledgeBase], params) -> list[bool]:
@@ -199,7 +199,6 @@ def mine(
     datasheet the raw statistics pass through untouched.
     """
     apply_noise = delivered is not None and delivered.noise_rate > 0.0
-    selection = delivered.selection if delivered is not None else None
     patterns = []
     cols = ds.columns
     counts = _gram(ds.rows)
@@ -207,18 +206,10 @@ def mine(
         for j in range(i + 1, len(cols)):
             (u, x), (v, y) = sorted(((cols[i], i), (cols[j], j)))
             raw = _phi(ds.n, counts[i][j], counts[x][x], counts[y][y])
-            tags = set()
-            if raw is None:
-                value = 0.0
-                tags.add(TAG_DEGENERATE)
-            else:
-                value = raw
-                if apply_noise:
-                    value = correct_attenuation(value, delivered.noise_rate)
-                    tags.add(TAG_NOISE_CORRECTED)
-            if selection is not None and selection.variable not in (u, v):
-                tags.add(TAG_SELECTION_CONDITIONED)
-            patterns.append(Pattern((u, v), value, ds.n, frozenset(tags)))
+            phi, tags = (0.0, _DEGENERATE_TAGS) if raw is None else (raw, _NO_TAGS)
+            if delivered is not None:
+                phi, tags = datasheet_corrections((u, v), phi, tags, delivered, apply_noise)
+            patterns.append(Pattern((u, v), phi, ds.n, tags))
     disputed = contradicted_patterns(patterns, [miner_kb, *peer_kbs], params)
     patterns = [
         replace(p, tags=p.tags | {TAG_DISPUTED}) if flag else p

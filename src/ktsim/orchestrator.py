@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ChannelPolicy, ScenarioConfig
+from .config import ChannelPolicy, ScenarioConfig, mining_wiring
 from .errors import ConfigError
 from .experimenting import Dataset, Datasheet, design_experiment, export_dataset, sample_dataset
 from .knowledge import (
@@ -40,6 +41,7 @@ from .knowledge import (
 from .labeling import LabeledKnowledge, build_effective_prior, label, reinterpret
 from .metrics import OpennessReport, SignTestResult, openness, paired_sign_test
 from .mining import Information, mine
+from .records import Record
 
 ALL_CHANNEL_MASKS = tuple(range(8))
 
@@ -124,16 +126,6 @@ def _form_teams(cfg: ScenarioConfig, pool: AgentPool, rng: np.random.Generator) 
     return teams
 
 
-def _mining_wiring(cfg: ScenarioConfig) -> tuple[tuple[int, int], ...]:
-    if cfg.wiring.mining is not None:
-        return tuple(sorted(cfg.wiring.mining))
-    return tuple(
-        (j, i)
-        for j in range(cfg.teams.mining.count)
-        for i in range(cfg.teams.experimenting.count)
-    )
-
-
 def _labeling_wiring(cfg: ScenarioConfig, mining_pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int, int], ...]:
     if cfg.wiring.labeling is not None:
         return tuple(sorted(cfg.wiring.labeling))
@@ -184,7 +176,7 @@ def run(cfg: ScenarioConfig, seed: int) -> RunResult:
     for consumer, source in cfg.peer_access.labeling:
         labeler_peers[consumer].append(mine_teams[source].knowledge)
 
-    mining_pairs = _mining_wiring(cfg)
+    mining_pairs = mining_wiring(cfg)
     infos: dict[tuple[int, int], Information] = {}
     for j, i in mining_pairs:
         delivered = records[i].datasheet if channels.ch1 else None
@@ -252,48 +244,19 @@ class SweepRow:
     normalized: float
 
     def as_csv(self) -> list:
-        return [
-            self.scenario,
-            self.combo_mask,
-            self.replicate,
-            self.seed,
-            self.union_size,
-            self.true_count,
-            self.false_count,
-            self.openness,
-            self.normalized,
-        ]
+        return [getattr(self, name) for name in SWEEP_CSV_COLUMNS]
 
 
-SWEEP_CSV_COLUMNS = (
-    "scenario",
-    "combo_mask",
-    "replicate",
-    "seed",
-    "union_size",
-    "true_count",
-    "false_count",
-    "openness",
-    "normalized",
-)
+SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
-class ComboSummary:
+class ComboSummary(Record):
     combo_mask: int
     mean_openness: float
     stddev_openness: float
     mean_normalized: float
     mean_union_size: float
-
-    def to_json(self) -> dict:
-        return {
-            "combo_mask": self.combo_mask,
-            "mean_openness": self.mean_openness,
-            "stddev_openness": self.stddev_openness,
-            "mean_normalized": self.mean_normalized,
-            "mean_union_size": self.mean_union_size,
-        }
 
 
 @dataclass(frozen=True)
@@ -349,10 +312,13 @@ def sweep(
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     out_str = str(out_dir) if out_dir is not None else None
     cells = [(mask, rep) for mask in ALL_CHANNEL_MASKS for rep in range(replicates)]
-    if jobs == 1:
+    # ``jobs`` is an upper bound: a forking pool starts all its workers at the
+    # first submit, so ask for no more than there are cells or CPUs.
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    if workers == 1:
         rows = [_run_cell(cfg, mask, rep, out_str) for mask, rep in cells]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(
                 pool.map(
                     _run_cell,
@@ -360,7 +326,7 @@ def sweep(
                     [m for m, _ in cells],
                     [r for _, r in cells],
                     [out_str] * len(cells),
-                    chunksize=max(1, len(cells) // (4 * jobs)),
+                    chunksize=max(1, len(cells) // (4 * workers)),
                 )
             )
     rows.sort(key=lambda r: (r.combo_mask, r.replicate))

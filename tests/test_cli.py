@@ -212,3 +212,26 @@ def test_failed_forced_sweep_keeps_the_earlier_sweep(config_path, tmp_path, caps
     capsys.readouterr()
     assert (out / "clitest" / "sweep.csv").read_bytes() == before
     assert [p.name for p in out.iterdir()] == ["clitest"]
+
+
+def _integer_slots(doc, keys=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _integer_slots(value, keys + (key,))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            yield keys + (key,)
+
+
+@pytest.mark.parametrize("keys", list(_integer_slots(default_scenario().to_json())), ids=".".join)
+def test_boolean_in_an_integer_field_exits_1_naming_the_field(tmp_path, capsys, keys):
+    data = default_scenario().to_json()
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    field = ".".join(keys) if len(keys) > 1 else f"config.{keys[0]}"
+    assert capsys.readouterr().err == f"error: {field}: expected int, got bool\n"
+    assert not (tmp_path / "out").exists()

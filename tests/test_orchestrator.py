@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ktsim import orchestrator
 from ktsim.config import ChannelPolicy, Wiring, scenario_from_dict
 from ktsim.errors import ConfigError
 from ktsim.mining import phi_coefficient
@@ -174,6 +175,37 @@ def test_parallel_sweep_matches_sequential():
     seq = sweep(cfg, 2, jobs=1)
     par = sweep(cfg, 2, jobs=2)
     assert seq.rows == par.rows
+
+
+def test_sweep_pool_never_exceeds_cells_or_cpus(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", SerialPool)
+    cfg = small_scenario()
+    monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 64)
+    pooled = sweep(cfg, 1, jobs=64)  # 8 cells
+    monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 3)
+    sweep(cfg, 1, jobs=64)
+    sweep(cfg, 2, jobs=2)
+    monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: None)
+    serial = sweep(cfg, 1, jobs=64)  # CPU count unknown: no pool
+    assert requested == [8, 3, 2]
+    assert pooled == serial == sweep(cfg, 1)
 
 
 def test_run_outputs_include_datasets_and_result(tmp_path):
