@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
+from pathlib import PurePath
 from typing import Any, Mapping, Optional, get_args, get_type_hints
 
 from .errors import ConfigError
@@ -25,18 +26,14 @@ class ChannelPolicy(Record):
     """Which provenance channels are open.
 
     ch1 ships the datasheet from experimenter to miner, ch2 ships the miner's
-    knowledge (and info-sheet snapshot) to the labeler, ch3 ships the
-    experimenter's datasheet and knowledge to the labeler. The fully open
-    state is not a separate switch; it is simply all three at once.
+    knowledge to the labeler, ch3 ships the experimenter's datasheet and
+    knowledge to the labeler; delivered knowledge is a layer of the labeler's
+    effective prior. The fully open state is simply all three at once.
     """
 
     ch1: bool = False
     ch2: bool = False
     ch3: bool = False
-
-    @property
-    def all_open(self) -> bool:
-        return self.ch1 and self.ch2 and self.ch3
 
     @property
     def mask(self) -> int:
@@ -142,6 +139,9 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
         if not cond:
             raise ConfigError(f"{path}: {msg}")
 
+    # The name is the sweep's directory under --out: one plain path component.
+    plain = cfg.name not in ("", ".", "..") and "\0" not in cfg.name and PurePath(cfg.name).name == cfg.name
+    check(plain, "name", f"must be one plain path component, got {cfg.name!r}")
     check(cfg.m >= 2, "m", f"must be >= 2, got {cfg.m}")
     check(1 <= cfg.tree_count <= cfg.m, "tree_count", f"must lie in [1, {cfg.m}], got {cfg.tree_count}")
     check(0.5 < cfg.p_stay < 1.0, "p_stay", f"must lie in (0.5, 1), got {cfg.p_stay}")
@@ -192,6 +192,15 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
             path = f"wiring.labeling[{idx}]"
             check(0 <= l < n_lab, path, f"labeler index {l} out of range [0, {n_lab})")
             check((j, i) in mined, path, f"no mining product exists for miner {j} on dataset {i}")
+
+    for path, entries in (
+        ("peer_access.mining", cfg.peer_access.mining),
+        ("peer_access.labeling", cfg.peer_access.labeling),
+        ("wiring.mining", cfg.wiring.mining or ()),
+        ("wiring.labeling", cfg.wiring.labeling or ()),
+    ):
+        for idx, entry in enumerate(entries):
+            check(entry not in entries[:idx], f"{path}[{idx}]", "repeats an earlier entry")
 
     if cfg.self_driving:
         same = cfg.teams.experimenting == cfg.teams.mining == cfg.teams.labeling

@@ -183,9 +183,6 @@ class KnowledgeBase:
         for u, v, dep, conf in zip(us.tolist(), vs.tolist(), self.dep.tolist(), self.conf.tolist()):
             yield WeightedClaim(Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT), conf)
 
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return self._row(*pair) is not None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeBase):
             return NotImplemented

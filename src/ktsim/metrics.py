@@ -27,6 +27,7 @@ from .experimenting import design_experiment, sample_dataset
 from .knowledge import (
     Claim,
     GroundTruth,
+    KnowledgeBase,
     Membership,
     Polarity,
     WeightedClaim,
@@ -34,6 +35,7 @@ from .knowledge import (
     membership,
     negate,
     pair_key,
+    rectify,
     sample_agent_prior,
 )
 from .labeling import EffectivePrior, LabeledKnowledge, build_effective_prior, label, reinterpret
@@ -165,28 +167,36 @@ def validate_monotonicity(
 ) -> MonotonicityReport:
     """Randomized check of the labeling stage's growth guarantees.
 
-    Each trial builds a fresh pipeline state (ground truth, priors, a mined
-    information product under a random channel situation), draws a claim on a
-    pair the effective prior does not cover with confidence at or above both
-    the veto and trust thresholds, and labels before and after adding it. A
-    violation is a drop in the count of labeled claims on the added claim's
-    own side of the truth (true side for a true claim, false side for a false
-    one). The check runs whatever labeling parameters the scenario carries,
-    including deliberately broken ones, and reports rather than hides what it
-    finds.
+    Each trial builds a fresh pipeline state: ground truth; the labeler,
+    miner, experimenter and zero to two peer bases, each rectified from the
+    priors of as many agents as the scenario's team of that role has; and a
+    mined information product under random channels, which decide whether
+    the miner and experimenter layers join the effective prior. It then draws
+    a claim on a pair the effective prior does not cover with confidence at
+    or above both the veto and trust thresholds, and labels before and after
+    adding it. A violation is a drop in the count of labeled claims on the
+    added claim's own side of the truth (true side for a true claim, false
+    side for a false one). The check runs whatever labeling parameters the
+    scenario carries, including deliberately broken ones, and reports rather
+    than hides what it finds.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     params = scenario.labeling
     floor = max(params.veto_confidence, params.trust_confidence)
+    agents, teams = scenario.agents, scenario.teams
+
+    def team_base(gt: GroundTruth, size: int, trial_rng: np.random.Generator) -> KnowledgeBase:
+        return rectify([sample_agent_prior(gt, agents.coverage, agents.accuracy, trial_rng) for _ in range(size)])
+
     violations = 0
     transcripts = []
     for trial in range(trials):
         trial_rng = np.random.default_rng(rng.integers(0, 2**63, dtype=np.uint64))
         gt = build_ground_truth(scenario.m, scenario.tree_count, scenario.p_stay, trial_rng)
-        exp_kb = sample_agent_prior(gt, scenario.agents.coverage, scenario.agents.accuracy, trial_rng)
-        miner_kb = sample_agent_prior(gt, scenario.agents.coverage, scenario.agents.accuracy, trial_rng)
-        own_kb = sample_agent_prior(gt, scenario.agents.coverage, scenario.agents.accuracy, trial_rng)
+        exp_kb = team_base(gt, teams.experimenting.size, trial_rng)
+        miner_kb = team_base(gt, teams.mining.size, trial_rng)
+        own_kb = team_base(gt, teams.labeling.size, trial_rng)
         design = design_experiment(
             exp_kb,
             scenario.m,
@@ -198,8 +208,9 @@ def validate_monotonicity(
         )
         dataset, datasheet = sample_dataset(gt, design, trial_rng)
         ch1, ch2, ch3 = (bool(trial_rng.integers(2)) for _ in range(3))
+        peers = [team_base(gt, teams.mining.size, trial_rng) for _ in range(int(trial_rng.integers(3)))]
         info = mine(dataset, miner_kb, datasheet if ch1 else None, [], scenario.mining)
-        prior = build_effective_prior(own_kb, miner_kb if ch2 else None, None)
+        prior = build_effective_prior(own_kb, miner_kb if ch2 else None, exp_kb if ch3 else None, peers)
         exp_sheet = datasheet if ch3 else None
 
         covered = prior.claims.pairs()

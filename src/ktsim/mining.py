@@ -38,7 +38,6 @@ _GRAM_BLOCK_ROWS = 8192
 
 @dataclass(frozen=True)
 class MiningParams(Record):
-    report_all: bool = True
     veto_confidence: float = 0.9
     dep_threshold: float = DEFAULT_DEP_THRESHOLD
     ind_threshold: float = DEFAULT_IND_THRESHOLD
@@ -92,7 +91,6 @@ class InfoSheet(Record):
     params: MiningParams
     corrections_applied: frozenset[str]
     upstream_datasheet: Optional[Datasheet]
-    knowledge_snapshot: Optional[KnowledgeBase] = None
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -99,31 +99,24 @@ class RunResult:
 
 
 def _form_teams(cfg: ScenarioConfig, pool: AgentPool, rng: np.random.Generator) -> dict[Role, tuple[Team, ...]]:
-    def draw(size: int) -> tuple[int, ...]:
-        picked = rng.choice(pool.agent_count, size=size, replace=False)
-        return tuple(sorted(int(a) for a in picked))
-
-    teams: dict[Role, tuple[Team, ...]] = {}
-    if cfg.self_driving:
-        spec = cfg.teams.experimenting
-        member_sets = [draw(spec.size) for _ in range(spec.count)]
-        for role in Role:
-            teams[role] = tuple(
-                Team(t, role, members, rectify([pool.priors[a] for a in members]))
-                for t, members in enumerate(member_sets)
-            )
-        return teams
-    for role, spec in (
-        (Role.EXPERIMENTING, cfg.teams.experimenting),
-        (Role.MINING, cfg.teams.mining),
-        (Role.LABELING, cfg.teams.labeling),
-    ):
-        built = []
-        for t in range(spec.count):
-            members = draw(spec.size)
-            built.append(Team(t, role, members, rectify([pool.priors[a] for a in members])))
-        teams[role] = tuple(built)
-    return teams
+    """Draw each team's members, role by role and team by team. A
+    self-driving scenario draws only the experimenting teams, and those same
+    agents hold the other two roles."""
+    drawing = (Role.EXPERIMENTING,) if cfg.self_driving else tuple(Role)
+    member_sets: dict[Role, list[tuple[int, ...]]] = {}
+    for role in drawing:
+        spec = getattr(cfg.teams, role.value)
+        member_sets[role] = [
+            tuple(sorted(rng.choice(pool.agent_count, size=spec.size, replace=False).tolist()))
+            for _ in range(spec.count)
+        ]
+    return {
+        role: tuple(
+            Team(t, role, members, rectify([pool.priors[a] for a in members]))
+            for t, members in enumerate(member_sets.get(role, member_sets[Role.EXPERIMENTING]))
+        )
+        for role in Role
+    }
 
 
 def _labeling_wiring(cfg: ScenarioConfig, mining_pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int, int], ...]:
@@ -191,37 +184,25 @@ def run(cfg: ScenarioConfig, seed: int) -> RunResult:
 
     labelings = []
     for l, i, j in _labeling_wiring(cfg, mining_pairs):
-        info = infos[(j, i)]
-        if channels.ch2:
-            info = replace(
-                info, info_sheet=replace(info.info_sheet, knowledge_snapshot=mine_teams[j].knowledge)
-            )
-        exp_datasheet = None
-        exp_knowledge = None
-        if channels.ch3:
-            exp_datasheet = replace(records[i].datasheet, knowledge_snapshot=exp_teams[i].knowledge)
-            exp_knowledge = exp_teams[i].knowledge
         prior = build_effective_prior(
             label_teams[l].knowledge,
             mine_teams[j].knowledge if channels.ch2 else None,
-            exp_knowledge,
+            exp_teams[i].knowledge if channels.ch3 else None,
             labeler_peers[l],
         )
-        reread = reinterpret(info, prior, exp_datasheet, cfg.labeling)
+        exp_datasheet = records[i].datasheet if channels.ch3 else None
+        reread = reinterpret(infos[(j, i)], prior, exp_datasheet, cfg.labeling)
         labelings.append(label(reread, prior, cfg.labeling, teams=(i, j, l)))
 
     report = openness(labelings, gt)
     ordered_teams = tuple(t for role in Role for t in teams[role])
-    delivered_infos = tuple(
-        ((j, i), infos[(j, i)]) for (j, i) in sorted(infos)
-    )
     return RunResult(
         config=cfg,
         seed=int(seed),
         ground_truth=gt,
         teams=ordered_teams,
         datasets=tuple(records),
-        informations=delivered_infos,
+        informations=tuple(sorted(infos.items())),
         labelings=tuple(labelings),
         openness=report,
     )

@@ -235,3 +235,35 @@ def test_boolean_in_an_integer_field_exits_1_naming_the_field(tmp_path, capsys, 
     field = ".".join(keys) if len(keys) > 1 else f"config.{keys[0]}"
     assert capsys.readouterr().err == f"error: {field}: expected int, got bool\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../x", "a/b", "a\0b"])
+def test_sweep_name_that_is_not_one_path_component_exits_1(config_path, tmp_path, capsys, name):
+    out = tmp_path / "results"
+    sentinel = out / "other_scenario" / "sweep.csv"
+    sentinel.parent.mkdir(parents=True)
+    sentinel.write_text("keep me")
+    data = json.loads(config_path.read_text())
+    data["name"] = name
+    config_path.write_text(json.dumps(data))
+    argv = ["sweep", "--config", str(config_path), "--replicates", "1", "--out", str(out), "--force", "--quiet"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: name: ")
+    assert sentinel.read_text() == "keep me"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "other_scenario", "results", "sweep.csv"]
+
+
+@pytest.mark.parametrize(("section", "key", "entries"), [
+    ("wiring", "mining", [[0, 0], [0, 1], [0, 0]]),
+    ("wiring", "labeling", [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+    ("peer_access", "mining", [[0, 1], [1, 0], [0, 1]]),
+    ("peer_access", "labeling", [[0, 1], [0, 0], [0, 1]]),
+])
+def test_repeated_wiring_or_peer_entry_exits_1(config_path, tmp_path, capsys, section, key, entries):
+    data = json.loads(config_path.read_text())
+    data["teams"] = {role: {"count": 2, "size": 2} for role in ("experimenting", "mining", "labeling")}
+    data[section] = {key: entries}
+    config_path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {section}.{key}[2]: repeats an earlier entry\n"
+    assert not (tmp_path / "out").exists()

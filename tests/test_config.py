@@ -15,8 +15,6 @@ def test_channel_mask_round_trip():
     for mask in range(8):
         policy = ChannelPolicy.from_mask(mask)
         assert policy.mask == mask
-    assert ChannelPolicy(True, True, True).all_open
-    assert not ChannelPolicy(True, True, False).all_open
     with pytest.raises(ConfigError):
         ChannelPolicy.from_mask(8)
 

@@ -202,3 +202,23 @@ def test_dataset_column_lookup_errors_on_unmeasured_variable():
     ds = Dataset((0, 2), np.zeros((3, 2), dtype=np.uint8))
     with pytest.raises(ConfigError):
         ds.column(1)
+
+
+def test_blocked_noise_flips_match_one_whole_array_draw():
+    # More noisy rows than one flip block, and not a multiple of it.
+    gt = build_ground_truth(12, 3, 0.9, np.random.default_rng(3))
+    design = ExperimentDesign((1, 4, 5, 9), None, 0.2, 2 * 8192 + 1001)
+    rng = np.random.default_rng(11)
+    dataset, _ = sample_dataset(gt, design, rng)
+
+    reference = np.random.default_rng(11)
+    full = np.zeros((design.samples, gt.m), dtype=np.uint8)
+    for v in gt.topo_order:
+        parent = gt.parents[v]
+        if parent is None:
+            full[:, v] = reference.integers(0, 2, size=design.samples, dtype=np.uint8)
+        else:
+            full[:, v] = full[:, parent] ^ (reference.random(design.samples) < 1.0 - gt.p_stay).astype(np.uint8)
+    full ^= (reference.random(full.shape) < design.noise_rate).astype(np.uint8)
+    assert np.array_equal(dataset.rows, full[:, list(design.measured)])
+    assert rng.bit_generator.state == reference.bit_generator.state

@@ -1,10 +1,15 @@
 """Golden outputs: seeded artifacts whose bytes must not change.
 
-The first four digests were taken from the dict-based knowledge
-representation that the pair-keyed arrays replaced; the rest were taken
-from the hand-written per-record ``to_json`` methods that the field-driven
-``Record`` encoder replaced. A change that moves any of them must say why in
-CHANGES.md; never update a digest to hide a defect.
+The sweep digests and the dataset CSV digests were taken from the
+dict-based knowledge representation that the pair-keyed arrays replaced; the
+stdout digests were taken from the hand-written per-record ``to_json``
+methods that the field-driven ``Record`` encoder replaced. The digests of
+``result.json`` (default and wide run), of the two ``*.datasheet.json``
+sidecars and of the eight ``combo*/rep0.json`` files were re-pinned when
+``mining.report_all`` and the always-null ``knowledge_snapshot`` fields of the
+info sheet and the datasheet were deleted: each of those files lost only
+these keys, and every number in them stayed the same. A change that moves any
+digest must say why in CHANGES.md; never update a digest to hide a defect.
 """
 
 import hashlib
@@ -20,28 +25,28 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.j
 
 SWEEP_CSV_SHA256 = "608b9654c023da13402bf0b91eb24a64e817ac39f2e0baa8725cb458a9e5ea23"
 SWEEP_SUMMARY_SHA256 = "c15903a7420980e79f8e355d278fce832e6311a5ec4a8f1d7922abd8e8b29092"
-RUN_SEED_42_SHA256 = "80ebcbf849d02234b053b52260f700131995f035dc658c97786c64f65e5b0861"
-WIDE_RUN_SEED_7_SHA256 = "9eb6a0bef7a2727c116b8b0ca7d890994b4e78766106e991d27c0b19883aa8c4"
+RUN_SEED_42_SHA256 = "c17a85578f4a9813e1c2a35cd3151bb8c990ca25dc9d6cb7b133c5f71aac31b1"
+WIDE_RUN_SEED_7_SHA256 = "e4ce2590d2d41ecaba9feb2b05cb1d5e897b4517dd99d6d4b2ee5ace5493d86d"
 
 #: Dataset exports of ``run --seed 42``: CSV and datasheet sidecar per team.
 RUN_SEED_42_DATASETS_SHA256 = {
     "team0.csv": "5769b5d6585de58cb0917215d583418c9cd6f13d20ba2be5f276592a4af8d430",
-    "team0.datasheet.json": "0cb5e482ce4ee5dadb73be5d066ae3b97007450fd776c38a3f6c2ab0d368aa13",
+    "team0.datasheet.json": "4101dd31f849879e6c9d9b0b1477b40359812eb88111c4d558d148af3014e55f",
     "team1.csv": "a30f45d292bc04cad979af6e6e37b7e99298b4c93e3a9846f6213c7a063120be",
-    "team1.datasheet.json": "9f669a25329f1f227fb27c5e203803e1cf8b72208c192b5093dd1b6324c2b18b",
+    "team1.datasheet.json": "d7de339bb6180534e45396baa95ec0f0df2be8d01c60daa9e038a269e2f9b58b",
 }
 VALIDATE_STDOUT_SHA256 = "dda64a139d2e12ed83f58772a73eff3fddef1b3c8e0b9ce2c4599dc50a5342d9"
 ORACLE_STDOUT_SHA256 = "a0bc874c2255995a79e93b0a0167831790565dd6346c3b709c00056caa082999"
 #: ``combo<mask>/rep0.json`` of a one-replicate CLI sweep of the default config.
 SWEEP_REP0_SHA256 = (
-    "7ba01010c89f288d473f2961b7942b7f8d3fdc0c5a1d1730331025c19a0f3d7a",
-    "dd35e47a00194730ddd8c6406c2d6b150e0aee86ad967d3c845ac7eb662c4719",
-    "3710caaa764482bf59765aa1380b34b8855ed1f0c81fa4ee547cb2ad806187e0",
-    "e7a4179635d6cbbc1477dfcd4f03e612e26faff1d3fcbd4ec6a307918ddfd050",
-    "d4e7da0e6b612356a26d42635a69af87698a5f0a36f5c24350de5fb997426afd",
-    "a0dc979e03e0d07222c32ced2aa3099d68a66314c9db1d78bf926c449d0f35b9",
-    "e011f542ef010a1052557ebb8563ded8d0a88509fc9c06454c0ac0bc1b21f52f",
-    "a34e6961afd64313857129230a128932b4ddeb77228dc2d5f3cca68ce6c718de",
+    "77636b1f648b49950f2557e36df9c46e0d8c7407ba93715ba0b9c950cc2ea908",
+    "c0612d8c7b410416f86d919fb474822701af38b1dbf3c79ed194fc59babd86ec",
+    "054ee3046c4ace55925d804621cdc889eb605e9925f420c20ada9238fb2ce544",
+    "e761ad0ad51425fc2712a6dd2e84e5bee177becea0365e55d9afc507dca68b98",
+    "bd3d4d2939137d47569216034c95880699e58119d69ea03fa73715d832faa53e",
+    "90d4455d0839a44fde4b1059ab409eff9925cd713ddcdace44176dc3d2b938b1",
+    "80b8e113150874593e669de5412edb8e18a6c6d759f8dddfd5096bc35ee54d2a",
+    "60d6661428f46ac0175ee8ea01623871e1eb3fdc4cce1ffbe6a20b0245725d6f",
 )
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktsim import knowledge, labeling, metrics
 from ktsim.config import default_scenario
 from ktsim.errors import ConfigError
 from ktsim.knowledge import GroundTruth, dependent, independent, negate, true_knowledge
@@ -159,6 +160,30 @@ def test_validator_reports_violations_of_a_broken_labeler():
     report = validate_monotonicity(150, broken, np.random.default_rng(1))
     assert report.violations > 0
     assert report.transcripts
+
+
+def test_validator_draws_every_layer_of_the_effective_prior(monkeypatch):
+    calls = {"rectify": 0, "priors": []}
+
+    def recording_rectify(member_priors):
+        calls["rectify"] += 1
+        return knowledge.rectify(member_priors)
+
+    def recording_prior(own, delivered_miner, delivered_exp, peers=()):
+        calls["priors"].append((own, delivered_miner, delivered_exp, list(peers)))
+        return labeling.build_effective_prior(own, delivered_miner, delivered_exp, peers)
+
+    monkeypatch.setattr(metrics, "rectify", recording_rectify)
+    monkeypatch.setattr(metrics, "build_effective_prior", recording_prior)
+    report = validate_monotonicity(40, default_scenario(), np.random.default_rng(4))
+    assert report.violations == 0
+    assert len(calls["priors"]) == 40
+    # Three role bases per trial plus each peer base, all rectified.
+    assert calls["rectify"] == 3 * 40 + sum(len(peers) for *_, peers in calls["priors"])
+    assert any(exp is not None and len(exp) for _, _, exp, _ in calls["priors"])
+    assert any(exp is None for _, _, exp, _ in calls["priors"])
+    assert any(peers and all(len(kb) for kb in peers) for *_, peers in calls["priors"])
+    assert any(not peers for *_, peers in calls["priors"])
 
 
 def test_validator_is_deterministic_given_a_seed():

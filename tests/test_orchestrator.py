@@ -92,8 +92,8 @@ def test_channel2_gates_the_knowledge_snapshot():
     cfg = small_scenario()
     on = run(cfg.with_channels(ChannelPolicy(False, True, False)), 7)
     off = run(cfg.with_channels(ChannelPolicy(False, False, False)), 7)
-    # snapshots only ride along when channel 2 is open; stored products are
-    # the as-mined ones, delivery adds the snapshot downstream
+    # channel 2 adds the miner's knowledge as a layer of the labeler's
+    # effective prior; the stored products are the as-mined ones either way
     assert on.openness.openness != off.openness.openness or on.labelings != off.labelings
 
 

@@ -103,7 +103,6 @@ documents = _record(
     agents=_record(count=_slot(st.integers(1, 6)), coverage=_slot(_unit), accuracy=_slot(_unit)),
     teams=_record(experimenting=_team, mining=_team, labeling=_team),
     mining=_record(
-        report_all=_slot(st.booleans()),
         veto_confidence=_slot(st.floats(0.05, 1.0)),
         dep_threshold=_slot(st.floats(0.2, 1.0)),
         ind_threshold=_slot(st.floats(0.0, 0.19)),
