@@ -64,7 +64,8 @@ def _fresh_sibling(target: Path, tag: str) -> Path:
     return path
 
 
-def _say(args, text: str, stream=sys.stdout) -> None:
+def _say(args, text: str, stream=None) -> None:
+    # print resolves a stream of None to sys.stdout when it is called.
     if not args.quiet:
         print(text, file=stream)
 
@@ -99,6 +100,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
+    if args.seed is not None:
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     replicates = args.replicates if args.replicates is not None else cfg.replicates
     target = Path(args.out) / cfg.name
     if target.exists() and any(target.iterdir()) and not args.force:
@@ -146,15 +149,13 @@ def _cmd_validate(args) -> int:
         cfg = _load_config(args.config)
     else:
         cfg = default_scenario()
-    if args.break_passthrough:
-        cfg = dataclasses.replace(
-            cfg, labeling=dataclasses.replace(cfg.labeling, break_passthrough=True)
-        )
     seed = args.seed if args.seed is not None else secrets.randbits(63)
-    report = validate_monotonicity(args.trials, cfg, np.random.default_rng(seed))
+    report = validate_monotonicity(
+        args.trials, cfg, np.random.default_rng(seed), break_passthrough=args.break_passthrough
+    )
     payload = report.to_json()
     payload["seed"] = seed
-    payload["break_passthrough"] = cfg.labeling.break_passthrough
+    payload["break_passthrough"] = args.break_passthrough
     print(json.dumps(payload, sort_keys=True))
     _say(args, f"seed: {seed}", stream=sys.stderr)
     _say(

@@ -282,7 +282,13 @@ def _parse_record(obj: Any, path: str, default: Any) -> Any:
             arity, nullable = _pairs_kind(kind)
             raw = mapping.get(name, value)
             values[name] = None if raw is None and nullable else _parse_pairs(raw, sub, arity)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        # The root's own checks already name their field paths.
+        if path == _ROOT:
+            raise
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @lru_cache(maxsize=None)

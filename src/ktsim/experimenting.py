@@ -84,10 +84,6 @@ class Dataset:
     def n(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def width(self) -> int:
-        return self.rows.shape[1]
-
     def column(self, variable: int) -> np.ndarray:
         try:
             return self.rows[:, self._index[variable]]

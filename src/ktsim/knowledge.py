@@ -65,9 +65,6 @@ class Claim:
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
 
-    def sort_key(self) -> tuple[int, int, str]:
-        return (self.u, self.v, self.polarity.value)
-
     def __str__(self) -> str:
         return f"{self.polarity.value}({self.u},{self.v})"
 
@@ -85,14 +82,18 @@ def negate(claim: Claim) -> Claim:
     return Claim(claim.u, claim.v, claim.polarity.flipped)
 
 
+def check_confidence(name: str, value: float) -> None:
+    if not (0.0 < value <= 1.0):
+        raise ConfigError(f"{name} must lie in (0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class WeightedClaim:
     claim: Claim
     confidence: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.confidence <= 1.0):
-            raise ConfigError(f"confidence must lie in (0, 1], got {self.confidence}")
+        check_confidence("confidence", self.confidence)
 
     def to_json(self) -> dict:
         return {
@@ -211,9 +212,6 @@ class KnowledgeBase:
         us, vs = split_keys(self.keys)
         return set(zip(us.tolist(), vs.tolist()))
 
-    def claims(self) -> tuple[Claim, ...]:
-        return tuple(wc.claim for wc in self)
-
     def extended(self, wc: WeightedClaim) -> "KnowledgeBase":
         """New base with one extra claim; the pair must be free."""
         return KnowledgeBase([*self, wc])
@@ -323,26 +321,6 @@ class GroundTruth:
     def same_tree(self, u: int, v: int) -> bool:
         return self.tree_ids[u] == self.tree_ids[v]
 
-    def tree_distance(self, u: int, v: int) -> Optional[int]:
-        """Edge count on the tree path between u and v; None across trees."""
-        if not self.same_tree(u, v):
-            return None
-        if u == v:
-            return 0
-        # Walk both nodes up to the root, then diff the ancestor chains.
-        def chain(x: int) -> list[int]:
-            out = [x]
-            while self.parents[out[-1]] is not None:
-                out.append(self.parents[out[-1]])  # type: ignore[arg-type]
-            return out
-
-        cu, cv = chain(u), chain(v)
-        depth = {node: i for i, node in enumerate(cu)}
-        for j, node in enumerate(cv):
-            if node in depth:
-                return depth[node] + j
-        return None  # unreachable for a shared tree
-
     def all_pairs(self) -> Iterator[tuple[int, int]]:
         return combinations(range(self.m), 2)
 
@@ -401,20 +379,37 @@ def _tree_count_on(n: int) -> int:
     return 1 if n <= 2 else n ** (n - 2)
 
 
+def _first_tree_weights(n: int, k: int, fewer: dict[int, int]) -> Iterator[int]:
+    """For s = 1 .. n-k+1, the number of labeled forests on n vertices with k
+    trees whose tree through the lowest vertex has s vertices: its other s-1
+    vertices, a tree on them, and one of ``fewer[n - s]`` (k-1)-tree forests
+    on the rest."""
+    for s in range(1, n - k + 2):
+        yield math.comb(n - 1, s - 1) * _tree_count_on(s) * fewer[n - s]
+
+
 @lru_cache(maxsize=None)
+def _forest_table(m: int, tree_count: int) -> tuple[dict[int, int], ...]:
+    """``table[k][n]``: labeled forests on n vertices with exactly k trees, for
+    every (n, k) that sampling a ``tree_count``-tree forest on m vertices
+    reaches. Built bottom-up, one tree count at a time; n - k never exceeds
+    m - tree_count, and the top count only needs n = m."""
+    spare = m - tree_count
+    table = [{n: int(n == 0) for n in range(spare + 1)}]
+    for k in range(1, tree_count + 1):
+        sizes = range(m if k == tree_count else k, k + spare + 1)
+        if k == 1:
+            table.append({n: _tree_count_on(n) for n in sizes})
+        else:
+            table.append({n: sum(_first_tree_weights(n, k, table[k - 1])) for n in sizes})
+    return tuple(table)
+
+
 def _forest_count(n: int, k: int) -> int:
     """Number of labeled forests on n vertices with exactly k (unrooted) trees."""
     if k < 0 or k > n:
         return 0
-    if n == 0:
-        return 1
-    if k == 1:
-        return _tree_count_on(n)
-    total = 0
-    # s = size of the component containing the lowest-labeled vertex
-    for s in range(1, n - k + 2):
-        total += math.comb(n - 1, s - 1) * _tree_count_on(s) * _forest_count(n - s, k - 1)
-    return total
+    return _forest_table(n, k)[k][n]
 
 
 def _rand_below(rng: np.random.Generator, bound: int) -> int:
@@ -468,17 +463,18 @@ def _sample_forest_parents(m: int, tree_count: int, rng: np.random.Generator) ->
     counts, members as a uniform subset, and the tree itself decoded from a
     uniform Pruefer sequence.
     """
+    table = _forest_table(m, tree_count)
     remaining = list(range(m))
     k = tree_count
     adjacency: list[list[int]] = [[] for _ in range(m)]
     while remaining:
         n = len(remaining)
         anchor = remaining[0]
-        r = _rand_below(rng, _forest_count(n, k))
+        r = _rand_below(rng, table[k][n])
         acc = 0
         size = n - k + 1
-        for s in range(1, n - k + 2):
-            acc += math.comb(n - 1, s - 1) * _tree_count_on(s) * _forest_count(n - s, k - 1)
+        for s, weight in enumerate(_first_tree_weights(n, k, table[k - 1]), start=1):
+            acc += weight
             if r < acc:
                 size = s
                 break

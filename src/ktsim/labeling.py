@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .experimenting import Datasheet
-from .knowledge import Claim, KnowledgeBase, Polarity, pair_key, split_keys
+from .knowledge import Claim, KnowledgeBase, Polarity, check_confidence, pair_key, split_keys
 from .mining import (
     DEFAULT_DEP_THRESHOLD,
     DEFAULT_IND_THRESHOLD,
@@ -33,6 +33,7 @@ from .mining import (
     TAG_SELECTION_CONDITIONED,
     Information,
     Pattern,
+    check_params,
     contradicted_patterns,
     datasheet_corrections,
 )
@@ -48,20 +49,10 @@ class LabelingParams(Record):
     ind_threshold: float = DEFAULT_IND_THRESHOLD
     veto_confidence: float = 0.9
     trust_confidence: float = 0.9
-    #: Fault injection for the negative control of the monotonicity validator:
-    #: pass-through emits the negation of each trusted prior claim.
-    break_passthrough: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.ind_threshold < self.dep_threshold <= 1.0):
-            raise ConfigError(
-                "thresholds must satisfy 0 <= ind_threshold < dep_threshold <= 1, "
-                f"got ind={self.ind_threshold} dep={self.dep_threshold}"
-            )
-        if not (0.0 < self.veto_confidence <= 1.0):
-            raise ConfigError(f"veto_confidence must lie in (0, 1], got {self.veto_confidence}")
-        if not (0.0 < self.trust_confidence <= 1.0):
-            raise ConfigError(f"trust_confidence must lie in (0, 1], got {self.trust_confidence}")
+        check_params(self)
+        check_confidence("trust_confidence", self.trust_confidence)
 
 
 @dataclass(frozen=True)
@@ -115,8 +106,6 @@ def build_effective_prior(
     source (labeler, then miner, then experimenter, then peers in list order).
     """
     layers = [kb for kb in (own, delivered_miner, delivered_exp, *peers) if kb is not None]
-    if len(layers) == 1:
-        return EffectivePrior(own)
     # Strongest first: np.unique keeps the first occurrence of every key.
     keys, first = np.unique(np.concatenate([kb.keys for kb in layers]), return_index=True)
     dep = np.concatenate([kb.dep for kb in layers])[first]
@@ -195,7 +184,6 @@ def label(
     trusted = kb.conf >= params.trust_confidence
     keys = kb.keys[trusted]
     us, vs = split_keys(keys)
-    dep = kb.dep[trusted] != params.break_passthrough
-    for key, u, v, d in zip(keys.tolist(), us.tolist(), vs.tolist(), dep.tolist()):
+    for key, u, v, d in zip(keys.tolist(), us.tolist(), vs.tolist(), kb.dep[trusted].tolist()):
         chosen[key] = LabeledClaim(Claim(u, v, Polarity.DEPENDENT if d else Polarity.INDEPENDENT), ORIGIN_PRIOR)
     return LabeledKnowledge(tuple(chosen[k] for k in sorted(chosen)), teams)

@@ -16,7 +16,7 @@ noise attenuation laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -38,7 +38,7 @@ from .knowledge import (
     rectify,
     sample_agent_prior,
 )
-from .labeling import EffectivePrior, LabeledKnowledge, build_effective_prior, label, reinterpret
+from .labeling import ORIGIN_PRIOR, EffectivePrior, LabeledKnowledge, build_effective_prior, label, reinterpret
 from .mining import mine
 from .records import Record
 
@@ -80,39 +80,27 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
     return codes[keep]
 
 
-def _score(codes: np.ndarray, gt: GroundTruth) -> tuple[int, int]:
+def _counts(codes: np.ndarray, gt: GroundTruth) -> dict:
+    """The five count fields of a report on distinct claim codes."""
     true_count = int(np.count_nonzero(gt.same_tree_keys(codes >> 1) == (codes & 1).astype(bool)))
-    return true_count, len(codes) - true_count
+    false_count = len(codes) - true_count
+    return {
+        "union_size": len(codes),
+        "true_count": true_count,
+        "false_count": false_count,
+        "openness": true_count - false_count,
+        "normalized": (true_count - false_count) / len(codes) if len(codes) else 0.0,
+    }
 
 
 def openness(labelings: Sequence[LabeledKnowledge], gt: GroundTruth) -> OpennessReport:
     """True-minus-false count over the deduplicated union of all labelings."""
-    per_triple = []
-    per_labeling = []
-    for lk in labelings:
-        codes = _claim_codes(lk)
-        per_labeling.append(codes)
-        t, f = _score(codes, gt)
-        per_triple.append(
-            TripleReport(
-                teams=lk.teams,
-                union_size=len(codes),
-                true_count=t,
-                false_count=f,
-                openness=t - f,
-                normalized=(t - f) / len(codes) if len(codes) else 0.0,
-            )
-        )
-    union = _distinct(np.concatenate([np.zeros(0, dtype=np.int64), *per_labeling]))
-    t, f = _score(union, gt)
-    return OpennessReport(
-        union_size=len(union),
-        true_count=t,
-        false_count=f,
-        openness=t - f,
-        normalized=(t - f) / len(union) if len(union) else 0.0,
-        per_triple=tuple(per_triple),
+    per_labeling = [_claim_codes(lk) for lk in labelings]
+    per_triple = tuple(
+        TripleReport(teams=lk.teams, **_counts(codes, gt)) for lk, codes in zip(labelings, per_labeling)
     )
+    union = _distinct(np.concatenate([np.zeros(0, dtype=np.int64), *per_labeling]))
+    return OpennessReport(**_counts(union, gt), per_triple=per_triple)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +148,21 @@ def _count_side(lk: LabeledKnowledge, gt: GroundTruth, side: Membership) -> int:
     return sum(1 for c in lk.claims if membership(c, gt) is side)
 
 
+def negate_passthrough(lk: LabeledKnowledge) -> LabeledKnowledge:
+    """The validator's negative control: ``lk`` with each prior pass-through
+    claim negated. Pass-through already overwrote the pattern label on those
+    pairs, so this is the output of a labeler whose pass-through emits the
+    negation of every trusted prior claim."""
+    entries = tuple(replace(e, claim=negate(e.claim)) if e.origin == ORIGIN_PRIOR else e for e in lk.entries)
+    return LabeledKnowledge(entries, lk.teams)
+
+
 def validate_monotonicity(
     trials: int,
     scenario: ScenarioConfig,
     rng: np.random.Generator,
+    *,
+    break_passthrough: bool = False,
 ) -> MonotonicityReport:
     """Randomized check of the labeling stage's growth guarantees.
 
@@ -176,9 +175,9 @@ def validate_monotonicity(
     or above both the veto and trust thresholds, and labels before and after
     adding it. A violation is a drop in the count of labeled claims on the
     added claim's own side of the truth (true side for a true claim, false
-    side for a false one). The check runs whatever labeling parameters the
-    scenario carries, including deliberately broken ones, and reports rather
-    than hides what it finds.
+    side for a false one). With ``break_passthrough`` every labeling goes
+    through ``negate_passthrough`` first, a negative control the check must
+    catch; it reports rather than hides what it finds.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -232,6 +231,8 @@ def validate_monotonicity(
         before = label(reinterpret(info, prior, exp_sheet, params), prior, params)
         grown = EffectivePrior(prior.claims.extended(WeightedClaim(claim, confidence)))
         after = label(reinterpret(info, grown, exp_sheet, params), grown, params)
+        if break_passthrough:
+            before, after = negate_passthrough(before), negate_passthrough(after)
 
         n_before = _count_side(before, gt, side)
         n_after = _count_side(after, gt, side)

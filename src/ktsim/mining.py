@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .experimenting import Dataset, Datasheet
-from .knowledge import KnowledgeBase, Polarity, pair_key
+from .knowledge import KnowledgeBase, Polarity, check_confidence, pair_key
 from .records import Record
 
 TAG_NOISE_CORRECTED = "noise_corrected"
@@ -43,13 +43,18 @@ class MiningParams(Record):
     ind_threshold: float = DEFAULT_IND_THRESHOLD
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.veto_confidence <= 1.0):
-            raise ConfigError(f"veto_confidence must lie in (0, 1], got {self.veto_confidence}")
-        if not (0.0 <= self.ind_threshold < self.dep_threshold <= 1.0):
-            raise ConfigError(
-                "thresholds must satisfy 0 <= ind_threshold < dep_threshold <= 1, "
-                f"got ind={self.ind_threshold} dep={self.dep_threshold}"
-            )
+        check_params(self)
+
+
+def check_params(params) -> None:
+    """Range checks shared by MiningParams and LabelingParams: the veto
+    confidence lies in (0, 1] and 0 <= ind_threshold < dep_threshold <= 1."""
+    check_confidence("veto_confidence", params.veto_confidence)
+    if not (0.0 <= params.ind_threshold < params.dep_threshold <= 1.0):
+        raise ConfigError(
+            "thresholds must satisfy 0 <= ind_threshold < dep_threshold <= 1, "
+            f"got ind={params.ind_threshold} dep={params.dep_threshold}"
+        )
 
 
 @dataclass(frozen=True)

@@ -310,21 +310,18 @@ def sweep(
                     chunksize=max(1, len(cells) // (4 * workers)),
                 )
             )
-    rows.sort(key=lambda r: (r.combo_mask, r.replicate))
 
     per_combo = []
-    by_mask: dict[int, list[SweepRow]] = {}
-    for row in rows:
-        by_mask.setdefault(row.combo_mask, []).append(row)
-    for mask in ALL_CHANNEL_MASKS:
-        vals = [r.openness for r in by_mask.get(mask, [])]
+    by_mask = {mask: [r for r in rows if r.combo_mask == mask] for mask in ALL_CHANNEL_MASKS}
+    for mask, group in by_mask.items():
+        vals = [r.openness for r in group]
         per_combo.append(
             ComboSummary(
                 combo_mask=mask,
                 mean_openness=statistics.fmean(vals),
                 stddev_openness=statistics.stdev(vals) if len(vals) > 1 else 0.0,
-                mean_normalized=statistics.fmean(r.normalized for r in by_mask[mask]),
-                mean_union_size=statistics.fmean(r.union_size for r in by_mask[mask]),
+                mean_normalized=statistics.fmean(r.normalized for r in group),
+                mean_union_size=statistics.fmean(r.union_size for r in group),
             )
         )
     all_on = [r.openness for r in by_mask[7]]

@@ -1,5 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -267,3 +269,45 @@ def test_repeated_wiring_or_peer_entry_exits_1(config_path, tmp_path, capsys, se
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {section}.{key}[2]: repeats an earlier entry\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(("section", "key", "value"), [
+    ("mining", "veto_confidence", 2.0),
+    ("mining", "dep_threshold", 0.01),
+    ("labeling", "veto_confidence", 0.0),
+    ("labeling", "trust_confidence", 1.5),
+    ("labeling", "ind_threshold", 0.5),
+])
+def test_range_error_in_mining_or_labeling_names_its_record(config_path, tmp_path, capsys, section, key, value):
+    data = json.loads(config_path.read_text())
+    data[section][key] = value
+    config_path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {section}: ")
+    assert key.split("_")[0] in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_seed_is_the_master_seed(config_path, tmp_path, capsys):
+    def sweep_csv(name, *seed):
+        out = tmp_path / name
+        argv = ["sweep", "--config", str(config_path), "--replicates", "1", "--out", str(out), "--quiet", *seed]
+        assert main(argv) == EXIT_OK
+        return (out / "clitest" / "sweep.csv").read_text()
+
+    def seeds(text):
+        return {line.split(",")[3] for line in text.splitlines()[1:]}
+
+    master_seed = json.loads(config_path.read_text())["master_seed"]
+    assert seeds(sweep_csv("five", "--seed", "5")) != seeds(sweep_csv("six", "--seed", "6"))
+    assert sweep_csv("omitted") == sweep_csv("master", "--seed", str(master_seed))
+    capsys.readouterr()
+
+
+def test_run_table_follows_a_replaced_stdout(config_path, tmp_path, capsys):
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(["run", "--config", str(config_path), "--seed", "1", "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert any(line.split()[:1] == ["union"] for line in buffer.getvalue().splitlines())
+    assert capsys.readouterr().out == ""

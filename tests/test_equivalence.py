@@ -130,8 +130,7 @@ def ref_label(patterns, prior, params):
         chosen[p.pair] = (Claim(*p.pair, implied), ORIGIN_PATTERN)
     for wc in prior:
         if wc.confidence >= params.trust_confidence:
-            claim = negate(wc.claim) if params.break_passthrough else wc.claim
-            chosen[claim.pair] = (claim, ORIGIN_PRIOR)
+            chosen[wc.claim.pair] = (wc.claim, ORIGIN_PRIOR)
     return [chosen[pair] for pair in sorted(chosen)]
 
 
@@ -196,11 +195,11 @@ def _info(patterns):
 
 
 @SETTINGS
-@given(st.data(), st.integers(2, 5), st.booleans())
-def test_label_matches_the_reference(data, m, broken):
+@given(st.data(), st.integers(2, 5))
+def test_label_matches_the_reference(data, m):
     found = data.draw(patterns(m))
     prior = data.draw(claim_lists(m))
-    params = LabelingParams(break_passthrough=broken)
+    params = LabelingParams()
     out = label(_info(found), EffectivePrior(KnowledgeBase(prior)), params)
     assert [(e.claim, e.origin) for e in out.entries] == ref_label(found, prior, params)
 

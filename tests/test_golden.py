@@ -7,9 +7,13 @@ methods that the field-driven ``Record`` encoder replaced. The digests of
 ``result.json`` (default and wide run), of the two ``*.datasheet.json``
 sidecars and of the eight ``combo*/rep0.json`` files were re-pinned when
 ``mining.report_all`` and the always-null ``knowledge_snapshot`` fields of the
-info sheet and the datasheet were deleted: each of those files lost only
-these keys, and every number in them stayed the same. A change that moves any
-digest must say why in CHANGES.md; never update a digest to hide a defect.
+info sheet and the datasheet were deleted, and the three ``result.json``
+kinds again when ``labeling.break_passthrough`` left the config: each of
+those files lost only these keys, and every number in them stayed the same.
+The negative-control stdout was pinned while the fault was still a labeling
+parameter, and it did not move when the validator took the fault over. A
+change that moves any digest must say why in CHANGES.md; never update a
+digest to hide a defect.
 """
 
 import hashlib
@@ -19,14 +23,14 @@ from pathlib import Path
 import pytest
 
 from ktsim import scenario_from_dict, sweep, write_sweep_outputs
-from ktsim.cli import EXIT_OK, main
+from ktsim.cli import EXIT_OK, EXIT_VALIDATION, main
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 SWEEP_CSV_SHA256 = "608b9654c023da13402bf0b91eb24a64e817ac39f2e0baa8725cb458a9e5ea23"
 SWEEP_SUMMARY_SHA256 = "c15903a7420980e79f8e355d278fce832e6311a5ec4a8f1d7922abd8e8b29092"
-RUN_SEED_42_SHA256 = "c17a85578f4a9813e1c2a35cd3151bb8c990ca25dc9d6cb7b133c5f71aac31b1"
-WIDE_RUN_SEED_7_SHA256 = "e4ce2590d2d41ecaba9feb2b05cb1d5e897b4517dd99d6d4b2ee5ace5493d86d"
+RUN_SEED_42_SHA256 = "0096cafa6465588ac096e378d57b773773ea05325ba43ef9df5ad02364273fb0"
+WIDE_RUN_SEED_7_SHA256 = "7168ae80a5cd3333b76caae0c9660611a5b5dd3d716a6510c556699ef4acab4b"
 
 #: Dataset exports of ``run --seed 42``: CSV and datasheet sidecar per team.
 RUN_SEED_42_DATASETS_SHA256 = {
@@ -36,17 +40,19 @@ RUN_SEED_42_DATASETS_SHA256 = {
     "team1.datasheet.json": "d7de339bb6180534e45396baa95ec0f0df2be8d01c60daa9e038a269e2f9b58b",
 }
 VALIDATE_STDOUT_SHA256 = "dda64a139d2e12ed83f58772a73eff3fddef1b3c8e0b9ce2c4599dc50a5342d9"
+#: ``validate --trials 100 --seed 1 --break-passthrough``: the negative control.
+BROKEN_VALIDATE_STDOUT_SHA256 = "93c66e8a546fb57bc898dfb17e6fe098d3158d8e5894a42d43d189097072a28a"
 ORACLE_STDOUT_SHA256 = "a0bc874c2255995a79e93b0a0167831790565dd6346c3b709c00056caa082999"
 #: ``combo<mask>/rep0.json`` of a one-replicate CLI sweep of the default config.
 SWEEP_REP0_SHA256 = (
-    "77636b1f648b49950f2557e36df9c46e0d8c7407ba93715ba0b9c950cc2ea908",
-    "c0612d8c7b410416f86d919fb474822701af38b1dbf3c79ed194fc59babd86ec",
-    "054ee3046c4ace55925d804621cdc889eb605e9925f420c20ada9238fb2ce544",
-    "e761ad0ad51425fc2712a6dd2e84e5bee177becea0365e55d9afc507dca68b98",
-    "bd3d4d2939137d47569216034c95880699e58119d69ea03fa73715d832faa53e",
-    "90d4455d0839a44fde4b1059ab409eff9925cd713ddcdace44176dc3d2b938b1",
-    "80b8e113150874593e669de5412edb8e18a6c6d759f8dddfd5096bc35ee54d2a",
-    "60d6661428f46ac0175ee8ea01623871e1eb3fdc4cce1ffbe6a20b0245725d6f",
+    "7a871391a02affe2ad2e7e74fbd2d5dd3b073f14c7b837ba0d0d8fa78477b09f",
+    "c67025caa569102549a2f77f14171088c1ceebe28ba9c407606ca177422e9550",
+    "d9ca6ca55766f196ac096d78e2ba5825f06dfde55fc8b722e97e5122aed99ed7",
+    "b072170068904dc283871b36aad84680bd898c24c8fe99112b950a825051d37f",
+    "13249186d1bc0f45d72e2f7a2d04e7c068ae000413286afe7b9274ee7007c925",
+    "920dc69fb042d5697d7fd676bdfd95caf2d4357ae6a7c6d82484578632379cb8",
+    "913e9e01bb0495e0b0b755ef2ac552a4288f267c454a845c02d104320b2b9bf7",
+    "3bf31ebcb7f62a2df102bae051b4c7706eac56bab6bb18bc95ab46cf921075a5",
 )
 
 
@@ -93,6 +99,12 @@ def test_wide_mining_run(tmp_path, capsys):
 def test_json_report_on_stdout(capsys, argv, digest):
     assert main(argv) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_negative_control_report_on_stdout(capsys):
+    argv = ["validate", "--trials", "100", "--seed", "1", "--break-passthrough"]
+    assert main(argv) == EXIT_VALIDATION
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BROKEN_VALIDATE_STDOUT_SHA256
 
 
 def test_per_cell_files_of_a_one_replicate_sweep(tmp_path, capsys):

@@ -26,6 +26,7 @@ from ktsim.labeling import (
     label,
     reinterpret,
 )
+from ktsim.metrics import negate_passthrough
 from ktsim.mining import (
     TAG_SELECTION_CONDITIONED,
     Information,
@@ -282,14 +283,13 @@ def test_adding_a_conflict_free_claim_never_shrinks_its_own_side(want_true):
 
 
 def test_broken_pass_through_can_shrink_the_true_side():
-    # Negative control: corrupting pass-through must be able to replace a
-    # correct pattern label with its negation.
+    # Negative control: the validator's corrupted pass-through must be able to
+    # replace a correct pattern label with its negation.
     gt = GroundTruth(2, (None, 0), 0.9)
     info = _info([_pattern(0, 1, 0.8)])
     prior = EffectivePrior(EMPTY)
-    broken = LabelingParams(break_passthrough=True)
-    before = label(reinterpret(info, prior, None, broken), prior, broken)
+    before = negate_passthrough(label(reinterpret(info, prior, None, PARAMS), prior, PARAMS))
     grown = EffectivePrior(_kb((dependent(0, 1), 0.95)))
-    after = label(reinterpret(info, grown, None, broken), grown, broken)
+    after = negate_passthrough(label(reinterpret(info, grown, None, PARAMS), grown, PARAMS))
     assert _count_side(before, gt, Membership.IN_K) == 1
     assert _count_side(after, gt, Membership.IN_K) == 0

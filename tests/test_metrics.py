@@ -1,6 +1,5 @@
 """Tests for the openness score, sign test, validator, and correlation oracle."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -89,7 +88,7 @@ def test_per_triple_breakdown():
 
 
 def test_adding_only_true_claims_never_decreases_openness():
-    K = sorted(true_knowledge(GT), key=lambda c: c.sort_key())
+    K = sorted(true_knowledge(GT), key=lambda c: (c.u, c.v))
     base = [lk([dependent(0, 1), negate(K[3])], (0, 0, 0))]
     before = openness(base, GT).openness
     extra = lk(K[:5], (1, 1, 1))
@@ -98,7 +97,7 @@ def test_adding_only_true_claims_never_decreases_openness():
 
 
 def test_adding_only_false_claims_never_increases_openness():
-    K = sorted(true_knowledge(GT), key=lambda c: c.sort_key())
+    K = sorted(true_knowledge(GT), key=lambda c: (c.u, c.v))
     base = [lk(K[:4], (0, 0, 0))]
     before = openness(base, GT).openness
     extra = lk([negate(c) for c in K[4:8]], (1, 1, 1))
@@ -153,11 +152,7 @@ def test_validator_finds_no_violations_in_the_default_labeler():
 
 
 def test_validator_reports_violations_of_a_broken_labeler():
-    cfg = default_scenario()
-    broken = dataclasses.replace(
-        cfg, labeling=dataclasses.replace(cfg.labeling, break_passthrough=True)
-    )
-    report = validate_monotonicity(150, broken, np.random.default_rng(1))
+    report = validate_monotonicity(150, default_scenario(), np.random.default_rng(1), break_passthrough=True)
     assert report.violations > 0
     assert report.transcripts
 

@@ -112,7 +112,6 @@ documents = _record(
         ind_threshold=_slot(st.floats(0.0, 0.19)),
         veto_confidence=_slot(st.floats(0.05, 1.0)),
         trust_confidence=_slot(st.floats(0.05, 1.0)),
-        break_passthrough=_slot(st.booleans()),
     ),
     peer_access=_record(mining=st.lists(_pair, max_size=2), labeling=st.lists(_pair, max_size=2)),
     wiring=_record(
@@ -146,3 +145,10 @@ def _assert_missing_keys_take_defaults(doc, record, default):
             assert value == expected, f.name
         elif is_dataclass(value):
             _assert_missing_keys_take_defaults(doc[f.name], value, expected)
+
+
+def test_removed_labeling_switch_is_an_unknown_key():
+    doc = default_scenario().to_json()
+    doc["labeling"]["break_passthrough"] = False
+    with pytest.raises(ConfigError, match=r"^labeling: unknown keys \['break_passthrough'\]$"):
+        scenario_from_dict(doc)
