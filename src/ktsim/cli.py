@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes are stable: 0 success, 1 invalid configuration or arguments,
-2 validation failure (the monotonicity check found violations), 3 I/O error.
+Exit codes are stable: 0 success, 1 invalid configuration or arguments (or
+a run too large for memory), 2 validation failure (the monotonicity check
+found violations), 3 I/O error.
 
 Human-readable text goes to stdout for run/sweep and to stderr for
 validate/oracle (whose machine-readable JSON report owns stdout); --quiet
@@ -233,6 +234,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,10 +23,6 @@ from .errors import ConfigError
 from .knowledge import GroundTruth, KnowledgeBase, split_keys
 from .records import Record
 
-#: Upper bound on rejection-sampling rounds; unreachable for valid designs
-#: because a selection on a marginally fair bit accepts about half of draws.
-_MAX_REJECTION_ROUNDS = 10_000
-
 #: Rows per block of noise flips in ``sample_dataset``.
 _NOISE_BLOCK_ROWS = 8192
 
@@ -206,11 +202,8 @@ def sample_dataset(
     selection = design.selection
     need = design.samples
     parts: list[np.ndarray] = []
-    rounds = 0
+    # Uncapped: p_stay in (0.5, 1) and fair-coin roots make every marginal exactly 1/2, so a round accepts ~half.
     while need > 0:
-        rounds += 1
-        if rounds > _MAX_REJECTION_ROUNDS:
-            raise RuntimeError("selection rejection sampling failed to converge")
         batch = need if selection is None else max(64, int(need * 2.2) + 8)
         full = _sample_full_rows(gt, batch, rng)
         if selection is not None:

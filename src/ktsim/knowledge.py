@@ -95,24 +95,6 @@ class WeightedClaim:
     def __post_init__(self) -> None:
         check_confidence("confidence", self.confidence)
 
-    def to_json(self) -> dict:
-        return {
-            "u": self.claim.u,
-            "v": self.claim.v,
-            "polarity": self.claim.polarity.value,
-            "confidence": self.confidence,
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "WeightedClaim":
-        return WeightedClaim(
-            Claim(int(obj["u"]), int(obj["v"]), Polarity(obj["polarity"])),
-            float(obj["confidence"]),
-        )
-
-
-_POLARITY_VALUE = {True: Polarity.DEPENDENT.value, False: Polarity.INDEPENDENT.value}
-
 #: Bits a variable id occupies in a pair key ``u << 32 | v``.
 _KEY_SHIFT = 32
 _KEY_MASK = (1 << _KEY_SHIFT) - 1
@@ -224,16 +206,26 @@ class KnowledgeBase:
         rows = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
         return (self.keys[rows] == keys) & (self.conf[rows] >= min_confidence) & (self.dep[rows] != dep)
 
-    def to_json(self) -> list[dict]:
+    def to_json(self) -> dict:
+        """Aligned columns in key order: ``u``, ``v``, ``dep`` (bool) and ``conf``."""
         us, vs = split_keys(self.keys)
-        return [
-            {"u": u, "v": v, "polarity": _POLARITY_VALUE[dep], "confidence": conf}
-            for u, v, dep, conf in zip(us.tolist(), vs.tolist(), self.dep.tolist(), self.conf.tolist())
-        ]
+        return {"u": us.tolist(), "v": vs.tolist(), "dep": self.dep.tolist(), "conf": self.conf.tolist()}
 
     @staticmethod
-    def from_json(items: Sequence[dict]) -> "KnowledgeBase":
-        return KnowledgeBase(WeightedClaim.from_json(obj) for obj in items)
+    def from_json(obj: dict) -> "KnowledgeBase":
+        """Read ``to_json``'s columns back through the checked constructor."""
+        missing = sorted({"u", "v", "dep", "conf"} - obj.keys())
+        if missing:
+            raise ConfigError(f"knowledge base is missing columns {missing}")
+        columns = (obj["u"], obj["v"], obj["dep"], obj["conf"])
+        if len({len(column) for column in columns}) != 1:
+            raise ConfigError(f"knowledge base columns differ in length: {[len(c) for c in columns]}")
+        if not all(isinstance(dep, bool) for dep in columns[2]):
+            raise ConfigError("knowledge base column dep must hold booleans")
+        return KnowledgeBase(
+            WeightedClaim(Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT), conf)
+            for u, v, dep, conf in zip(*columns)
+        )
 
 
 EMPTY_KNOWLEDGE = KnowledgeBase()

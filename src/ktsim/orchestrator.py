@@ -95,7 +95,8 @@ class RunResult:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        # Compact separators keep json.dumps on its C encoder; indent does not.
+        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _form_teams(cfg: ScenarioConfig, pool: AgentPool, rng: np.random.Generator) -> dict[Role, tuple[Team, ...]]:

@@ -155,6 +155,22 @@ def test_oracle_without_seed_prints_the_chosen_seed(capsys):
     assert str(payload["seed"]) in captured.err
 
 
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--jobs", "2", "--replicates", "1"]], ids=["run", "sweep-jobs-2"])
+def test_a_run_too_large_for_memory_exits_1(config_path, tmp_path, capsys, argv):
+    # 10**17 rows of 12 variables ask for about 1 EiB, more than any address
+    # space, so numpy refuses the request before allocating anything.
+    data = json.loads(config_path.read_text())
+    data["experiment"]["samples"] = 10**17
+    config_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: Unable to allocate ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_arguments_exit_1(capsys):
     assert main(["run", "--bogus"]) == EXIT_CONFIG
     capsys.readouterr()

@@ -163,6 +163,16 @@ def test_selection_masks_dependence_across_the_conditioned_variable():
     assert int(ds.column(1).sum()) == ds.n
 
 
+@pytest.mark.parametrize("samples", [1, 100_000])
+@pytest.mark.parametrize("value", [0, 1])
+def test_selection_design_returns_exactly_the_requested_rows(samples, value):
+    gt = chain_gt(6, p_stay=0.9)
+    design = full_design(gt, samples=samples, selection=Selection(4, value))
+    ds, _ = sample_dataset(gt, design, np.random.default_rng(13))
+    assert ds.n == samples
+    assert np.all(ds.column(4) == value)
+
+
 def test_noise_may_flip_the_selected_column():
     gt = chain_gt(3, p_stay=0.9)
     design = full_design(gt, noise_rate=0.1, samples=20_000, selection=Selection(1, 1))

@@ -11,9 +11,16 @@ info sheet and the datasheet were deleted, and the three ``result.json``
 kinds again when ``labeling.break_passthrough`` left the config: each of
 those files lost only these keys, and every number in them stayed the same.
 The negative-control stdout was pinned while the fault was still a labeling
-parameter, and it did not move when the validator took the fault over. A
-change that moves any digest must say why in CHANGES.md; never update a
-digest to hide a defect.
+parameter, and it did not move when the validator took the fault over.
+
+``result.json`` and the per-cell files then became one compact line written
+by the C JSON encoder, with each team's knowledge as ``u``/``v``/``dep``/``conf``
+columns instead of one record per claim, so their digests moved again. The
+digests of the indented per-claim form they had before are kept as
+``*_RECORD_FORM_SHA256``: ``record_form`` turns a new file back into that
+form, and the re-indented result must hash to them, which shows the new
+layout drops no claim and changes no number. A change that moves any digest
+must say why in CHANGES.md; never update a digest to hide a defect.
 """
 
 import hashlib
@@ -29,8 +36,10 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.j
 
 SWEEP_CSV_SHA256 = "608b9654c023da13402bf0b91eb24a64e817ac39f2e0baa8725cb458a9e5ea23"
 SWEEP_SUMMARY_SHA256 = "c15903a7420980e79f8e355d278fce832e6311a5ec4a8f1d7922abd8e8b29092"
-RUN_SEED_42_SHA256 = "0096cafa6465588ac096e378d57b773773ea05325ba43ef9df5ad02364273fb0"
-WIDE_RUN_SEED_7_SHA256 = "7168ae80a5cd3333b76caae0c9660611a5b5dd3d716a6510c556699ef4acab4b"
+RUN_SEED_42_SHA256 = "9930a09f3622d0d368c05ec0cf6aad02d6912ed12842e58e1d95d955e4b21b11"
+RUN_SEED_42_RECORD_FORM_SHA256 = "0096cafa6465588ac096e378d57b773773ea05325ba43ef9df5ad02364273fb0"
+WIDE_RUN_SEED_7_SHA256 = "37fb7c8aea58a44940d0888edb32a05bc311ceb689f1fa513db07c900b02015d"
+WIDE_RUN_SEED_7_RECORD_FORM_SHA256 = "7168ae80a5cd3333b76caae0c9660611a5b5dd3d716a6510c556699ef4acab4b"
 
 #: Dataset exports of ``run --seed 42``: CSV and datasheet sidecar per team.
 RUN_SEED_42_DATASETS_SHA256 = {
@@ -45,6 +54,16 @@ BROKEN_VALIDATE_STDOUT_SHA256 = "93c66e8a546fb57bc898dfb17e6fe098d3158d8e5894a42
 ORACLE_STDOUT_SHA256 = "a0bc874c2255995a79e93b0a0167831790565dd6346c3b709c00056caa082999"
 #: ``combo<mask>/rep0.json`` of a one-replicate CLI sweep of the default config.
 SWEEP_REP0_SHA256 = (
+    "8d1a9bdb410ba9af1e8eaa7f08f26c7b4f591424e2a1862b24a43eb3f8abbaec",
+    "b74397923d91776f85d816994fd6037d62d7ae76e253cf8b50283af69fd0a407",
+    "6d9e020a0599c4a7351286addb344ac55ba621d1833e132815621ac18860231e",
+    "3a3a09c39c97879c81cdcd3a5d29af84fa6abb8513fc45d73a90220f85e88905",
+    "d6f3aee3cb2731651eeddb8b627f42808f93d1b056ae81416144ffa8170da195",
+    "b1faebe79dcf79da9c42b9350520eb42d7d04ffcd4c29f0f186d45eb11dcaa09",
+    "b44589a457544c3d54680c02e4679ec8ad1465d4f291ed7e52d3ab7432db17ff",
+    "0eb8debd3f9a3b279d8648b663b72933de571d1df69cc618d2192d4bd118c10c",
+)
+SWEEP_REP0_RECORD_FORM_SHA256 = (
     "7a871391a02affe2ad2e7e74fbd2d5dd3b073f14c7b837ba0d0d8fa78477b09f",
     "c67025caa569102549a2f77f14171088c1ceebe28ba9c407606ca177422e9550",
     "d9ca6ca55766f196ac096d78e2ba5825f06dfde55fc8b722e97e5122aed99ed7",
@@ -60,6 +79,30 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def record_form(doc: dict) -> dict:
+    """``doc`` with each team's knowledge columns turned back into one
+    ``{"u", "v", "polarity", "confidence"}`` record per claim."""
+    teams = []
+    for team in doc["teams"]:
+        kb = team["knowledge"]
+        claims = [
+            {"u": u, "v": v, "polarity": "dep" if dep else "indep", "confidence": conf}
+            for u, v, dep, conf in zip(kb["u"], kb["v"], kb["dep"], kb["conf"], strict=True)
+        ]
+        teams.append({**team, "knowledge": claims})
+    return {**doc, "teams": teams}
+
+
+def _check_result_file(path: Path, digest: str, record_form_digest: str) -> None:
+    """The compact file hashes to ``digest``; its record form, indented as
+    before, hashes to ``record_form_digest``."""
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    indented = json.dumps(record_form(json.loads(text)), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == record_form_digest
+
+
 def test_default_sweep_of_10_replicates(tmp_path):
     cfg = scenario_from_dict(json.loads(DEFAULT_CONFIG.read_text()))
     csv_path, summary_path = write_sweep_outputs(sweep(cfg, 10), tmp_path)
@@ -70,7 +113,7 @@ def test_default_sweep_of_10_replicates(tmp_path):
 def test_default_run_with_seed_42(tmp_path, capsys):
     code = main(["run", "--config", str(DEFAULT_CONFIG), "--seed", "42", "--out", str(tmp_path), "--quiet"])
     assert code == EXIT_OK
-    assert _sha256(tmp_path / "result.json") == RUN_SEED_42_SHA256
+    _check_result_file(tmp_path / "result.json", RUN_SEED_42_SHA256, RUN_SEED_42_RECORD_FORM_SHA256)
     data_dir = tmp_path / "datasets"
     assert sorted(p.name for p in data_dir.iterdir()) == sorted(RUN_SEED_42_DATASETS_SHA256)
     for name, digest in RUN_SEED_42_DATASETS_SHA256.items():
@@ -86,7 +129,7 @@ def test_wide_mining_run(tmp_path, capsys):
     config.write_text(json.dumps(data))
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--seed", "7", "--out", str(out), "--quiet"]) == EXIT_OK
-    assert _sha256(out / "result.json") == WIDE_RUN_SEED_7_SHA256
+    _check_result_file(out / "result.json", WIDE_RUN_SEED_7_SHA256, WIDE_RUN_SEED_7_RECORD_FORM_SHA256)
 
 
 @pytest.mark.parametrize(("argv", "digest"), [
@@ -110,5 +153,5 @@ def test_negative_control_report_on_stdout(capsys):
 def test_per_cell_files_of_a_one_replicate_sweep(tmp_path, capsys):
     argv = ["sweep", "--config", str(DEFAULT_CONFIG), "--replicates", "1", "--out", str(tmp_path), "--quiet"]
     assert main(argv) == EXIT_OK
-    for mask, digest in enumerate(SWEEP_REP0_SHA256):
-        assert _sha256(tmp_path / "default" / f"combo{mask}" / "rep0.json") == digest, mask
+    for mask, digests in enumerate(zip(SWEEP_REP0_SHA256, SWEEP_REP0_RECORD_FORM_SHA256, strict=True)):
+        _check_result_file(tmp_path / "default" / f"combo{mask}" / "rep0.json", *digests)

@@ -1,8 +1,10 @@
 """Tests for the knowledge universe: claims, forests, priors, rectification."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktsim.errors import ConfigError
@@ -88,9 +90,51 @@ def test_knowledge_base_rejects_duplicate_pairs():
 
 
 def test_knowledge_base_round_trips_json():
-    kb = KnowledgeBase([WeightedClaim(dependent(0, 1), 0.7), WeightedClaim(independent(2, 5), 0.6)])
+    kb = KnowledgeBase([WeightedClaim(independent(5, 2), 0.6), WeightedClaim(dependent(0, 1), 0.7)])
     assert KnowledgeBase.from_json(kb.to_json()) == kb
-    assert kb.to_json()[0] == {"u": 0, "v": 1, "polarity": "dep", "confidence": 0.7}
+    assert kb.to_json() == {"u": [0, 2], "v": [1, 5], "dep": [True, False], "conf": [0.7, 0.6]}
+
+
+@st.composite
+def knowledge_bases(draw):
+    ids = st.integers(0, 40)
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), max_size=30))
+    claims = {}
+    for u, v in pairs:
+        claim = Claim(u, v, draw(st.sampled_from(Polarity)))
+        claims.setdefault(claim.pair, WeightedClaim(claim, draw(st.floats(5e-324, 1.0))))
+    return KnowledgeBase(claims.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(knowledge_bases())
+@example(KnowledgeBase())
+@example(KnowledgeBase([
+    WeightedClaim(dependent(0, 1), 0.1 + 0.2),
+    WeightedClaim(independent(0, 2), 1.0),
+    WeightedClaim(dependent(1, 2), 5e-324),
+]))
+def test_knowledge_base_json_round_trip_is_exact(kb):
+    assert KnowledgeBase.from_json(json.loads(json.dumps(kb.to_json()))) == kb
+
+
+@pytest.mark.parametrize(("column", "value", "message"), [
+    ("u", [0, 1, 2], "differ in length"),
+    ("dep", [True], "differ in length"),
+    ("v", [1, 1], "more than one claim for pair"),
+    ("dep", [1, "false"], "must hold booleans"),
+    ("conf", [0.5, 0.0], "confidence must lie in"),
+    ("conf", [1.5, 0.5], "confidence must lie in"),
+    ("conf", None, "missing columns \\['conf'\\]"),
+])
+def test_knowledge_base_from_json_rejects_malformed_columns(column, value, message):
+    doc = {"u": [0, 0], "v": [1, 2], "dep": [True, False], "conf": [0.5, 0.5]}
+    if value is None:
+        del doc[column]
+    else:
+        doc[column] = value
+    with pytest.raises(ConfigError, match=message):
+        KnowledgeBase.from_json(doc)
 
 
 # ---------------------------------------------------------------------------
