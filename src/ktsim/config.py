@@ -8,12 +8,14 @@ instead of silently running the default value.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 from pathlib import PurePath
 from typing import Any, Mapping, Optional, get_args, get_type_hints
 
 from .errors import ConfigError
+from .experimenting import largest_array_bytes
 from .labeling import LabelingParams
 from .mining import MiningParams
 from .records import Record
@@ -162,6 +164,12 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
     check(0.0 <= exp.selection_prob <= 1.0, "experiment.selection_prob", f"must lie in [0, 1], got {exp.selection_prob}")
     check(0.0 <= exp.noise_rate < 0.5, "experiment.noise_rate", f"must lie in [0, 0.5), got {exp.noise_rate}")
     check(exp.samples >= 1, "experiment.samples", f"must be >= 1, got {exp.samples}")
+    # numpy cannot even describe an array of more than sys.maxsize bytes.
+    check(
+        exp.samples <= sys.maxsize and largest_array_bytes(cfg.m, exp.samples) <= sys.maxsize,
+        "experiment.samples",
+        f"must keep the largest sampling array within {sys.maxsize} bytes at m={cfg.m}, got {exp.samples}",
+    )
     check(cfg.replicates >= 1, "replicates", f"must be >= 1, got {cfg.replicates}")
     check(cfg.master_seed >= 0, "master_seed", f"must be a non-negative integer, got {cfg.master_seed}")
 

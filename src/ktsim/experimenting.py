@@ -168,17 +168,51 @@ def _rng_fingerprint(rng: np.random.Generator) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _sample_full_rows(gt: GroundTruth, count: int, rng: np.random.Generator) -> np.ndarray:
-    rows = np.zeros((count, gt.m), dtype=np.uint8)
+def _draw_rows(need: int, selected: bool) -> int:
+    """Rows one sampling round draws to accept ``need`` more: all of them, or
+    with a selection condition 2.2 times as many plus 8 (at least 64)."""
+    return max(64, int(need * 2.2) + 8) if selected else need
+
+
+def largest_array_bytes(m: int, samples: int) -> int:
+    """Bytes of the largest array ``sample_dataset`` may allocate for
+    ``samples`` rows of an m-variable model: the first round's ``(m, rows)``
+    uint8 table or one float64 draw of that many rows."""
+    return max(m, 8) * _draw_rows(samples, selected=True)
+
+
+def _sample_columns(gt: GroundTruth, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` draws of every variable as an ``(m, count)`` table, one
+    contiguous row per variable, filled in topological order."""
+    table = np.empty((gt.m, count), dtype=np.uint8)
     flip_prob = 1.0 - gt.p_stay
     for v in gt.topo_order:
         parent = gt.parents[v]
         if parent is None:
-            rows[:, v] = rng.integers(0, 2, size=count, dtype=np.uint8)
+            table[v] = rng.integers(0, 2, size=count, dtype=np.uint8)
         else:
-            flips = rng.random(count) < flip_prob
-            rows[:, v] = rows[:, parent] ^ flips.astype(np.uint8)
-    return rows
+            np.less(rng.random(count), flip_prob, out=table[v].view(np.bool_))
+            table[v] ^= table[parent]
+    return table
+
+
+def _measured_rows(gt: GroundTruth, design: ExperimentDesign, rng: np.random.Generator) -> np.ndarray:
+    """``design.samples`` accepted draws of the measured variables, one row
+    per draw: rounds of ``_sample_columns``, each filtered on the selection
+    condition (when present) and projected onto the measured columns. The
+    full tables die on return, so they are not held during the noise step."""
+    selection = design.selection
+    measured = list(design.measured)
+    need = design.samples
+    parts: list[np.ndarray] = []
+    # Uncapped: p_stay in (0.5, 1) and fair-coin roots make every marginal exactly 1/2, so a round accepts ~half.
+    while need > 0:
+        table = _sample_columns(gt, _draw_rows(need, selection is not None), rng)
+        if selection is not None:
+            table = table.take(np.flatnonzero(table[selection.variable] == selection.value)[:need], axis=1)
+        parts.append(table[measured, :need])
+        need -= parts[-1].shape[1]
+    return np.concatenate([part.T for part in parts])
 
 
 def sample_dataset(
@@ -190,41 +224,28 @@ def sample_dataset(
 ) -> tuple[Dataset, Datasheet]:
     """Draw ``design.samples`` rows from the ground-truth model.
 
-    Full rows are generated tree by tree, rejection-resampled until the
-    selection condition holds (when present), then every recorded bit is
-    flipped independently with probability ``noise_rate`` and the row is
-    projected onto the measured columns.
+    Full draws are generated tree by tree, rejection-resampled until the
+    selection condition holds (when present) and projected onto the measured
+    columns; then every recorded bit is flipped independently with
+    probability ``noise_rate``.
     """
     for v in design.measured:
         if not (0 <= v < gt.m):
             raise ConfigError(f"measured variable {v} is outside the range [0, {gt.m})")
     fingerprint = _rng_fingerprint(rng)
-    selection = design.selection
-    need = design.samples
-    parts: list[np.ndarray] = []
-    # Uncapped: p_stay in (0.5, 1) and fair-coin roots make every marginal exactly 1/2, so a round accepts ~half.
-    while need > 0:
-        batch = need if selection is None else max(64, int(need * 2.2) + 8)
-        full = _sample_full_rows(gt, batch, rng)
-        if selection is not None:
-            full = full[full[:, selection.variable] == selection.value]
-        if full.shape[0] > need:
-            full = full[:need]
-        if full.shape[0]:
-            parts.append(full)
-            need -= full.shape[0]
-    accepted = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    rows = _measured_rows(gt, design, rng)
     if design.noise_rate > 0.0:
-        # Row blocks draw the same stream as one whole-array draw, in less memory.
-        for start in range(0, accepted.shape[0], _NOISE_BLOCK_ROWS):
-            block = accepted[start:start + _NOISE_BLOCK_ROWS]
-            block ^= rng.random(block.shape) < design.noise_rate
-    data = accepted[:, list(design.measured)]
-    dataset = Dataset(design.measured, data)
+        # Each block draws flips for all m variables, so the stream is the same
+        # as one whole-array draw over full rows; only measured ones are kept.
+        measured = list(design.measured)
+        for start in range(0, rows.shape[0], _NOISE_BLOCK_ROWS):
+            block = rows[start:start + _NOISE_BLOCK_ROWS]
+            block ^= (rng.random((block.shape[0], gt.m)) < design.noise_rate)[:, measured]
+    dataset = Dataset(design.measured, rows)
     sheet = Datasheet(
         team_id=team_id,
         measured=design.measured,
-        selection=selection,
+        selection=design.selection,
         noise_rate=design.noise_rate,
         samples=design.samples,
         seed_fingerprint=fingerprint,

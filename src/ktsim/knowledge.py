@@ -111,6 +111,23 @@ def split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> _KEY_SHIFT, keys & _KEY_MASK
 
 
+def sorted_claim_keys(claims: Sequence[Claim], holder: str) -> tuple[np.ndarray, np.ndarray]:
+    """Pair keys of ``claims`` in ascending order, and the stable argsort that
+    orders them. A variable id of 2**32 or more, or a pair claimed twice (named
+    with ``holder``), raises ConfigError."""
+    for c in claims:
+        if c.v > _KEY_MASK:
+            raise ConfigError(f"variable ids must lie below 2**{_KEY_SHIFT}, got ({c.u}, {c.v})")
+    keys = np.array([pair_key(c.u, c.v) for c in claims], dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeated.size:
+        u, v = divmod(int(keys[repeated[0]]), 1 << _KEY_SHIFT)
+        raise ConfigError(f"{holder} holds more than one claim for pair {(u, v)}")
+    return keys, order
+
+
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
@@ -129,21 +146,12 @@ class KnowledgeBase:
     __slots__ = ("keys", "dep", "conf")
 
     def __init__(self, claims: Iterable[WeightedClaim] = ()):
-        rows = [(wc.claim.u, wc.claim.v, wc.claim.polarity is Polarity.DEPENDENT, wc.confidence) for wc in claims]
-        for u, v, _, _ in rows:
-            if v > _KEY_MASK:
-                raise ConfigError(f"variable ids must lie below 2**{_KEY_SHIFT}, got ({u}, {v})")
-        keys = np.array([pair_key(u, v) for u, v, _, _ in rows], dtype=np.int64)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        repeated = np.flatnonzero(keys[1:] == keys[:-1])
-        if repeated.size:
-            u, v = divmod(int(keys[repeated[0]]), 1 << _KEY_SHIFT)
-            raise ConfigError(f"knowledge base holds more than one claim for pair {(u, v)}")
+        claims = list(claims)
+        keys, order = sorted_claim_keys([wc.claim for wc in claims], "knowledge base")
         self._set(
             keys,
-            np.array([row[2] for row in rows], dtype=bool)[order],
-            np.array([row[3] for row in rows], dtype=np.float64)[order],
+            np.array([wc.claim.polarity is Polarity.DEPENDENT for wc in claims], dtype=bool)[order],
+            np.array([wc.confidence for wc in claims], dtype=np.float64)[order],
         )
 
     def _set(self, keys: np.ndarray, dep: np.ndarray, conf: np.ndarray) -> None:

@@ -17,13 +17,13 @@ patterns yield no claim at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .experimenting import Datasheet
-from .knowledge import Claim, KnowledgeBase, Polarity, check_confidence, pair_key, split_keys
+from .knowledge import Claim, KnowledgeBase, Polarity, check_confidence, pair_key, sorted_claim_keys, split_keys
 from .mining import (
     DEFAULT_DEP_THRESHOLD,
     DEFAULT_IND_THRESHOLD,
@@ -67,32 +67,86 @@ class LabeledClaim:
     claim: Claim
     origin: str
 
-    def to_json(self) -> dict:
-        return {
-            "u": self.claim.u,
-            "v": self.claim.v,
-            "polarity": self.claim.polarity.value,
-            "origin": self.origin,
-        }
 
-
-@dataclass(frozen=True)
 class LabeledKnowledge:
-    entries: tuple[LabeledClaim, ...]
-    teams: tuple[int, int, int]
+    """One labeling's claims, at most one per pair, and the (experimenter,
+    miner, labeler) ``teams`` that produced it.
 
-    def __post_init__(self) -> None:
-        if len({(e.claim.u, e.claim.v) for e in self.entries}) != len(self.entries):
-            raise ConfigError("labeled knowledge must hold at most one claim per pair")
+    Stored like a ``KnowledgeBase``: aligned read-only arrays sorted by pair
+    key, ``keys`` (int64), ``dep`` (True for a Dependent claim) and
+    ``from_prior`` (True for a prior pass-through, False for a pattern label).
+    ``entries`` and ``claims`` rebuild the per-claim objects in key order.
+    """
+
+    __slots__ = ("keys", "dep", "from_prior", "teams")
+
+    def __init__(self, entries: Iterable[LabeledClaim], teams: tuple[int, int, int]):
+        entries = list(entries)
+        for e in entries:
+            if e.origin not in (ORIGIN_PATTERN, ORIGIN_PRIOR):
+                raise ConfigError(f"unknown claim origin {e.origin!r}")
+        keys, order = sorted_claim_keys([e.claim for e in entries], "labeled knowledge")
+        self._set(
+            keys,
+            np.array([e.claim.polarity is Polarity.DEPENDENT for e in entries], dtype=bool)[order],
+            np.array([e.origin == ORIGIN_PRIOR for e in entries], dtype=bool)[order],
+            teams,
+        )
+
+    def _set(self, keys: np.ndarray, dep: np.ndarray, from_prior: np.ndarray, teams: tuple[int, int, int]) -> None:
+        for array in (keys, dep, from_prior):
+            array.setflags(write=False)
+        self.keys, self.dep, self.from_prior, self.teams = keys, dep, from_prior, tuple(teams)
+
+    @classmethod
+    def from_arrays(
+        cls, keys: np.ndarray, dep: np.ndarray, from_prior: np.ndarray, teams: tuple[int, int, int]
+    ) -> "LabeledKnowledge":
+        """Wrap aligned arrays whose keys are already strictly ascending."""
+        lk = cls.__new__(cls)
+        lk._set(keys, dep, from_prior, teams)
+        return lk
+
+    def _columns(self) -> zip:
+        us, vs = split_keys(self.keys)
+        return zip(us.tolist(), vs.tolist(), self.dep.tolist(), self.from_prior.tolist())
+
+    @property
+    def entries(self) -> tuple[LabeledClaim, ...]:
+        return tuple(
+            LabeledClaim(
+                Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT),
+                ORIGIN_PRIOR if prior else ORIGIN_PATTERN,
+            )
+            for u, v, dep, prior in self._columns()
+        )
 
     @property
     def claims(self) -> tuple[Claim, ...]:
         return tuple(e.claim for e in self.entries)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabeledKnowledge):
+            return NotImplemented
+        return (
+            self.teams == other.teams
+            and np.array_equal(self.keys, other.keys)
+            and np.array_equal(self.dep, other.dep)
+            and np.array_equal(self.from_prior, other.from_prior)
+        )
+
+    def __repr__(self) -> str:
+        return f"LabeledKnowledge({self.keys.shape[0]} claims, teams={self.teams})"
+
     def to_json(self) -> dict:
+        """``teams`` and one ``{u, v, polarity, origin}`` record per claim, in key order."""
+        dep, indep = Polarity.DEPENDENT.value, Polarity.INDEPENDENT.value
         return {
             "teams": list(self.teams),
-            "claims": [e.to_json() for e in self.entries],
+            "claims": [
+                {"u": u, "v": v, "polarity": dep if d else indep, "origin": ORIGIN_PRIOR if p else ORIGIN_PATTERN}
+                for u, v, d, p in self._columns()
+            ],
         }
 
 
@@ -169,7 +223,7 @@ def label(
     trust threshold pass through afterwards and overwrite pattern labels on
     their pair.
     """
-    chosen: dict[int, LabeledClaim] = {}
+    keys, dep = [], []
     for p in info.patterns:
         if TAG_DEGENERATE in p.tags or TAG_DISPUTED in p.tags:
             continue
@@ -178,12 +232,19 @@ def label(
             continue
         if implied is Polarity.INDEPENDENT and TAG_SELECTION_CONDITIONED in p.tags:
             continue
-        u, v = p.pair
-        chosen[pair_key(u, v)] = LabeledClaim(Claim(u, v, implied), ORIGIN_PATTERN)
+        keys.append(pair_key(*p.pair))
+        dep.append(implied is Polarity.DEPENDENT)
     kb = prior.claims
     trusted = kb.conf >= params.trust_confidence
-    keys = kb.keys[trusted]
-    us, vs = split_keys(keys)
-    for key, u, v, d in zip(keys.tolist(), us.tolist(), vs.tolist(), kb.dep[trusted].tolist()):
-        chosen[key] = LabeledClaim(Claim(u, v, Polarity.DEPENDENT if d else Polarity.INDEPENDENT), ORIGIN_PRIOR)
-    return LabeledKnowledge(tuple(chosen[k] for k in sorted(chosen)), teams)
+    # Pattern labels first, pass-throughs after. The stable sort keeps that
+    # order within a pair and the last claim on a pair is kept, so a
+    # pass-through overwrites the pattern label on its pair.
+    all_keys = np.concatenate([np.array(keys, dtype=np.int64), kb.keys[trusted]])
+    all_dep = np.concatenate([np.array(dep, dtype=bool), kb.dep[trusted]])
+    from_prior = np.arange(all_keys.size) >= len(keys)
+    order = np.argsort(all_keys, kind="stable")
+    all_keys = all_keys[order]
+    last = np.ones(all_keys.shape, dtype=bool)
+    last[:-1] = all_keys[1:] != all_keys[:-1]
+    kept = order[last]
+    return LabeledKnowledge.from_arrays(all_keys[last], all_dep[kept], from_prior[kept], teams)

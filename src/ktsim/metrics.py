@@ -16,7 +16,7 @@ noise attenuation laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,11 +34,10 @@ from .knowledge import (
     build_ground_truth,
     membership,
     negate,
-    pair_key,
     rectify,
     sample_agent_prior,
 )
-from .labeling import ORIGIN_PRIOR, EffectivePrior, LabeledKnowledge, build_effective_prior, label, reinterpret
+from .labeling import EffectivePrior, LabeledKnowledge, build_effective_prior, label, reinterpret
 from .mining import mine
 from .records import Record
 
@@ -65,10 +64,7 @@ class OpennessReport(Record):
 
 def _claim_codes(lk: LabeledKnowledge) -> np.ndarray:
     """Claims of one labeling (distinct: one per pair) as ``pair_key * 2 + dependent``."""
-    return np.array(
-        [(pair_key(c.u, c.v) << 1) | (c.polarity is Polarity.DEPENDENT) for c in lk.claims],
-        dtype=np.int64,
-    )
+    return lk.keys << 1 | lk.dep
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:
@@ -145,7 +141,7 @@ class MonotonicityReport(Record):
 
 
 def _count_side(lk: LabeledKnowledge, gt: GroundTruth, side: Membership) -> int:
-    return sum(1 for c in lk.claims if membership(c, gt) is side)
+    return _counts(_claim_codes(lk), gt)["true_count" if side is Membership.IN_K else "false_count"]
 
 
 def negate_passthrough(lk: LabeledKnowledge) -> LabeledKnowledge:
@@ -153,8 +149,7 @@ def negate_passthrough(lk: LabeledKnowledge) -> LabeledKnowledge:
     claim negated. Pass-through already overwrote the pattern label on those
     pairs, so this is the output of a labeler whose pass-through emits the
     negation of every trusted prior claim."""
-    entries = tuple(replace(e, claim=negate(e.claim)) if e.origin == ORIGIN_PRIOR else e for e in lk.entries)
-    return LabeledKnowledge(entries, lk.teams)
+    return LabeledKnowledge.from_arrays(lk.keys, lk.dep ^ lk.from_prior, lk.from_prior, lk.teams)
 
 
 def validate_monotonicity(

@@ -171,6 +171,22 @@ def test_a_run_too_large_for_memory_exits_1(config_path, tmp_path, capsys, argv)
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--jobs", "2", "--replicates", "1"]], ids=["run", "sweep-jobs-2"])
+def test_samples_beyond_the_address_space_fail_validation(config_path, tmp_path, capsys, argv):
+    # 10**18 rows of 12 variables need a table larger than numpy can describe
+    # (sys.maxsize bytes), so validation rejects the config before any work.
+    data = json.loads(config_path.read_text())
+    data["experiment"]["samples"] = 10**18
+    config_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: experiment.samples: must keep the largest sampling array within ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unknown_arguments_exit_1(capsys):
     assert main(["run", "--bogus"]) == EXIT_CONFIG
     capsys.readouterr()

@@ -1,5 +1,7 @@
 """Tests for config parsing, validation, and channel policy encoding."""
 
+import sys
+
 import pytest
 
 from ktsim.config import (
@@ -57,6 +59,22 @@ def test_out_of_range_values_name_their_field():
     data["teams"]["mining"]["size"] = 99
     with pytest.raises(ConfigError, match="teams.mining.size"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("m", [4, 30])
+def test_samples_are_bounded_by_the_largest_addressable_array(m):
+    # The largest sampling array is max(m, 8) * (int(2.2 * samples) + 8)
+    # bytes: the (m, rows) uint8 table, or one float64 draw of that many rows.
+    data = default_scenario().to_json()
+    data["m"] = m
+    data["experiment"]["target_width"] = 2
+    last = {4: 524055229366748576, 30: 139748061164466280}[m]
+    data["experiment"]["samples"] = last
+    assert scenario_from_dict(data).experiment.samples == last
+    for too_many in (last + 1, sys.maxsize + 1, 10**400):
+        data["experiment"]["samples"] = too_many
+        with pytest.raises(ConfigError, match="^experiment.samples: must keep the largest sampling array within"):
+            scenario_from_dict(data)
 
 
 def test_negative_master_seed_names_its_field():

@@ -39,7 +39,8 @@ from ktsim.labeling import (
     label,
     reinterpret,
 )
-from ktsim.metrics import openness
+from ktsim import metrics
+from ktsim.metrics import negate_passthrough, openness
 from ktsim.mining import (
     TAG_DEGENERATE,
     TAG_DISPUTED,
@@ -202,6 +203,76 @@ def test_label_matches_the_reference(data, m):
     params = LabelingParams()
     out = label(_info(found), EffectivePrior(KnowledgeBase(prior)), params)
     assert [(e.claim, e.origin) for e in out.entries] == ref_label(found, prior, params)
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 5))
+def test_label_with_repeated_pattern_pairs_keeps_the_last_label(data, m):
+    # A pair may carry several patterns; as in a dict, the last one that
+    # labels wins, and a trusted prior claim still overwrites them all.
+    pairs = list(combinations(range(m), 2))
+    drawn = data.draw(st.lists(st.sampled_from(pairs), max_size=40))
+    found = [Pattern(pair, data.draw(PHIS), 100, data.draw(TAGS)) for pair in drawn]
+    prior = data.draw(claim_lists(m))
+    params = LabelingParams()
+    out = label(_info(found), EffectivePrior(KnowledgeBase(prior)), params)
+    assert [(e.claim, e.origin) for e in out.entries] == ref_label(found, prior, params)
+
+
+def _record(claim, origin):
+    return {"u": claim.u, "v": claim.v, "polarity": claim.polarity.value, "origin": origin}
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 5))
+def test_labeling_arrays_match_per_entry_references(data, m):
+    found = data.draw(patterns(m))
+    prior = data.draw(claim_lists(m))
+    params = LabelingParams()
+    teams = data.draw(st.tuples(*[st.integers(0, 3)] * 3))
+    out = label(_info(found), EffectivePrior(KnowledgeBase(prior)), params, teams=teams)
+    expected = ref_label(found, prior, params)
+    assert out.to_json() == {"teams": list(teams), "claims": [_record(c, o) for c, o in expected]}
+    negated = [(negate(c) if o == ORIGIN_PRIOR else c, o) for c, o in expected]
+    assert [(e.claim, e.origin) for e in negate_passthrough(out).entries] == negated
+    assert negate_passthrough(negate_passthrough(out)) == out
+    # The checked constructor takes the entries in any order.
+    entries = [LabeledClaim(c, o) for c, o in data.draw(st.permutations(expected))]
+    assert LabeledKnowledge(entries, teams) == out
+    assert LabeledKnowledge.from_arrays(out.keys, out.dep, out.from_prior, teams) == out
+    gt = build_ground_truth(m, data.draw(st.integers(1, m)), 0.9, np.random.default_rng(data.draw(st.integers(0, 99))))
+    for side in Membership:
+        assert metrics._count_side(out, gt, side) == sum(1 for c in out.claims if membership(c, gt) is side)
+
+
+def test_labeled_knowledge_equality_covers_every_array_and_the_teams():
+    a = LabeledKnowledge([LabeledClaim(Claim(0, 1, Polarity.DEPENDENT), ORIGIN_PATTERN)], (0, 1, 2))
+    keys, dep, prior = a.keys, a.dep, a.from_prior
+    assert a == LabeledKnowledge.from_arrays(keys.copy(), dep.copy(), prior.copy(), (0, 1, 2))
+    assert a != LabeledKnowledge.from_arrays(keys, dep, prior, (0, 1, 3))
+    assert a != LabeledKnowledge.from_arrays(keys, ~dep, prior, (0, 1, 2))
+    assert a != LabeledKnowledge.from_arrays(keys, dep, ~prior, (0, 1, 2))
+    assert a != LabeledKnowledge.from_arrays(keys + 1, dep, prior, (0, 1, 2))
+    assert a != LabeledKnowledge([], (0, 1, 2))
+    assert a != "LabeledKnowledge"
+    assert not a.keys.flags.writeable and not a.dep.flags.writeable and not a.from_prior.flags.writeable
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 8))
+def test_labeled_knowledge_still_rejects_a_repeated_pair(data, m):
+    claims = [wc.claim for wc in data.draw(claim_lists(m).filter(bool))]
+    origins = st.sampled_from([ORIGIN_PATTERN, ORIGIN_PRIOR])
+    entries = [LabeledClaim(c, data.draw(origins)) for c in claims]
+    u, v = data.draw(st.sampled_from(claims)).pair
+    twin = LabeledClaim(Claim(v, u, data.draw(st.sampled_from(Polarity))), data.draw(origins))
+    with pytest.raises(ConfigError, match=rf"labeled knowledge holds more than one claim for pair \({u}, {v}\)"):
+        LabeledKnowledge(data.draw(st.permutations(entries + [twin])), (0, 0, 0))
+
+
+def test_labeled_knowledge_rejects_an_unknown_origin():
+    with pytest.raises(ConfigError, match="origin 'guess'"):
+        LabeledKnowledge([LabeledClaim(Claim(0, 1, Polarity.DEPENDENT), "guess")], (0, 0, 0))
 
 
 @SETTINGS

@@ -1,14 +1,18 @@
 """Tests for experiment design, biased sampling, and datasheet provenance."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ktsim.errors import ConfigError
 from ktsim.experimenting import (
     Dataset,
     ExperimentDesign,
+    Datasheet,
     Selection,
     design_experiment,
     export_dataset,
@@ -232,3 +236,87 @@ def test_blocked_noise_flips_match_one_whole_array_draw():
     full ^= (reference.random(full.shape) < design.noise_rate).astype(np.uint8)
     assert np.array_equal(dataset.rows, full[:, list(design.measured)])
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# The column-major sampler against the row-major one it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_full_rows(gt, count, rng):
+    rows = np.zeros((count, gt.m), dtype=np.uint8)
+    flip_prob = 1.0 - gt.p_stay
+    for v in gt.topo_order:
+        parent = gt.parents[v]
+        if parent is None:
+            rows[:, v] = rng.integers(0, 2, size=count, dtype=np.uint8)
+        else:
+            flips = rng.random(count) < flip_prob
+            rows[:, v] = rows[:, parent] ^ flips.astype(np.uint8)
+    return rows
+
+
+def reference_sample(gt, design, rng):
+    """Full rows of every variable, rejection-resampled, noised in blocks of
+    8192 rows over all m columns, then projected onto the measured ones."""
+    blob = json.dumps(rng.bit_generator.state, sort_keys=True, default=str).encode()
+    fingerprint = hashlib.sha256(blob).hexdigest()[:16]
+    selection = design.selection
+    need = design.samples
+    parts = []
+    while need > 0:
+        batch = need if selection is None else max(64, int(need * 2.2) + 8)
+        full = _reference_full_rows(gt, batch, rng)
+        if selection is not None:
+            full = full[full[:, selection.variable] == selection.value]
+        full = full[:need]
+        parts.append(full)
+        need -= full.shape[0]
+    accepted = np.concatenate(parts)
+    if design.noise_rate > 0.0:
+        for start in range(0, accepted.shape[0], 8192):
+            block = accepted[start:start + 8192]
+            block ^= rng.random(block.shape) < design.noise_rate
+    sheet = Datasheet(0, design.measured, selection, design.noise_rate, design.samples, fingerprint)
+    return accepted[:, list(design.measured)], sheet
+
+
+@st.composite
+def sampling_cases(draw):
+    """(m, tree_count, design, seed): any forest shape, measured columns in
+    any order, no selection or a selection on value 0 or 1, noise 0 or 0.1."""
+    m = draw(st.integers(2, 12))
+    measured = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=m, unique=True))
+    value = draw(st.sampled_from([None, 0, 1]))
+    selection = None if value is None else Selection(draw(st.sampled_from(measured)), value)
+    noise = draw(st.sampled_from([0.0, 0.1]))
+    design = ExperimentDesign(tuple(measured), selection, noise, draw(st.integers(1, 3000)))
+    return m, draw(st.integers(1, m)), design, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampling_cases())
+@example((12, 3, ExperimentDesign(tuple(range(12)), Selection(4, 1), 0.1, 8193), 1))
+@example((7, 2, ExperimentDesign((6, 0, 3), Selection(3, 0), 0.1, 20_000), 2))
+@example((9, 9, ExperimentDesign((8, 1, 2, 5), None, 0.1, 20_000), 3))
+def test_sampler_matches_the_row_major_reference(case):
+    m, tree_count, design, seed = case
+    gt = build_ground_truth(m, tree_count, 0.9, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    reference = np.random.default_rng(seed + 1)
+    dataset, sheet = sample_dataset(gt, design, rng)
+    rows, ref_sheet = reference_sample(gt, design, reference)
+    assert dataset.rows.dtype == np.uint8 and dataset.rows.flags.c_contiguous
+    assert np.array_equal(dataset.rows, rows)
+    assert sheet == ref_sheet
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@pytest.mark.parametrize(("samples", "error"), [(139748061164466280, MemoryError), (139748061164466281, ValueError)])
+def test_the_validated_samples_limit_is_where_numpy_stops_describing_the_table(samples, error):
+    # At m=30 with a selection, 139748061164466280 samples is the last count
+    # config validation accepts. numpy can describe that table, so it fails
+    # to allocate it (MemoryError); one more sample makes it indescribable.
+    gt = chain_gt(30)
+    design = full_design(gt, samples=samples, selection=Selection(0, 1))
+    with pytest.raises(error):
+        sample_dataset(gt, design, np.random.default_rng(0))
