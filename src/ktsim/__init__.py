@@ -72,7 +72,7 @@ from .mining import (
     Information,
     InfoSheet,
     MiningParams,
-    Pattern,
+    PatternTable,
     correct_attenuation,
     mine,
     phi_coefficient,

@@ -42,8 +42,8 @@ def _load_config(path: str) -> ScenarioConfig:
     if not p.is_file():
         raise FileNotFoundError(f"config file not found: {p}")
     try:
-        data = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
     return scenario_from_dict(data)
 

@@ -111,20 +111,33 @@ def split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> _KEY_SHIFT, keys & _KEY_MASK
 
 
+def join_keys(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Pair key of every pair {us[i], vs[i]} of int64 ids; ``pair_key`` on arrays."""
+    return np.minimum(us, vs) << _KEY_SHIFT | np.maximum(us, vs)
+
+
+def _claim_key(claim: Claim) -> int:
+    """Pair key of a claim; a variable id of 2**32 or more raises ConfigError."""
+    if claim.v > _KEY_MASK:
+        raise ConfigError(f"variable ids must lie below 2**{_KEY_SHIFT}, got ({claim.u}, {claim.v})")
+    return pair_key(claim.u, claim.v)
+
+
+def _repeated_pair(holder: str, key: int) -> ConfigError:
+    u, v = divmod(key, 1 << _KEY_SHIFT)
+    return ConfigError(f"{holder} holds more than one claim for pair {(u, v)}")
+
+
 def sorted_claim_keys(claims: Sequence[Claim], holder: str) -> tuple[np.ndarray, np.ndarray]:
     """Pair keys of ``claims`` in ascending order, and the stable argsort that
     orders them. A variable id of 2**32 or more, or a pair claimed twice (named
     with ``holder``), raises ConfigError."""
-    for c in claims:
-        if c.v > _KEY_MASK:
-            raise ConfigError(f"variable ids must lie below 2**{_KEY_SHIFT}, got ({c.u}, {c.v})")
-    keys = np.array([pair_key(c.u, c.v) for c in claims], dtype=np.int64)
+    keys = np.array([_claim_key(c) for c in claims], dtype=np.int64)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     repeated = np.flatnonzero(keys[1:] == keys[:-1])
     if repeated.size:
-        u, v = divmod(int(keys[repeated[0]]), 1 << _KEY_SHIFT)
-        raise ConfigError(f"{holder} holds more than one claim for pair {(u, v)}")
+        raise _repeated_pair(holder, int(keys[repeated[0]]))
     return keys, order
 
 
@@ -203,8 +216,17 @@ class KnowledgeBase:
         return set(zip(us.tolist(), vs.tolist()))
 
     def extended(self, wc: WeightedClaim) -> "KnowledgeBase":
-        """New base with one extra claim; the pair must be free."""
-        return KnowledgeBase([*self, wc])
+        """New base with one extra claim, inserted at its key; the pair must
+        be free. Makes the checks of the constructor."""
+        key = _claim_key(wc.claim)
+        row = int(np.searchsorted(self.keys, key))
+        if row < len(self) and self.keys[row] == key:
+            raise _repeated_pair("knowledge base", key)
+        return KnowledgeBase.from_arrays(
+            np.insert(self.keys, row, key),
+            np.insert(self.dep, row, wc.claim.polarity is Polarity.DEPENDENT),
+            np.insert(self.conf, row, wc.confidence),
+        )
 
     def contradicted(self, keys: np.ndarray, dep: np.ndarray, min_confidence: float) -> np.ndarray:
         """Mask of the claims given as pair keys and polarities that this base

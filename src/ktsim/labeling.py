@@ -23,19 +23,19 @@ import numpy as np
 
 from .errors import ConfigError
 from .experimenting import Datasheet
-from .knowledge import Claim, KnowledgeBase, Polarity, check_confidence, pair_key, sorted_claim_keys, split_keys
+from .knowledge import Claim, KnowledgeBase, Polarity, check_confidence, sorted_claim_keys, split_keys
 from .mining import (
     DEFAULT_DEP_THRESHOLD,
     DEFAULT_IND_THRESHOLD,
-    TAG_DEGENERATE,
     TAG_DISPUTED,
     TAG_NOISE_CORRECTED,
     TAG_SELECTION_CONDITIONED,
     Information,
-    Pattern,
+    PatternTable,
     check_params,
     contradicted_patterns,
     datasheet_corrections,
+    implied_polarity,
 )
 from .records import Record
 
@@ -189,22 +189,18 @@ def reinterpret(
     """
     sheet = info.info_sheet
     datasheet = delivered_exp_datasheet if delivered_exp_datasheet is not None else sheet.upstream_datasheet
-    patterns = list(info.patterns)
-    corrections = set(sheet.corrections_applied)
+    patterns = info.patterns
+    corrections = sheet.corrections_applied
 
     if datasheet is not None:
         correct_noise = datasheet.noise_rate > 0.0 and TAG_NOISE_CORRECTED not in corrections
-        fixed = []
-        for p in patterns:
-            phi, tags = datasheet_corrections(p.pair, p.phi, p.tags, datasheet, correct_noise)
-            fixed.append(p if (phi, tags) == (p.phi, p.tags) else Pattern(p.pair, phi, p.support, tags))
-        patterns = fixed
+        patterns = datasheet_corrections(patterns, datasheet, correct_noise)
         if correct_noise:
-            corrections.add(TAG_NOISE_CORRECTED)
+            corrections = corrections | {TAG_NOISE_CORRECTED}
 
-    vetoed = contradicted_patterns(patterns, [prior.claims], params)
-    kept = [p for p, veto in zip(patterns, vetoed) if TAG_DISPUTED in p.tags or not veto]
-    return Information(tuple(kept), replace(sheet, corrections_applied=frozenset(corrections)))
+    kept = patterns.has(TAG_DISPUTED) | ~contradicted_patterns(patterns, [prior.claims], params)
+    patterns = PatternTable(patterns.keys[kept], patterns.phi[kept], patterns.tags[kept], patterns.support)
+    return Information(patterns, replace(sheet, corrections_applied=corrections))
 
 
 def label(
@@ -216,32 +212,23 @@ def label(
 ) -> LabeledKnowledge:
     """Turn reinterpreted patterns plus trusted prior claims into new claims.
 
-    Pattern rule: |phi| >= dep_threshold labels Dependent; |phi| <=
-    ind_threshold labels Independent unless the pattern is selection
-    conditioned (apparent independence may be masking); anything in between,
-    degenerate, or disputed yields no claim. Prior claims at or above the
-    trust threshold pass through afterwards and overwrite pattern labels on
-    their pair.
+    Pattern rule: a pattern labels the polarity it implies
+    (``implied_polarity``), except that a selection-conditioned pattern never
+    labels Independent (apparent independence may be masking) and a disputed
+    pattern yields no claim. Prior claims at or above the trust threshold
+    pass through afterwards and overwrite pattern labels on their pair.
     """
-    keys, dep = [], []
-    for p in info.patterns:
-        if TAG_DEGENERATE in p.tags or TAG_DISPUTED in p.tags:
-            continue
-        implied = p.implied_polarity(params.dep_threshold, params.ind_threshold)
-        if implied is None:
-            continue
-        if implied is Polarity.INDEPENDENT and TAG_SELECTION_CONDITIONED in p.tags:
-            continue
-        keys.append(pair_key(*p.pair))
-        dep.append(implied is Polarity.DEPENDENT)
+    patterns = info.patterns
+    implied, dep = implied_polarity(patterns, params)
+    emits = implied & ~patterns.has(TAG_DISPUTED) & (dep | ~patterns.has(TAG_SELECTION_CONDITIONED))
     kb = prior.claims
     trusted = kb.conf >= params.trust_confidence
     # Pattern labels first, pass-throughs after. The stable sort keeps that
     # order within a pair and the last claim on a pair is kept, so a
     # pass-through overwrites the pattern label on its pair.
-    all_keys = np.concatenate([np.array(keys, dtype=np.int64), kb.keys[trusted]])
-    all_dep = np.concatenate([np.array(dep, dtype=bool), kb.dep[trusted]])
-    from_prior = np.arange(all_keys.size) >= len(keys)
+    all_keys = np.concatenate([patterns.keys[emits], kb.keys[trusted]])
+    all_dep = np.concatenate([dep[emits], kb.dep[trusted]])
+    from_prior = np.arange(all_keys.size) >= np.count_nonzero(emits)
     order = np.argsort(all_keys, kind="stable")
     all_keys = all_keys[order]
     last = np.ones(all_keys.shape, dtype=bool)

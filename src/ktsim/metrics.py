@@ -36,6 +36,7 @@ from .knowledge import (
     negate,
     rectify,
     sample_agent_prior,
+    split_keys,
 )
 from .labeling import EffectivePrior, LabeledKnowledge, build_effective_prior, label, reinterpret
 from .mining import mine
@@ -208,7 +209,8 @@ def validate_monotonicity(
         exp_sheet = datasheet if ch3 else None
 
         covered = prior.claims.pairs()
-        pattern_pairs = [p.pair for p in info.patterns if p.pair not in covered]
+        us, vs = split_keys(info.patterns.keys)
+        pattern_pairs = [pair for pair in zip(us.tolist(), vs.tolist()) if pair not in covered]
         free_pairs = [pair for pair in gt.all_pairs() if pair not in covered]
         if not free_pairs:
             continue

@@ -8,19 +8,24 @@ patterns not involving the selected variable as conditioned (their apparent
 independence may be an artifact of the selection). Prior knowledge never
 alters a statistic; it only tags patterns as disputed so the conflict stays
 auditable downstream.
+
+An information's patterns form one ``PatternTable`` of pair-key, phi and
+tag-bit columns, and every step works on whole columns. ``implied_polarity``
+states the polarity a pattern implies once, for the dispute and veto checks
+and for the labeler.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .experimenting import Dataset, Datasheet
-from .knowledge import KnowledgeBase, Polarity, check_confidence, pair_key
+from .knowledge import KnowledgeBase, check_confidence, join_keys, split_keys
 from .records import Record
 
 TAG_NOISE_CORRECTED = "noise_corrected"
@@ -57,37 +62,44 @@ def check_params(params) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Pattern:
-    pair: tuple[int, int]
-    phi: float
-    support: int
-    tags: frozenset[str]
+#: Tag ``TAG_NAMES[i]`` is bit ``1 << i`` of ``PatternTable.tags``; sorted, as in JSON.
+TAG_NAMES = (TAG_DEGENERATE, TAG_DISPUTED, TAG_NOISE_CORRECTED, TAG_SELECTION_CONDITIONED)
+TAG_BITS = {name: np.uint8(1 << i) for i, name in enumerate(TAG_NAMES)}
+_TAG_LISTS = tuple(tuple(name for i, name in enumerate(TAG_NAMES) if code >> i & 1) for code in range(16))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pair", (int(self.pair[0]), int(self.pair[1])))
-        object.__setattr__(self, "tags", frozenset(self.tags))
-        if abs(self.phi) > 1.0:
-            raise ConfigError(f"|phi| must not exceed 1, got {self.phi}")
 
-    def implied_polarity(self, dep_threshold: float, ind_threshold: float) -> Optional[Polarity]:
-        """Polarity this pattern suggests, or None in the abstention band."""
-        if TAG_DEGENERATE in self.tags:
-            return None
-        if abs(self.phi) >= dep_threshold:
-            return Polarity.DEPENDENT
-        if abs(self.phi) <= ind_threshold:
-            return Polarity.INDEPENDENT
-        return None
+class PatternTable:
+    """The patterns of one information in mining order, as aligned read-only
+    columns ``keys`` (int64 pair keys), ``phi`` (float64) and ``tags`` (uint8,
+    one bit per ``TAG_NAMES`` entry), plus ``support``, their dataset's rows."""
 
-    def to_json(self) -> dict:
-        return {
-            "u": self.pair[0],
-            "v": self.pair[1],
-            "phi": self.phi,
-            "support": self.support,
-            "tags": sorted(self.tags),
-        }
+    __slots__ = ("keys", "phi", "tags", "support")
+
+    def __init__(self, keys: np.ndarray, phi: np.ndarray, tags: np.ndarray, support: int):
+        for column in (keys, phi, tags):
+            column.setflags(write=False)
+        self.keys, self.phi, self.tags, self.support = keys, phi, tags, support
+
+    def __len__(self) -> int:
+        return self.keys.shape[0]
+
+    def has(self, tag: str) -> np.ndarray:
+        """Mask of the patterns tagged ``tag``."""
+        return (self.tags & TAG_BITS[tag]) != 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PatternTable):
+            return NotImplemented
+        columns = zip((self.keys, self.phi, self.tags), (other.keys, other.phi, other.tags))
+        return self.support == other.support and all(np.array_equal(a, b) for a, b in columns)
+
+    def to_json(self) -> list[dict]:
+        """One ``{u, v, phi, support, tags}`` record per pattern, tags sorted."""
+        us, vs = split_keys(self.keys)
+        return [
+            {"u": u, "v": v, "phi": phi, "support": self.support, "tags": list(_TAG_LISTS[code])}
+            for u, v, phi, code in zip(us.tolist(), vs.tolist(), self.phi.tolist(), self.tags.tolist())
+        ]
 
 
 @dataclass(frozen=True)
@@ -100,7 +112,7 @@ class InfoSheet(Record):
 
 @dataclass(frozen=True)
 class Information(Record):
-    patterns: tuple[Pattern, ...]
+    patterns: PatternTable
     info_sheet: InfoSheet
 
 
@@ -126,55 +138,54 @@ def _phi(n: int, a: int, row1: int, col1: int) -> Optional[float]:
     return (a * d - b * c) / math.sqrt(denom)
 
 
-def correct_attenuation(phi: float, noise_rate: float) -> float:
-    """Invert symmetric bit-flip attenuation; result clamped to [-1, 1]."""
+def correct_attenuation(phi, noise_rate: float):
+    """Invert symmetric bit-flip attenuation of a phi or an array; clamped to [-1, 1]."""
     if not (0.0 <= noise_rate < 0.5):
         raise ConfigError(f"noise_rate must lie in [0, 0.5), got {noise_rate}")
     factor = (1.0 - 2.0 * noise_rate) ** 2
-    return max(-1.0, min(1.0, phi / factor))
+    return np.clip(phi / factor, -1.0, 1.0)
 
 
-_NO_TAGS = frozenset()
-_DEGENERATE_TAGS = frozenset({TAG_DEGENERATE})
-
-
-def datasheet_corrections(
-    pair: tuple[int, int],
-    phi: float,
-    tags: frozenset[str],
-    datasheet: Datasheet,
-    correct_noise: bool,
-) -> tuple[float, frozenset[str]]:
-    """The phi and tags of one pattern after the corrections a datasheet
-    proves: with ``correct_noise``, a non-degenerate phi is divided by the
-    recorded attenuation and tagged; a recorded selection tags every pair
-    without the selected variable as conditioned. Shared by the miner and by
-    the labeler's reinterpretation, so both routes give identical patterns.
+def datasheet_corrections(patterns: PatternTable, datasheet: Datasheet, correct_noise: bool) -> PatternTable:
+    """The patterns after the corrections a datasheet proves: with
+    ``correct_noise``, every non-degenerate phi is divided by the recorded
+    attenuation and tagged; a recorded selection tags every pair without the
+    selected variable as conditioned. Shared by the miner and by the labeler's
+    reinterpretation, so both routes give identical patterns.
     """
-    if correct_noise and TAG_DEGENERATE not in tags:
-        phi = correct_attenuation(phi, datasheet.noise_rate)
-        tags = tags | {TAG_NOISE_CORRECTED}
+    phi, tags = patterns.phi, patterns.tags
+    if correct_noise:
+        live = ~patterns.has(TAG_DEGENERATE)
+        phi = np.where(live, correct_attenuation(phi, datasheet.noise_rate), phi)
+        tags = tags | live * TAG_BITS[TAG_NOISE_CORRECTED]
     selection = datasheet.selection
-    if selection is not None and selection.variable not in pair:
-        tags = tags | {TAG_SELECTION_CONDITIONED}
-    return phi, tags
+    if selection is not None:
+        us, vs = split_keys(patterns.keys)
+        outside = (us != selection.variable) & (vs != selection.variable)
+        tags = tags | outside * TAG_BITS[TAG_SELECTION_CONDITIONED]
+    return PatternTable(patterns.keys, phi, tags, patterns.support)
 
 
-def contradicted_patterns(patterns: Sequence[Pattern], bases: Sequence[KnowledgeBase], params) -> list[bool]:
-    """Per pattern, whether any base holds a claim on its pair with at least
-    ``params.veto_confidence`` and the polarity opposite to the one the
-    pattern implies under ``params``' thresholds (a pattern in the abstention
-    band is never contradicted). ``params`` is a MiningParams or a
-    LabelingParams.
-    """
-    keys = np.array([pair_key(*p.pair) for p in patterns], dtype=np.int64)
-    strength = np.abs(np.array([p.phi for p in patterns], dtype=np.float64))
-    degenerate = np.array([TAG_DEGENERATE in p.tags for p in patterns], dtype=bool)
+def implied_polarity(patterns: PatternTable, params) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the patterns that imply a polarity and of those that imply
+    Dependent under ``params``' thresholds (a MiningParams or LabelingParams):
+    a degenerate pattern implies none, |phi| >= dep_threshold Dependent,
+    |phi| <= ind_threshold Independent and the band between them none."""
+    strength = np.abs(patterns.phi)
     dep = strength >= params.dep_threshold
-    hit = np.zeros(keys.shape, dtype=bool)
+    implied = ~patterns.has(TAG_DEGENERATE) & (dep | (strength <= params.ind_threshold))
+    return implied, dep
+
+
+def contradicted_patterns(patterns: PatternTable, bases: Sequence[KnowledgeBase], params) -> np.ndarray:
+    """Mask of the patterns for which some base holds a claim on their pair
+    with at least ``params.veto_confidence`` and the polarity opposite to the
+    one the pattern implies (a pattern that implies none is never contradicted)."""
+    implied, dep = implied_polarity(patterns, params)
+    hit = np.zeros(len(patterns), dtype=bool)
     for base in bases:
-        hit |= base.contradicted(keys, dep, params.veto_confidence)
-    return (hit & ~degenerate & (dep | (strength <= params.ind_threshold))).tolist()
+        hit |= base.contradicted(patterns.keys, dep, params.veto_confidence)
+    return hit & implied
 
 
 def _gram(rows: np.ndarray) -> list[list[int]]:
@@ -202,26 +213,24 @@ def mine(
     datasheet the raw statistics pass through untouched.
     """
     apply_noise = delivered is not None and delivered.noise_rate > 0.0
-    patterns = []
-    cols = ds.columns
     counts = _gram(ds.rows)
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            (u, x), (v, y) = sorted(((cols[i], i), (cols[j], j)))
-            raw = _phi(ds.n, counts[i][j], counts[x][x], counts[y][y])
-            phi, tags = (0.0, _DEGENERATE_TAGS) if raw is None else (raw, _NO_TAGS)
-            if delivered is not None:
-                phi, tags = datasheet_corrections((u, v), phi, tags, delivered, apply_noise)
-            patterns.append(Pattern((u, v), phi, ds.n, tags))
+    first, second = np.triu_indices(len(ds.columns), 1)
+    raw = [_phi(ds.n, counts[i][j], counts[i][i], counts[j][j]) for i, j in zip(first.tolist(), second.tolist())]
+    cols = np.array(ds.columns, dtype=np.int64)
+    patterns = PatternTable(
+        join_keys(cols[first], cols[second]),
+        np.array([0.0 if r is None else r for r in raw], dtype=np.float64),
+        np.array([r is None for r in raw], dtype=bool) * TAG_BITS[TAG_DEGENERATE],
+        ds.n,
+    )
+    if delivered is not None:
+        patterns = datasheet_corrections(patterns, delivered, apply_noise)
     disputed = contradicted_patterns(patterns, [miner_kb, *peer_kbs], params)
-    patterns = [
-        replace(p, tags=p.tags | {TAG_DISPUTED}) if flag else p
-        for p, flag in zip(patterns, disputed)
-    ]
+    patterns = PatternTable(patterns.keys, patterns.phi, patterns.tags | disputed * TAG_BITS[TAG_DISPUTED], ds.n)
     sheet = InfoSheet(
         team_id=team_id,
         params=params,
         corrections_applied=frozenset({TAG_NOISE_CORRECTED} if apply_noise else ()),
         upstream_datasheet=delivered,
     )
-    return Information(tuple(patterns), sheet)
+    return Information(patterns, sheet)

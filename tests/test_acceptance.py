@@ -67,15 +67,13 @@ def test_criterion_2_correction_round_trip():
     gt = chain_gt(2, 0.9)
     design = ExperimentDesign((0, 1), None, 0.1, 100_000)
     ds, datasheet = sample_dataset(gt, design, np.random.default_rng(11))
-    corrected = mine(ds, EMPTY, datasheet, [], MiningParams()).patterns[0].phi
+    via_miner = mine(ds, EMPTY, datasheet, [], MiningParams()).patterns
+    corrected = via_miner.phi[0]
     recovers = abs(corrected - 0.8) <= 0.015
 
     uncorrected_info = mine(ds, EMPTY, None, [], MiningParams())
-    via_labeler = reinterpret(uncorrected_info, EffectivePrior(EMPTY), datasheet, LabelingParams())
-    max_gap = max(
-        abs(a.phi - b.phi)
-        for a, b in zip(mine(ds, EMPTY, datasheet, [], MiningParams()).patterns, via_labeler.patterns)
-    )
+    via_labeler = reinterpret(uncorrected_info, EffectivePrior(EMPTY), datasheet, LabelingParams()).patterns
+    max_gap = float(np.max(np.abs(via_miner.phi - via_labeler.phi)))
     _report(
         2,
         "channel-1 correction recovers clean phi; channel-3 path equals it",

@@ -52,6 +52,20 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [b'{"name": "caf\xe9"}', b"[" * 100_000], ids=["not-utf-8", "nested-100000-deep"])
+@pytest.mark.parametrize(
+    "command", [["run"], ["sweep", "--replicates", "1"], ["validate", "--trials", "1"]], ids=lambda c: c[0]
+)
+def test_unreadable_json_exits_1_with_an_error_line(tmp_path, monkeypatch, capsys, command, content):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main([*command, "--config", str(bad)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not valid JSON (")
+    assert "Traceback" not in err
+
+
 def test_run_is_deterministic_across_invocations(config_path, tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", str(config_path), "--seed", "42", "--out", str(out1)]) == EXIT_OK

@@ -8,6 +8,7 @@ bit for bit.
 """
 
 import math
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktsim.errors import ConfigError
-from ktsim.experimenting import Dataset
+from ktsim.experimenting import Dataset, Datasheet, Selection
 from ktsim.knowledge import (
     Claim,
     KnowledgeBase,
@@ -26,7 +27,9 @@ from ktsim.knowledge import (
     build_ground_truth,
     membership,
     negate,
+    pair_key,
     rectify,
+    split_keys,
 )
 from ktsim.labeling import (
     ORIGIN_PATTERN,
@@ -42,14 +45,16 @@ from ktsim.labeling import (
 from ktsim import metrics
 from ktsim.metrics import negate_passthrough, openness
 from ktsim.mining import (
+    TAG_BITS,
     TAG_DEGENERATE,
     TAG_DISPUTED,
+    TAG_NAMES,
     TAG_NOISE_CORRECTED,
     TAG_SELECTION_CONDITIONED,
     Information,
     InfoSheet,
     MiningParams,
-    Pattern,
+    PatternTable,
     mine,
     phi_coefficient,
 )
@@ -59,7 +64,7 @@ SETTINGS = settings(max_examples=100, deadline=None)
 #: Threshold values are drawn often so comparisons at the boundary are hit.
 CONFIDENCES = st.one_of(st.sampled_from([0.5, 0.9, 0.95, 1.0]), st.floats(0.01, 1.0))
 PHIS = st.one_of(st.sampled_from([0.0, 0.05, -0.05, 0.3, -0.3, 0.1, 1.0]), st.floats(-1.0, 1.0))
-TAGS = st.just(frozenset()) | st.frozensets(st.sampled_from([TAG_DEGENERATE, TAG_DISPUTED, TAG_SELECTION_CONDITIONED]))
+TAGS = st.just(frozenset()) | st.frozensets(st.sampled_from(TAG_NAMES))
 
 
 @st.composite
@@ -109,8 +114,32 @@ def ref_effective_prior(own, miner, exp, peers):
     return list(merged.values())
 
 
+#: One pattern of the references: its pair, phi and frozenset of tag names.
+Ref = namedtuple("Ref", "pair phi tags")
+
+
+def ref_implied(pattern, params):
+    if TAG_DEGENERATE in pattern.tags:
+        return None
+    if abs(pattern.phi) >= params.dep_threshold:
+        return Polarity.DEPENDENT
+    if abs(pattern.phi) <= params.ind_threshold:
+        return Polarity.INDEPENDENT
+    return None
+
+
+def ref_corrections(pattern, datasheet, correct_noise):
+    phi, tags = pattern.phi, pattern.tags
+    if correct_noise and TAG_DEGENERATE not in tags:
+        phi = max(-1.0, min(1.0, phi / (1.0 - 2.0 * datasheet.noise_rate) ** 2))
+        tags = tags | {TAG_NOISE_CORRECTED}
+    if datasheet.selection is not None and datasheet.selection.variable not in pattern.pair:
+        tags = tags | {TAG_SELECTION_CONDITIONED}
+    return Ref(pattern.pair, phi, tags)
+
+
 def ref_contradicted(pattern, base, params):
-    implied = pattern.implied_polarity(params.dep_threshold, params.ind_threshold)
+    implied = ref_implied(pattern, params)
     wc = base.get(pattern.pair)
     return (
         implied is not None
@@ -125,7 +154,7 @@ def ref_label(patterns, prior, params):
     for p in patterns:
         if TAG_DEGENERATE in p.tags or TAG_DISPUTED in p.tags:
             continue
-        implied = p.implied_polarity(params.dep_threshold, params.ind_threshold)
+        implied = ref_implied(p, params)
         if implied is None or (implied is Polarity.INDEPENDENT and TAG_SELECTION_CONDITIONED in p.tags):
             continue
         chosen[p.pair] = (Claim(*p.pair, implied), ORIGIN_PATTERN)
@@ -138,6 +167,22 @@ def ref_label(patterns, prior, params):
 def ref_score(claims, gt):
     true_count = sum(1 for c in claims if membership(c, gt) is Membership.IN_K)
     return true_count, len(claims) - true_count
+
+
+def ref_mine(rows, columns, datasheet, bases, params):
+    """One pattern per pair of dataset columns, in column-pair order."""
+    found = []
+    for i, j in combinations(range(len(columns)), 2):
+        phi = ref_phi(rows, i, j)
+        pattern = Ref(tuple(sorted((columns[i], columns[j]))), 0.0, frozenset({TAG_DEGENERATE}))
+        if phi is not None:
+            pattern = Ref(pattern.pair, phi, frozenset())
+        if datasheet is not None:
+            pattern = ref_corrections(pattern, datasheet, datasheet.noise_rate > 0.0)
+        if any(ref_contradicted(pattern, _as_dict(base), params) for base in bases):
+            pattern = Ref(pattern.pair, pattern.phi, pattern.tags | {TAG_DISPUTED})
+        found.append(pattern)
+    return found
 
 
 def ref_phi(rows, i, j):
@@ -184,15 +229,49 @@ def test_effective_prior_matches_the_reference(data, m):
     assert _rows(prior.claims) == _rows(ref_effective_prior(own, miner, exp, peers))
 
 
+#: Noise rates, with the values that make the correction clamp or vanish.
+NOISE = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.45]), st.floats(0.0, 0.49))
+
+
 @st.composite
-def patterns(draw, m):
-    pairs = draw(st.lists(st.sampled_from(list(combinations(range(m), 2))), unique=True))
-    return [Pattern(pair, draw(PHIS), 100, draw(TAGS)) for pair in pairs]
+def datasheets(draw, variables):
+    """A datasheet recording noise above 0, a selection on one of
+    ``variables``, or both."""
+    selection = draw(st.none() | st.builds(Selection, st.sampled_from(variables), st.integers(0, 1)))
+    noise = draw(NOISE if selection is not None else NOISE.filter(lambda rate: rate > 0.0))
+    return Datasheet(0, tuple(variables), selection, noise, 1, "ref")
 
 
-def _info(patterns):
-    sheet = InfoSheet(team_id=0, params=MiningParams(), corrections_applied=frozenset(), upstream_datasheet=None)
-    return Information(tuple(patterns), sheet)
+@st.composite
+def patterns(draw, m, unique=True):
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(m), 2))), unique=unique, max_size=40))
+    return [Ref(pair, draw(PHIS), draw(TAGS)) for pair in pairs]
+
+
+def table(found, support=100):
+    """The pattern table holding ``found`` in order."""
+    return PatternTable(
+        np.array([pair_key(*p.pair) for p in found], dtype=np.int64),
+        np.array([p.phi for p in found], dtype=np.float64),
+        np.array([sum(int(TAG_BITS[t]) for t in p.tags) for p in found], dtype=np.uint8),
+        support,
+    )
+
+
+def refs(patterns):
+    """The rows of a pattern table as references."""
+    us, vs = split_keys(patterns.keys)
+    return [
+        Ref((u, v), phi, frozenset(name for name in TAG_NAMES if code & TAG_BITS[name]))
+        for u, v, phi, code in zip(us.tolist(), vs.tolist(), patterns.phi.tolist(), patterns.tags.tolist())
+    ]
+
+
+def _info(patterns, datasheet=None, corrections=frozenset()):
+    sheet = InfoSheet(
+        team_id=0, params=MiningParams(), corrections_applied=corrections, upstream_datasheet=datasheet
+    )
+    return Information(table(patterns), sheet)
 
 
 @SETTINGS
@@ -210,9 +289,7 @@ def test_label_matches_the_reference(data, m):
 def test_label_with_repeated_pattern_pairs_keeps_the_last_label(data, m):
     # A pair may carry several patterns; as in a dict, the last one that
     # labels wins, and a trusted prior claim still overwrites them all.
-    pairs = list(combinations(range(m), 2))
-    drawn = data.draw(st.lists(st.sampled_from(pairs), max_size=40))
-    found = [Pattern(pair, data.draw(PHIS), 100, data.draw(TAGS)) for pair in drawn]
+    found = data.draw(patterns(m, unique=False))
     prior = data.draw(claim_lists(m))
     params = LabelingParams()
     out = label(_info(found), EffectivePrior(KnowledgeBase(prior)), params)
@@ -280,11 +357,17 @@ def test_labeled_knowledge_rejects_an_unknown_origin():
 def test_veto_matches_the_reference(data, m):
     found = data.draw(patterns(m))
     prior = data.draw(claim_lists(m))
+    corrections = data.draw(st.sampled_from([frozenset(), frozenset({TAG_NOISE_CORRECTED})]))
+    upstream, delivered = (data.draw(st.none() | datasheets(list(range(m)))) for _ in range(2))
     params = LabelingParams()
-    out = reinterpret(_info(found), EffectivePrior(KnowledgeBase(prior)), None, params)
+    out = reinterpret(_info(found, upstream, corrections), EffectivePrior(KnowledgeBase(prior)), delivered, params)
+    datasheet = delivered if delivered is not None else upstream
+    correct_noise = datasheet is not None and datasheet.noise_rate > 0.0 and TAG_NOISE_CORRECTED not in corrections
+    fixed = found if datasheet is None else [ref_corrections(p, datasheet, correct_noise) for p in found]
     base = _as_dict(prior)
-    expected = [p for p in found if TAG_DISPUTED in p.tags or not ref_contradicted(p, base, params)]
-    assert list(out.patterns) == expected
+    assert refs(out.patterns) == [p for p in fixed if TAG_DISPUTED in p.tags or not ref_contradicted(p, base, params)]
+    assert out.patterns.support == 100
+    assert out.info_sheet.corrections_applied == corrections | ({TAG_NOISE_CORRECTED} if correct_noise else set())
 
 
 @SETTINGS
@@ -305,30 +388,51 @@ def test_openness_matches_the_reference(data, m, seed):
     assert report.normalized == ((report.openness / len(union)) if union else 0.0)
 
 
-@SETTINGS
-@given(st.data(), st.integers(2, 6), st.integers(0, 40))
-def test_mined_phi_and_disputes_match_per_pair_references(data, width, n):
-    m = 8
+def _draw_dataset(data, width, n, m=8):
+    """Distinct columns among m variables and n random 0/1 rows."""
     columns = data.draw(st.lists(st.integers(0, m - 1), min_size=width, max_size=width, unique=True))
     bits = data.draw(st.lists(st.integers(0, 2**width - 1), min_size=n, max_size=n))
     rows = [[word >> k & 1 for k in range(width)] for word in bits]
-    ds = Dataset(columns, np.array(rows, dtype=np.uint8).reshape(n, width))
-    miner = data.draw(claim_lists(m))
-    peers = data.draw(st.lists(claim_lists(m), max_size=2))
+    return columns, rows, Dataset(columns, np.array(rows, dtype=np.uint8).reshape(n, width))
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 6), st.integers(0, 40))
+def test_mined_phi_and_disputes_match_per_pair_references(data, width, n):
+    columns, rows, ds = _draw_dataset(data, width, n)
+    datasheet = data.draw(st.none() | datasheets(columns))
+    miner = data.draw(claim_lists(8))
+    peers = data.draw(st.lists(claim_lists(8), max_size=2))
     params = MiningParams()
-    info = mine(ds, KnowledgeBase(miner), None, [KnowledgeBase(p) for p in peers], params)
+    info = mine(ds, KnowledgeBase(miner), datasheet, [KnowledgeBase(p) for p in peers], params)
     assert len(info.patterns) == width * (width - 1) // 2
-    expected_pairs = []
-    for i, j in combinations(range(width), 2):
-        expected_pairs.append((min(columns[i], columns[j]), max(columns[i], columns[j]), ref_phi(rows, i, j)))
-    for pattern, (u, v, phi) in zip(info.patterns, expected_pairs):
-        assert pattern.pair == (u, v)
-        assert pattern.phi == (0.0 if phi is None else phi)
-        assert (TAG_DEGENERATE in pattern.tags) == (phi is None)
-        assert TAG_NOISE_CORRECTED not in pattern.tags
-        plain = Pattern(pattern.pair, pattern.phi, pattern.support, pattern.tags - {TAG_DISPUTED})
-        disputed = any(ref_contradicted(plain, _as_dict(base), params) for base in [miner, *peers])
-        assert (TAG_DISPUTED in pattern.tags) == disputed
+    assert refs(info.patterns) == ref_mine(rows, columns, datasheet, [miner, *peers], params)
+    assert info.patterns.support == n
+    noise = datasheet is not None and datasheet.noise_rate > 0.0
+    assert info.info_sheet.corrections_applied == ({TAG_NOISE_CORRECTED} if noise else set())
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 5))
+def test_pattern_table_json_matches_per_pattern_records(data, m):
+    found = data.draw(patterns(m, unique=False))
+    support = data.draw(st.integers(0, 10**6))
+    assert table(found, support).to_json() == [
+        {"u": p.pair[0], "v": p.pair[1], "phi": p.phi, "support": support, "tags": sorted(p.tags)} for p in found
+    ]
+    assert refs(table(found, support)) == found
+
+
+def test_pattern_table_equality_covers_every_column_and_the_support():
+    a = table([Ref((0, 1), 0.5, frozenset({TAG_DISPUTED}))])
+    assert a == PatternTable(a.keys.copy(), a.phi.copy(), a.tags.copy(), 100)
+    assert a != PatternTable(a.keys + 1, a.phi, a.tags, 100)
+    assert a != PatternTable(a.keys, -a.phi, a.tags, 100)
+    assert a != PatternTable(a.keys, a.phi, a.tags | TAG_BITS[TAG_DEGENERATE], 100)
+    assert a != PatternTable(a.keys, a.phi, a.tags, 99)
+    assert a != table([])
+    assert a != "PatternTable"
+    assert not a.keys.flags.writeable and not a.phi.flags.writeable and not a.tags.flags.writeable
 
 
 def test_mined_phi_is_exact_over_several_row_blocks():
@@ -337,7 +441,7 @@ def test_mined_phi_is_exact_over_several_row_blocks():
     rows[:, 1] |= rows[:, 0]
     ds = Dataset((3, 0, 7, 5), rows)
     info = mine(ds, KnowledgeBase(), None, [], MiningParams())
-    for pattern in info.patterns:
+    for pattern in refs(info.patterns):
         assert pattern.phi == phi_coefficient(ds, *pattern.pair)
 
 
@@ -351,3 +455,31 @@ def test_a_repeated_pair_is_still_rejected(data, m):
     order = data.draw(st.permutations(claims + [twin]))
     with pytest.raises(ConfigError, match=rf"pair \({u}, {v}\)"):
         KnowledgeBase(order)
+
+
+@SETTINGS
+@given(st.data(), st.integers(2, 8))
+def test_extended_inserts_one_claim_like_the_checked_constructor(data, m):
+    claims = data.draw(claim_lists(m))
+    kb = KnowledgeBase(claims)
+    taken = {wc.claim.pair for wc in claims}
+    u, v = data.draw(st.sampled_from([pair for pair in combinations(range(m + 2), 2) if pair not in taken]))
+    if data.draw(st.booleans()):
+        u, v = v, u
+    wc = WeightedClaim(Claim(u, v, data.draw(st.sampled_from(Polarity))), data.draw(CONFIDENCES))
+    grown = kb.extended(wc)
+    assert grown == KnowledgeBase([*kb, wc])
+    assert not grown.keys.flags.writeable and not grown.dep.flags.writeable and not grown.conf.flags.writeable
+    assert kb == KnowledgeBase(claims)
+    if claims:
+        held = data.draw(st.sampled_from(claims)).claim
+        a, b = held.pair if data.draw(st.booleans()) else held.pair[::-1]
+        twin = WeightedClaim(Claim(a, b, data.draw(st.sampled_from(Polarity))), data.draw(CONFIDENCES))
+        held_twice = rf"knowledge base holds more than one claim for pair \({held.u}, {held.v}\)"
+        with pytest.raises(ConfigError, match=held_twice):
+            kb.extended(twin)
+
+
+def test_extended_rejects_a_variable_id_the_keys_cannot_hold():
+    with pytest.raises(ConfigError, match=r"variable ids must lie below 2\*\*32"):
+        KnowledgeBase().extended(WeightedClaim(Claim(0, 2**32, Polarity.DEPENDENT), 0.9))

@@ -15,7 +15,9 @@ from ktsim.knowledge import (
     independent,
     membership,
     negate,
+    pair_key,
     sample_agent_prior,
+    split_keys,
 )
 from ktsim.labeling import (
     ORIGIN_PATTERN,
@@ -28,11 +30,12 @@ from ktsim.labeling import (
 )
 from ktsim.metrics import negate_passthrough
 from ktsim.mining import (
+    TAG_BITS,
     TAG_SELECTION_CONDITIONED,
     Information,
     InfoSheet,
     MiningParams,
-    Pattern,
+    PatternTable,
     mine,
 )
 
@@ -51,11 +54,22 @@ def _info(patterns, datasheet=None, corrections=()):
         corrections_applied=frozenset(corrections),
         upstream_datasheet=datasheet,
     )
-    return Information(tuple(patterns), sheet)
+    table = PatternTable(
+        np.array([pair_key(u, v) for u, v, _, _ in patterns], dtype=np.int64),
+        np.array([phi for _, _, phi, _ in patterns], dtype=np.float64),
+        np.array([sum(int(TAG_BITS[t]) for t in tags) for _, _, _, tags in patterns], dtype=np.uint8),
+        1000,
+    )
+    return Information(table, sheet)
 
 
-def _pattern(u, v, phi, tags=(), support=1000):
-    return Pattern((u, v), phi, support, frozenset(tags))
+def _pattern(u, v, phi, tags=()):
+    return (u, v, phi, tags)
+
+
+def _pairs(keys):
+    us, vs = split_keys(keys)
+    return list(zip(us.tolist(), vs.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +117,7 @@ def test_confident_prior_removes_a_contradicting_pattern():
     info = _info([_pattern(0, 1, 0.9)])
     params = LabelingParams(veto_confidence=0.8)
     out = reinterpret(info, prior, None, params)
-    assert out.patterns == ()
+    assert len(out.patterns) == 0
 
 
 def test_weak_prior_does_not_remove_patterns():
@@ -132,10 +146,8 @@ def test_labeler_correction_equals_the_miner_path_exactly():
         datasheet,
         PARAMS,
     )
-    for a, b in zip(via_miner.patterns, via_labeler.patterns):
-        assert a.pair == b.pair
-        assert abs(a.phi - b.phi) <= 1e-12
-        assert a.tags == b.tags
+    assert len(via_labeler.patterns) == 6
+    assert via_labeler.patterns == via_miner.patterns
     assert via_labeler.info_sheet.corrections_applied == frozenset({"noise_corrected"})
 
 
@@ -147,9 +159,8 @@ def test_datasheet_reveals_selection_the_miner_missed():
     )[1]
     info = _info([_pattern(0, 2, 0.01), _pattern(0, 1, 0.4)])
     out = reinterpret(info, EffectivePrior(EMPTY), datasheet_info, PARAMS)
-    by_pair = {p.pair: p for p in out.patterns}
-    assert TAG_SELECTION_CONDITIONED in by_pair[(0, 2)].tags
-    assert TAG_SELECTION_CONDITIONED not in by_pair[(0, 1)].tags
+    assert _pairs(out.patterns.keys) == [(0, 2), (0, 1)]
+    assert out.patterns.has(TAG_SELECTION_CONDITIONED).tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from ktsim.knowledge import (
     WeightedClaim,
     dependent,
     independent,
+    split_keys,
 )
 from ktsim.mining import (
     TAG_DEGENERATE,
@@ -28,6 +29,11 @@ PARAMS = MiningParams()
 
 def make_dataset(cols, rows):
     return Dataset(cols, np.array(rows, dtype=np.uint8))
+
+
+def pairs(keys):
+    us, vs = split_keys(keys)
+    return list(zip(us.tolist(), vs.tolist()))
 
 
 def sheet(noise_rate=0.0, selection=None, measured=(0, 1)):
@@ -98,6 +104,11 @@ def test_correction_clamps_to_unit_interval():
     assert correct_attenuation(-0.9, 0.2) == -1.0
 
 
+def test_correction_of_an_array_applies_the_law_to_each_coefficient():
+    phi = np.array([0.512, 0.9, -0.9, 0.0, -0.3, 0.36])
+    assert correct_attenuation(phi, 0.2).tolist() == [max(-1.0, min(1.0, x / 0.36)) for x in phi.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # mine()
 # ---------------------------------------------------------------------------
@@ -107,19 +118,24 @@ def test_mine_yields_one_pattern_per_pair():
     ds = make_dataset((0, 1, 2, 3), rng.integers(0, 2, size=(100, 4)))
     info = mine(ds, EMPTY, None, [], PARAMS)
     assert len(info.patterns) == 6
-    assert sorted(p.pair for p in info.patterns) == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-    ]
-    assert all(p.support == 100 for p in info.patterns)
+    assert pairs(info.patterns.keys) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert info.patterns.support == 100
+
+
+def test_pairs_follow_the_column_order_and_are_canonical():
+    rng = np.random.default_rng(1)
+    ds = make_dataset((7, 2, 5), rng.integers(0, 2, size=(100, 3)))
+    info = mine(ds, EMPTY, None, [], PARAMS)
+    assert pairs(info.patterns.keys) == [(2, 7), (5, 7), (2, 5)]
+    assert info.patterns.phi.tolist() == [phi_coefficient(ds, u, v) for u, v in [(7, 2), (7, 5), (2, 5)]]
 
 
 def test_mine_without_datasheet_reports_raw_phi():
     rng = np.random.default_rng(2)
     ds = make_dataset((0, 1), rng.integers(0, 2, size=(200, 2)))
     info = mine(ds, EMPTY, None, [], PARAMS)
-    (pattern,) = info.patterns
-    assert pattern.phi == phi_coefficient(ds, 0, 1)
-    assert pattern.tags == frozenset()
+    assert info.patterns.phi.tolist() == [phi_coefficient(ds, 0, 1)]
+    assert info.patterns.tags.tolist() == [0]
     assert info.info_sheet.upstream_datasheet is None
     assert info.info_sheet.corrections_applied == frozenset()
 
@@ -130,10 +146,10 @@ def test_mine_with_noisy_datasheet_corrects_and_tags():
     ds, delivered = sample_dataset(gt, design, np.random.default_rng(3))
     raw = phi_coefficient(ds, 0, 1)
     info = mine(ds, EMPTY, delivered, [], PARAMS)
-    (pattern,) = info.patterns
-    assert pattern.phi == pytest.approx(raw / 0.64, abs=1e-12)
-    assert pattern.phi == pytest.approx(0.8, abs=0.015)
-    assert TAG_NOISE_CORRECTED in pattern.tags
+    (phi,) = info.patterns.phi
+    assert phi == pytest.approx(raw / 0.64, abs=1e-12)
+    assert phi == pytest.approx(0.8, abs=0.015)
+    assert info.patterns.has(TAG_NOISE_CORRECTED).tolist() == [True]
     assert info.info_sheet.corrections_applied == frozenset({TAG_NOISE_CORRECTED})
     assert info.info_sheet.upstream_datasheet == delivered
 
@@ -153,49 +169,47 @@ def test_selection_tags_every_pattern_not_involving_the_variable():
     ds = make_dataset((0, 1, 2), rng.integers(0, 2, size=(300, 3)))
     delivered = sheet(selection=Selection(1, 1), measured=(0, 1, 2))
     info = mine(ds, EMPTY, delivered, [], PARAMS)
-    tagged = {p.pair for p in info.patterns if TAG_SELECTION_CONDITIONED in p.tags}
-    assert tagged == {(0, 2)}
+    tagged = info.patterns.keys[info.patterns.has(TAG_SELECTION_CONDITIONED)]
+    assert pairs(tagged) == [(0, 2)]
 
 
 def test_degenerate_columns_never_abort_mining():
     ds = make_dataset((0, 1, 2), [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]])
     info = mine(ds, EMPTY, sheet(noise_rate=0.2, measured=(0, 1, 2)), [], PARAMS)
-    by_pair = {p.pair: p for p in info.patterns}
-    assert TAG_DEGENERATE in by_pair[(0, 1)].tags
-    assert TAG_DEGENERATE in by_pair[(0, 2)].tags
-    assert by_pair[(0, 1)].phi == 0.0
+    assert pairs(info.patterns.keys) == [(0, 1), (0, 2), (1, 2)]
+    assert info.patterns.has(TAG_DEGENERATE).tolist() == [True, True, False]
+    assert info.patterns.phi[0] == 0.0
     # degenerate patterns are not noise corrected, live ones are
-    assert TAG_NOISE_CORRECTED not in by_pair[(0, 1)].tags
-    assert TAG_NOISE_CORRECTED in by_pair[(1, 2)].tags
+    assert info.patterns.has(TAG_NOISE_CORRECTED).tolist() == [False, False, True]
 
 
 def test_corrected_phi_is_clamped():
     ds = make_dataset((0, 1), [[0, 0], [1, 1], [0, 0], [1, 1], [0, 1]])
     info = mine(ds, EMPTY, sheet(noise_rate=0.2), [], PARAMS)
-    (pattern,) = info.patterns
-    assert abs(pattern.phi) <= 1.0
+    (phi,) = info.patterns.phi
+    assert abs(phi) <= 1.0
 
 
 def test_contradicted_patterns_are_tagged_disputed():
     ds = make_dataset((0, 1), [[0, 0], [1, 1], [0, 0], [1, 1]])  # phi = 1
     miner_kb = KnowledgeBase([WeightedClaim(independent(0, 1), 0.95)])
     info = mine(ds, miner_kb, None, [], PARAMS)
-    assert TAG_DISPUTED in info.patterns[0].tags
+    assert info.patterns.has(TAG_DISPUTED)[0]
     # below the veto confidence nothing is disputed
     weak = KnowledgeBase([WeightedClaim(independent(0, 1), 0.5)])
     info2 = mine(ds, weak, None, [], PARAMS)
-    assert TAG_DISPUTED not in info2.patterns[0].tags
+    assert not info2.patterns.has(TAG_DISPUTED)[0]
     # agreement is not a dispute
     agreeing = KnowledgeBase([WeightedClaim(dependent(0, 1), 0.99)])
     info3 = mine(ds, agreeing, None, [], PARAMS)
-    assert TAG_DISPUTED not in info3.patterns[0].tags
+    assert not info3.patterns.has(TAG_DISPUTED)[0]
 
 
 def test_peer_knowledge_can_also_dispute():
     ds = make_dataset((0, 1), [[0, 0], [1, 1], [0, 0], [1, 1]])
     peer = KnowledgeBase([WeightedClaim(independent(0, 1), 0.92)])
     info = mine(ds, EMPTY, None, [peer], PARAMS)
-    assert TAG_DISPUTED in info.patterns[0].tags
+    assert info.patterns.has(TAG_DISPUTED)[0]
 
 
 def test_mining_is_deterministic():
@@ -216,7 +230,7 @@ def test_channel1_correction_beats_raw_estimates_on_noisy_chains():
     for seed in range(100):
         ds, delivered = sample_dataset(gt, design, np.random.default_rng(1000 + seed))
         raw = phi_coefficient(ds, 0, 1)
-        corrected = mine(ds, EMPTY, delivered, [], PARAMS).patterns[0].phi
+        corrected = mine(ds, EMPTY, delivered, [], PARAMS).patterns.phi[0]
         if abs(corrected - 0.9) < abs(raw - 0.9):
             closer += 1
     assert closer >= 95

@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ktsim
 from ktsim import orchestrator
 from ktsim.config import ChannelPolicy, Wiring, scenario_from_dict
 from ktsim.errors import ConfigError
@@ -220,3 +225,33 @@ def test_run_outputs_include_datasets_and_result(tmp_path):
     for rec in result.datasets:
         assert (tmp_path / "datasets" / f"team{rec.team_id}.csv").is_file()
         assert (tmp_path / "datasets" / f"team{rec.team_id}.datasheet.json").is_file()
+
+
+#: Runs the CLI's run, a one-replicate sweep and 5 validator trials on the
+#: default scenario, then prints whether ``numpy.ma`` was ever imported.
+_NO_MASKED_ARRAYS = """
+import json, sys, tempfile
+from pathlib import Path
+from ktsim.cli import main
+from ktsim.config import default_scenario
+with tempfile.TemporaryDirectory() as tmp:
+    config = Path(tmp) / "config.json"
+    config.write_text(json.dumps(default_scenario().to_json()))
+    codes = [
+        main(["run", "--config", str(config), "--out", str(Path(tmp) / "run"), "--quiet"]),
+        main(["sweep", "--config", str(config), "--replicates", "1", "--out", str(Path(tmp) / "sweep"), "--quiet"]),
+        main(["validate", "--trials", "5", "--seed", "1", "--quiet"]),
+    ]
+print(json.dumps({"codes": codes, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+def test_the_pipeline_never_imports_numpy_ma():
+    # numpy.ma adds about 2 MB of resident memory to every process that
+    # imports it; a plain np.unique (without a return_* option) pulls it in.
+    path = os.pathsep.join([str(Path(ktsim.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_MASKED_ARRAYS],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, check=True,
+    )
+    assert json.loads(done.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "numpy.ma": False}
