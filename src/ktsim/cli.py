@@ -38,11 +38,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config(path: str) -> ScenarioConfig:
+    # Read without checking is_file() first: a pipe such as /dev/fd/63 from a
+    # shell's <(...) is no regular file, yet it reads like one.
     p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"config file not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise FileNotFoundError(f"config file not found: {p}") from None
+    except IsADirectoryError:
+        raise IsADirectoryError(f"config path is a directory, not a file: {p}") from None
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
     return scenario_from_dict(data)
@@ -157,7 +161,7 @@ def _cmd_validate(args) -> int:
     payload = report.to_json()
     payload["seed"] = seed
     payload["break_passthrough"] = args.break_passthrough
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
     _say(args, f"seed: {seed}", stream=sys.stderr)
     _say(
         args,
@@ -178,7 +182,7 @@ def _cmd_oracle(args) -> int:
     )
     payload = report.to_json()
     payload["seed"] = seed
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
     _say(
         args,
         f"seed {seed}: analytic {report.analytic:.6f}, empirical {report.empirical:.6f}, "

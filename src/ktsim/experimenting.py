@@ -130,15 +130,25 @@ def design_experiment(
     if not (0.0 <= selection_prob <= 1.0):
         raise ConfigError(f"selection_prob must lie in [0, 1], got {selection_prob}")
 
-    neighbors: dict[int, set[int]] = {}
+    # The Dependent claims in key order, where ``us`` ascends, and in the
+    # stable order of ``vs``, where ``us`` still ascends within each ``v``;
+    # ``first_u[x]`` and ``first_v[x]`` are the first rows of an id >= x.
     us, vs = split_keys(team_kb.keys[team_kb.dep])
-    for u, v in zip(us.tolist(), vs.tolist()):
-        neighbors.setdefault(u, set()).add(v)
-        neighbors.setdefault(v, set()).add(u)
+    by_v = np.argsort(vs, kind="stable")
+    us_by_v = us[by_v]
+    degree = np.bincount(np.concatenate([us, vs]))
+    ids = np.arange(len(degree) + 1)
+    first_u = np.searchsorted(us, ids).tolist()
+    first_v = np.searchsorted(vs[by_v], ids).tolist()
+
+    def neighbors(var: int) -> list[int]:
+        """The partners of ``var`` in Dependent claims, ascending."""
+        return us_by_v[first_v[var]:first_v[var + 1]].tolist() + vs[first_u[var]:first_u[var + 1]].tolist()
 
     measured: list[int] = []
     chosen = set()
-    unvisited = sorted(neighbors)
+    # Every variable of a Dependent claim, ascending (np.unique would import numpy.ma).
+    unvisited = np.flatnonzero(degree).tolist()
     while len(measured) < target_width and unvisited:
         seed_var = unvisited[int(rng.integers(len(unvisited)))]
         queue = [seed_var]
@@ -148,7 +158,7 @@ def design_experiment(
                 continue
             chosen.add(var)
             measured.append(var)
-            queue.extend(sorted(neighbors.get(var, ()) - chosen))
+            queue.extend(w for w in neighbors(var) if w not in chosen)
         unvisited = [v for v in unvisited if v not in chosen]
 
     if len(measured) < target_width:

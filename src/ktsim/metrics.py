@@ -286,6 +286,11 @@ def correlation_oracle(
     if delta > 0.0:
         start = start ^ (rng.random(samples) < delta).astype(np.uint8)
         end = end ^ (rng.random(samples) < delta).astype(np.uint8)
+    if start.min() == start.max() or end.min() == end.max():
+        raise ConfigError(
+            f"an endpoint read one value in all {samples} samples, so the empirical "
+            "correlation is undefined; draw more samples"
+        )
     empirical = float(np.corrcoef(start.astype(float), end.astype(float))[0, 1])
     analytic = (2.0 * p_stay - 1.0) ** dist * (1.0 - 2.0 * delta) ** 2
     return OracleReport(p_stay, dist, delta, samples, analytic, empirical, abs(empirical - analytic))

@@ -10,7 +10,8 @@ same seed and different channels share identical datasets bit for bit.
 A sweep exploits that: for each replicate one data-stage seed is derived from
 the master seed, and all eight channel combinations are run against it. Any
 difference inside a replicate is therefore attributable to the channels
-alone.
+alone. For the same reason a sweep writes each replicate's upstream (forest,
+teams, datasets) once, and each combination's file holds only the rest.
 """
 
 from __future__ import annotations
@@ -79,13 +80,22 @@ class RunResult:
     labelings: tuple[LabeledKnowledge, ...]
     openness: OpennessReport
 
-    def to_json(self) -> dict:
+    def upstream_json(self) -> dict:
+        """The part of the run no channel can change: the seed, the forest,
+        the teams and the datasets."""
         return {
-            "config": self.config.to_json(),
             "seed": self.seed,
             "ground_truth": self.ground_truth.to_json(),
             "teams": [t.to_json() for t in self.teams],
             "datasets": [d.to_json() for d in self.datasets],
+        }
+
+    def downstream_json(self) -> dict:
+        """The config, the seed and what the channels decide: the mined
+        informations, the labelings and their openness."""
+        return {
+            "config": self.config.to_json(),
+            "seed": self.seed,
             "informations": [
                 {"experimenter": i, "miner": j, "information": info.to_json()}
                 for (j, i), info in self.informations
@@ -94,9 +104,16 @@ class RunResult:
             "openness": self.openness.to_json(),
         }
 
+    def to_json(self) -> dict:
+        return {**self.upstream_json(), **self.downstream_json()}
+
     def to_json_text(self) -> str:
-        # Compact separators keep json.dumps on its C encoder; indent does not.
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        return _json_line(self.to_json())
+
+
+def _json_line(doc: dict) -> str:
+    # Compact separators keep json.dumps on its C encoder; indent does not.
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _form_teams(cfg: ScenarioConfig, pool: AgentPool, rng: np.random.Generator) -> dict[Role, tuple[Team, ...]]:
@@ -264,9 +281,16 @@ def _run_cell(cfg: ScenarioConfig, mask: int, rep: int, out_dir: Optional[str]) 
     seed = replicate_seed(cfg.master_seed, rep)
     result = run(cfg.with_channels(ChannelPolicy.from_mask(mask)), seed)
     if out_dir is not None:
+        # The upstream is the same under all eight masks, so mask 0 writes it
+        # once per replicate and every cell names it by its dataset sha256s.
+        if mask == 0:
+            rep_dir = Path(out_dir) / f"rep{rep}"
+            rep_dir.mkdir(parents=True, exist_ok=True)
+            (rep_dir / "upstream.json").write_text(_json_line(result.upstream_json()))
+        cell = {**result.downstream_json(), "dataset_sha256": [d.sha256 for d in result.datasets]}
         target = Path(out_dir) / f"combo{mask}"
         target.mkdir(parents=True, exist_ok=True)
-        (target / f"rep{rep}.json").write_text(result.to_json_text())
+        (target / f"rep{rep}.json").write_text(_json_line(cell))
     rep_report = result.openness
     return SweepRow(
         scenario=cfg.name,

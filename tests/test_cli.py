@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import warnings
 
 import pytest
 
@@ -36,6 +38,24 @@ def test_missing_config_exits_3_with_the_path(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["run", "--config", str(missing)]) == EXIT_IO
     assert str(missing) in capsys.readouterr().err
+
+
+def test_config_read_from_a_pipe_runs(config_path, tmp_path, capsys):
+    # What a shell passes for --config <(cat config.json): a pipe, not a regular file.
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, config_path.read_bytes())
+        os.close(write_fd)
+        assert main(["run", "--config", f"/dev/fd/{read_fd}", "--out", str(tmp_path / "piped"), "--quiet"]) == EXIT_OK
+    finally:
+        os.close(read_fd)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "file"), "--quiet"]) == EXIT_OK
+    assert (tmp_path / "piped" / "result.json").read_bytes() == (tmp_path / "file" / "result.json").read_bytes()
+
+
+def test_config_path_that_is_a_directory_exits_3_saying_so(tmp_path, capsys):
+    assert main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: config path is a directory, not a file: {tmp_path}\n"
 
 
 def test_invalid_config_exits_1(tmp_path, capsys):
@@ -158,6 +178,17 @@ def test_oracle_reports_analytic_and_empirical(capsys):
 def test_oracle_rejects_delta_half(capsys):
     assert main(["oracle", "--p-stay", "0.9", "--dist", "1", "--delta", "0.5"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_oracle_with_a_constant_endpoint_exits_1_without_printing_nan(capsys):
+    # Two samples whose endpoint reads one value: the correlation is 0/0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle", "--p-stay", "0.9", "--dist", "2", "--samples", "2", "--seed", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: an endpoint read one value in all 2 samples")
+    assert captured.err.count("\n") == 1
 
 
 def test_oracle_without_seed_prints_the_chosen_seed(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from ktsim.knowledge import (
     WeightedClaim,
     build_ground_truth,
     dependent,
+    pair_key,
+    split_keys,
 )
 from ktsim.mining import phi_coefficient
 
@@ -88,6 +91,65 @@ def test_design_width_bounds():
         design_experiment(KnowledgeBase(), 10, 11, 0.0, 0.0, 50, np.random.default_rng(0))
     with pytest.raises(ConfigError):
         design_experiment(KnowledgeBase(), 10, 1, 0.0, 0.0, 50, np.random.default_rng(0))
+
+
+def reference_design(team_kb, m, target_width, selection_prob, noise_rate, samples, rng):
+    """``design_experiment`` as it was with a dict of neighbour sets built
+    from every Dependent claim; the array version must draw the same."""
+    neighbors = {}
+    us, vs = split_keys(team_kb.keys[team_kb.dep])
+    for u, v in zip(us.tolist(), vs.tolist()):
+        neighbors.setdefault(u, set()).add(v)
+        neighbors.setdefault(v, set()).add(u)
+
+    measured = []
+    chosen = set()
+    unvisited = sorted(neighbors)
+    while len(measured) < target_width and unvisited:
+        seed_var = unvisited[int(rng.integers(len(unvisited)))]
+        queue = [seed_var]
+        while queue and len(measured) < target_width:
+            var = queue.pop(0)
+            if var in chosen:
+                continue
+            chosen.add(var)
+            measured.append(var)
+            queue.extend(sorted(neighbors.get(var, ()) - chosen))
+        unvisited = [v for v in unvisited if v not in chosen]
+
+    if len(measured) < target_width:
+        pool = [v for v in range(m) if v not in chosen]
+        extra = rng.choice(len(pool), size=target_width - len(measured), replace=False)
+        measured.extend(pool[int(i)] for i in extra)
+
+    measured_t = tuple(sorted(measured))
+    selection = None
+    if float(rng.random()) < selection_prob:
+        selection = Selection(measured_t[int(rng.integers(len(measured_t)))], 1)
+    return ExperimentDesign(measured_t, selection, noise_rate, samples)
+
+
+@st.composite
+def design_cases(draw):
+    """A team base over m variables, sparse to dense, with both polarities."""
+    m = draw(st.integers(2, 40))
+    graph = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = np.array([pair_key(u, v) for u, v in combinations(range(m), 2)], dtype=np.int64)
+    held = graph.random(len(keys)) < draw(st.floats(0.0, 1.0))
+    dep = graph.random(len(keys)) < draw(st.floats(0.0, 1.0))
+    kb = KnowledgeBase.from_arrays(keys[held], dep[held], np.full(int(held.sum()), 0.9))
+    return kb, m, draw(st.integers(2, m)), draw(st.sampled_from([0.0, 0.5, 1.0])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(design_cases())
+def test_design_matches_the_neighbour_set_reference(case):
+    kb, m, width, selection_prob, seed = case
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert design_experiment(kb, m, width, selection_prob, 0.1, 100, fast) == reference_design(
+        kb, m, width, selection_prob, 0.1, 100, slow
+    )
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,15 @@ columns instead of one record per claim, so their digests moved again. The
 digests of the indented per-claim form they had before are kept as
 ``*_RECORD_FORM_SHA256``: ``record_form`` turns a new file back into that
 form, and the re-indented result must hash to them, which shows the new
-layout drops no claim and changes no number. A change that moves any digest
-must say why in CHANGES.md; never update a digest to hide a defect.
+layout drops no claim and changes no number.
+
+A sweep then wrote each replicate's upstream (seed, forest, teams, datasets)
+once, to ``rep<r>/upstream.json``, and left the rest of the run in each
+``combo<mask>/rep<r>.json`` together with the upstream's dataset sha256s. So
+``SWEEP_REP0_SHA256`` moved and ``SWEEP_REP0_UPSTREAM_SHA256`` was added. The
+record-form digests did not move: a cell merged with its upstream is the run
+document it used to be. A change that moves any digest must say why in
+CHANGES.md; never update a digest to hide a defect.
 """
 
 import hashlib
@@ -52,16 +59,18 @@ VALIDATE_STDOUT_SHA256 = "dda64a139d2e12ed83f58772a73eff3fddef1b3c8e0b9ce2c4599d
 #: ``validate --trials 100 --seed 1 --break-passthrough``: the negative control.
 BROKEN_VALIDATE_STDOUT_SHA256 = "93c66e8a546fb57bc898dfb17e6fe098d3158d8e5894a42d43d189097072a28a"
 ORACLE_STDOUT_SHA256 = "a0bc874c2255995a79e93b0a0167831790565dd6346c3b709c00056caa082999"
-#: ``combo<mask>/rep0.json`` of a one-replicate CLI sweep of the default config.
+#: ``rep0/upstream.json`` and ``combo<mask>/rep0.json`` of a one-replicate
+#: CLI sweep of the default config.
+SWEEP_REP0_UPSTREAM_SHA256 = "9f11ce15229777cd011c16de565e6d4075d53a8a9c35481e6cce29e801c6e616"
 SWEEP_REP0_SHA256 = (
-    "8d1a9bdb410ba9af1e8eaa7f08f26c7b4f591424e2a1862b24a43eb3f8abbaec",
-    "b74397923d91776f85d816994fd6037d62d7ae76e253cf8b50283af69fd0a407",
-    "6d9e020a0599c4a7351286addb344ac55ba621d1833e132815621ac18860231e",
-    "3a3a09c39c97879c81cdcd3a5d29af84fa6abb8513fc45d73a90220f85e88905",
-    "d6f3aee3cb2731651eeddb8b627f42808f93d1b056ae81416144ffa8170da195",
-    "b1faebe79dcf79da9c42b9350520eb42d7d04ffcd4c29f0f186d45eb11dcaa09",
-    "b44589a457544c3d54680c02e4679ec8ad1465d4f291ed7e52d3ab7432db17ff",
-    "0eb8debd3f9a3b279d8648b663b72933de571d1df69cc618d2192d4bd118c10c",
+    "251b21979ca3e438f04ac20a583229b7ca8a984a670429ee2daa053b44ecb145",
+    "d56afb26082a2e29f0bba21da067a21e443ac4236bdc5886357b8ffed5258034",
+    "db238fa132c2f71e716a7b2d5702067cfcc536fe27857a3b4fc292832ba752a9",
+    "36931c51d3fa39e32dce03b9b1b5731febc247a3d9455dbf4072f3b73e32a70f",
+    "0469c4548d453de454da147df89fe6ed045fd9119ef30e5b2bb9f8b2585795ce",
+    "f1a91701229b9ce8a06607245690e3b43b8a72c9a140167ae9130a0f53305229",
+    "d9d7a9b3eee9d4a66edf394fa233b1e95216d394ec382ff7b7b4b62d3c78ca3c",
+    "8b2e0f1d435ae6fac3fb3b69ae2f0cb9f97f6395d0c6b2664700de3caea8d5e4",
 )
 SWEEP_REP0_RECORD_FORM_SHA256 = (
     "7a871391a02affe2ad2e7e74fbd2d5dd3b073f14c7b837ba0d0d8fa78477b09f",
@@ -93,14 +102,22 @@ def record_form(doc: dict) -> dict:
     return {**doc, "teams": teams}
 
 
-def _check_result_file(path: Path, digest: str, record_form_digest: str) -> None:
-    """The compact file hashes to ``digest``; its record form, indented as
-    before, hashes to ``record_form_digest``."""
+def _compact_doc(path: Path, digest: str) -> dict:
+    """The document of a one-line compact file that hashes to ``digest``."""
     text = path.read_text()
     assert text.count("\n") == 1 and text.endswith("\n")
     assert hashlib.sha256(text.encode()).hexdigest() == digest
-    indented = json.dumps(record_form(json.loads(text)), indent=2, sort_keys=True) + "\n"
+    return json.loads(text)
+
+
+def _check_record_form(doc: dict, record_form_digest: str) -> None:
+    """The record form of ``doc``, indented as before, hashes to ``record_form_digest``."""
+    indented = json.dumps(record_form(doc), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == record_form_digest
+
+
+def _check_result_file(path: Path, digest: str, record_form_digest: str) -> None:
+    _check_record_form(_compact_doc(path, digest), record_form_digest)
 
 
 def test_default_sweep_of_10_replicates(tmp_path):
@@ -153,5 +170,11 @@ def test_negative_control_report_on_stdout(capsys):
 def test_per_cell_files_of_a_one_replicate_sweep(tmp_path, capsys):
     argv = ["sweep", "--config", str(DEFAULT_CONFIG), "--replicates", "1", "--out", str(tmp_path), "--quiet"]
     assert main(argv) == EXIT_OK
-    for mask, digests in enumerate(zip(SWEEP_REP0_SHA256, SWEEP_REP0_RECORD_FORM_SHA256, strict=True)):
-        _check_result_file(tmp_path / "default" / f"combo{mask}" / "rep0.json", *digests)
+    root = tmp_path / "default"
+    upstream = _compact_doc(root / "rep0" / "upstream.json", SWEEP_REP0_UPSTREAM_SHA256)
+    for mask, (digest, record_form_digest) in enumerate(
+        zip(SWEEP_REP0_SHA256, SWEEP_REP0_RECORD_FORM_SHA256, strict=True)
+    ):
+        cell = _compact_doc(root / f"combo{mask}" / "rep0.json", digest)
+        assert cell.pop("dataset_sha256") == [d["sha256"] for d in upstream["datasets"]]
+        _check_record_form({**cell, **upstream}, record_form_digest)

@@ -182,6 +182,28 @@ def test_parallel_sweep_matches_sequential():
     assert seq.rows == par.rows
 
 
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_sweep_writes_each_upstream_once_and_cells_reassemble_into_runs(tmp_path):
+    cfg = ktsim.default_scenario()
+    sweep(cfg, 2, out_dir=tmp_path / "seq", jobs=1)
+    sweep(cfg, 2, out_dir=tmp_path / "par", jobs=2)
+    tree = _tree(tmp_path / "seq")
+    assert _tree(tmp_path / "par") == tree
+    cells = [f"combo{mask}/rep{rep}.json" for mask in range(8) for rep in range(2)]
+    assert sorted(tree) == sorted(cells + ["rep0/upstream.json", "rep1/upstream.json"])
+    for rep in range(2):
+        upstream = json.loads(tree[f"rep{rep}/upstream.json"])
+        seed = replicate_seed(cfg.master_seed, rep)
+        for mask in range(8):
+            cell = json.loads(tree[f"combo{mask}/rep{rep}.json"])
+            assert cell.pop("dataset_sha256") == [d["sha256"] for d in upstream["datasets"]]
+            expected = run(cfg.with_channels(ChannelPolicy.from_mask(mask)), seed).to_json_text()
+            assert json.dumps({**cell, **upstream}, sort_keys=True, separators=(",", ":")) + "\n" == expected
+
+
 def test_sweep_pool_never_exceeds_cells_or_cpus(monkeypatch):
     requested = []
 
