@@ -34,20 +34,16 @@ from .knowledge import (
     Claim,
     GroundTruth,
     KnowledgeBase,
-    Membership,
     Polarity,
     Role,
     Team,
-    WeightedClaim,
     build_ground_truth,
     dependent,
     independent,
-    membership,
     negate,
     rectify,
     sample_agent_pool,
     sample_agent_prior,
-    true_knowledge,
 )
 from .labeling import (
     EffectivePrior,

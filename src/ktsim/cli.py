@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes are stable: 0 success, 1 invalid configuration or arguments (or
-a run too large for memory), 2 validation failure (the monotonicity check
-found violations), 3 I/O error.
+a run too large for memory, or a sweep worker process that died), 2
+validation failure (the monotonicity check found violations), 3 I/O error.
 
 Human-readable text goes to stdout for run/sweep and to stderr for
 validate/oracle (whose machine-readable JSON report owns stdout); --quiet
@@ -15,8 +15,8 @@ import argparse
 import dataclasses
 import json
 import secrets
-import shutil
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ import numpy as np
 from .config import ScenarioConfig, default_scenario, scenario_from_dict
 from .errors import ConfigError
 from .metrics import correlation_oracle, validate_monotonicity
-from .orchestrator import run, sweep, write_run_outputs, write_sweep_outputs
+from .orchestrator import replace_directory, run, sweep, write_run_outputs, write_sweep_outputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -60,13 +60,6 @@ def _seed(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
-
-
-def _fresh_sibling(target: Path, tag: str) -> Path:
-    """Create and return a new, empty hidden directory next to ``target``."""
-    path = target.with_name(f".{target.name}.{tag}-{secrets.token_hex(6)}")
-    path.mkdir(parents=True)
-    return path
 
 
 def _say(args, text: str, stream=None) -> None:
@@ -111,22 +104,12 @@ def _cmd_sweep(args) -> int:
     target = Path(args.out) / cfg.name
     if target.exists() and any(target.iterdir()) and not args.force:
         raise OSError(f"output directory {target} is not empty; pass --force to reuse it")
-    # Build the whole sweep beside the target and swap it in only when it is
-    # complete, so the directory never mixes files of two sweeps.
-    staging = _fresh_sibling(target, "partial")
-    try:
+
+    def build(staging: Path):
         result = sweep(cfg, replicates, out_dir=staging, jobs=args.jobs)
-        written = write_sweep_outputs(result, staging)
-        if target.exists():
-            retired = _fresh_sibling(target, "retired")
-            target.rename(retired / target.name)
-            staging.rename(target)
-            shutil.rmtree(retired)
-        else:
-            staging.rename(target)
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
+        return result, write_sweep_outputs(result, staging)
+
+    result, written = replace_directory(target, build)
     csv_path, summary_path = (target / path.name for path in written)
     _say(args, f"scenario: {cfg.name}  replicates: {replicates}  master_seed: {cfg.master_seed}")
     _say(args, f"rows: {len(result.rows)} -> {csv_path}")
@@ -241,6 +224,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenProcessPool as exc:
+        # A worker killed from outside (the OOM killer, a signal) leaves no
+        # Python exception behind, only a pool that cannot finish.
+        print(f"error: a sweep worker process died, perhaps out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from typing import Any, Mapping, Optional, get_args, get_type_hints
 
 from .errors import ConfigError
 from .experimenting import largest_array_bytes
+from .knowledge import FOREST_WORK_LIMIT, forest_table_work
 from .labeling import LabelingParams
 from .mining import MiningParams
 from .records import Record
@@ -146,6 +147,13 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
     check(plain, "name", f"must be one plain path component, got {cfg.name!r}")
     check(cfg.m >= 2, "m", f"must be >= 2, got {cfg.m}")
     check(1 <= cfg.tree_count <= cfg.m, "tree_count", f"must lie in [1, {cfg.m}], got {cfg.tree_count}")
+    check(
+        forest_table_work(cfg.m, cfg.tree_count) <= FOREST_WORK_LIMIT,
+        "tree_count",
+        f"counting the forests of m={cfg.m} variables in {cfg.tree_count} trees needs more than "
+        f"{FOREST_WORK_LIMIT:.0e} units of big-integer work (about 10 s); lower m, or move tree_count "
+        "toward 1 or toward m",
+    )
     check(0.5 < cfg.p_stay < 1.0, "p_stay", f"must lie in (0.5, 1), got {cfg.p_stay}")
     check(cfg.agents.count >= 1, "agents.count", f"must be >= 1, got {cfg.agents.count}")
     check(0.0 <= cfg.agents.coverage <= 1.0, "agents.coverage", f"must lie in [0, 1], got {cfg.agents.coverage}")

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -87,14 +86,6 @@ def check_confidence(name: str, value: float) -> None:
         raise ConfigError(f"{name} must lie in (0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class WeightedClaim:
-    claim: Claim
-    confidence: float
-
-    def __post_init__(self) -> None:
-        check_confidence("confidence", self.confidence)
-
 #: Bits a variable id occupies in a pair key ``u << 32 | v``.
 _KEY_SHIFT = 32
 _KEY_MASK = (1 << _KEY_SHIFT) - 1
@@ -116,28 +107,28 @@ def join_keys(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.minimum(us, vs) << _KEY_SHIFT | np.maximum(us, vs)
 
 
-def _claim_key(claim: Claim) -> int:
-    """Pair key of a claim; a variable id of 2**32 or more raises ConfigError."""
-    if claim.v > _KEY_MASK:
-        raise ConfigError(f"variable ids must lie below 2**{_KEY_SHIFT}, got ({claim.u}, {claim.v})")
-    return pair_key(claim.u, claim.v)
-
-
-def _repeated_pair(holder: str, key: int) -> ConfigError:
-    u, v = divmod(key, 1 << _KEY_SHIFT)
-    return ConfigError(f"{holder} holds more than one claim for pair {(u, v)}")
-
-
-def sorted_claim_keys(claims: Sequence[Claim], holder: str) -> tuple[np.ndarray, np.ndarray]:
-    """Pair keys of ``claims`` in ascending order, and the stable argsort that
-    orders them. A variable id of 2**32 or more, or a pair claimed twice (named
-    with ``holder``), raises ConfigError."""
-    keys = np.array([_claim_key(c) for c in claims], dtype=np.int64)
+def sorted_pair_keys(us: Sequence[int], vs: Sequence[int], holder: str) -> tuple[np.ndarray, np.ndarray]:
+    """Keys of the pairs {us[i], vs[i]} in ascending order, and the stable
+    argsort that orders them. Ids that are not integers, a pair of equal ids,
+    an id below 0 or of 2**32 or more, and a pair given twice raise
+    ConfigError naming ``holder``."""
+    us, vs = np.asarray(us), np.asarray(vs)
+    for ids in (us, vs):
+        if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+            raise ConfigError(f"{holder} variable ids must be integers in [0, 2**{_KEY_SHIFT})")
+    bad = np.flatnonzero((us == vs) | (np.minimum(us, vs) < 0) | (np.maximum(us, vs) > _KEY_MASK))
+    if bad.size:
+        pair = (int(us[bad[0]]), int(vs[bad[0]]))
+        raise ConfigError(
+            f"{holder} pair {pair}: variable ids must lie below 2**{_KEY_SHIFT}, be non-negative and differ"
+        )
+    keys = join_keys(us.astype(np.int64), vs.astype(np.int64))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     repeated = np.flatnonzero(keys[1:] == keys[:-1])
     if repeated.size:
-        raise _repeated_pair(holder, int(keys[repeated[0]]))
+        u, v = split_keys(keys[repeated[:1]])
+        raise ConfigError(f"{holder} holds more than one claim for pair {(int(u[0]), int(v[0]))}")
     return keys, order
 
 
@@ -151,41 +142,22 @@ class KnowledgeBase:
 
     Stored as three aligned read-only arrays sorted by pair key (see
     ``pair_key``): ``keys`` (int64), ``dep`` (True for a Dependent claim) and
-    ``conf`` (float64 confidence). Iteration yields ``WeightedClaim`` objects
-    in key order, so any serialization derived from a knowledge base is
-    deterministic.
+    ``conf`` (float64 confidence), so any serialization derived from a
+    knowledge base is deterministic. ``from_arrays`` trusts its input;
+    ``from_json`` and ``extended`` check theirs.
     """
 
     __slots__ = ("keys", "dep", "conf")
-
-    def __init__(self, claims: Iterable[WeightedClaim] = ()):
-        claims = list(claims)
-        keys, order = sorted_claim_keys([wc.claim for wc in claims], "knowledge base")
-        self._set(
-            keys,
-            np.array([wc.claim.polarity is Polarity.DEPENDENT for wc in claims], dtype=bool)[order],
-            np.array([wc.confidence for wc in claims], dtype=np.float64)[order],
-        )
-
-    def _set(self, keys: np.ndarray, dep: np.ndarray, conf: np.ndarray) -> None:
-        self.keys = _frozen(keys)
-        self.dep = _frozen(dep)
-        self.conf = _frozen(conf)
 
     @classmethod
     def from_arrays(cls, keys: np.ndarray, dep: np.ndarray, conf: np.ndarray) -> "KnowledgeBase":
         """Wrap aligned arrays whose keys are already strictly ascending."""
         kb = cls.__new__(cls)
-        kb._set(keys, dep, conf)
+        kb.keys, kb.dep, kb.conf = _frozen(keys), _frozen(dep), _frozen(conf)
         return kb
 
     def __len__(self) -> int:
         return self.keys.shape[0]
-
-    def __iter__(self) -> Iterator[WeightedClaim]:
-        us, vs = split_keys(self.keys)
-        for u, v, dep, conf in zip(us.tolist(), vs.tolist(), self.dep.tolist(), self.conf.tolist()):
-            yield WeightedClaim(Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT), conf)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeBase):
@@ -199,42 +171,30 @@ class KnowledgeBase:
     def __repr__(self) -> str:
         return f"KnowledgeBase({len(self)} claims)"
 
-    def _row(self, u: int, v: int) -> Optional[int]:
-        key = pair_key(u, v)
-        row = int(np.searchsorted(self.keys, key))
-        return row if row < len(self) and self.keys[row] == key else None
-
-    def get(self, u: int, v: int) -> Optional[WeightedClaim]:
-        row = self._row(u, v)
-        if row is None:
-            return None
-        pol = Polarity.DEPENDENT if self.dep[row] else Polarity.INDEPENDENT
-        return WeightedClaim(Claim(u, v, pol), float(self.conf[row]))
-
-    def pairs(self) -> set[tuple[int, int]]:
+    def extended(self, u: int, v: int, dep: bool, conf: float) -> "KnowledgeBase":
+        """New base with one extra claim; the pair must be free. Makes the
+        checks of ``from_json``."""
         us, vs = split_keys(self.keys)
-        return set(zip(us.tolist(), vs.tolist()))
+        columns = {"u": np.append(us, u), "v": np.append(vs, v)}
+        return KnowledgeBase.from_json({**columns, "dep": np.append(self.dep, dep), "conf": np.append(self.conf, conf)})
 
-    def extended(self, wc: WeightedClaim) -> "KnowledgeBase":
-        """New base with one extra claim, inserted at its key; the pair must
-        be free. Makes the checks of the constructor."""
-        key = _claim_key(wc.claim)
-        row = int(np.searchsorted(self.keys, key))
-        if row < len(self) and self.keys[row] == key:
-            raise _repeated_pair("knowledge base", key)
-        return KnowledgeBase.from_arrays(
-            np.insert(self.keys, row, key),
-            np.insert(self.dep, row, wc.claim.polarity is Polarity.DEPENDENT),
-            np.insert(self.conf, row, wc.confidence),
-        )
+    def _rows(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row of each pair key in this non-empty base (clipped to the last),
+        and whether the base holds the key there."""
+        rows = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
+        return rows, self.keys[rows] == keys
+
+    def held(self, keys: np.ndarray) -> np.ndarray:
+        """Mask of the pair keys this base holds a claim on."""
+        return self._rows(keys)[1] if len(self) else np.zeros(keys.shape, dtype=bool)
 
     def contradicted(self, keys: np.ndarray, dep: np.ndarray, min_confidence: float) -> np.ndarray:
         """Mask of the claims given as pair keys and polarities that this base
         holds with the opposite polarity and at least ``min_confidence``."""
         if not len(self):
             return np.zeros(keys.shape, dtype=bool)
-        rows = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
-        return (self.keys[rows] == keys) & (self.conf[rows] >= min_confidence) & (self.dep[rows] != dep)
+        rows, held = self._rows(keys)
+        return held & (self.conf[rows] >= min_confidence) & (self.dep[rows] != dep)
 
     def to_json(self) -> dict:
         """Aligned columns in key order: ``u``, ``v``, ``dep`` (bool) and ``conf``."""
@@ -243,22 +203,25 @@ class KnowledgeBase:
 
     @staticmethod
     def from_json(obj: dict) -> "KnowledgeBase":
-        """Read ``to_json``'s columns back through the checked constructor."""
+        """Read ``to_json``'s columns (lists or arrays, claims in any order)
+        back, checking every claim."""
         missing = sorted({"u", "v", "dep", "conf"} - obj.keys())
         if missing:
             raise ConfigError(f"knowledge base is missing columns {missing}")
         columns = (obj["u"], obj["v"], obj["dep"], obj["conf"])
         if len({len(column) for column in columns}) != 1:
             raise ConfigError(f"knowledge base columns differ in length: {[len(c) for c in columns]}")
-        if not all(isinstance(dep, bool) for dep in columns[2]):
+        us, vs, dep, conf = (np.asarray(column) for column in columns)
+        if dep.size and dep.dtype != bool:
             raise ConfigError("knowledge base column dep must hold booleans")
-        return KnowledgeBase(
-            WeightedClaim(Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT), conf)
-            for u, v, dep, conf in zip(*columns)
-        )
-
-
-EMPTY_KNOWLEDGE = KnowledgeBase()
+        if conf.size and conf.dtype.kind not in "fiu":
+            raise ConfigError("knowledge base column conf must hold numbers")
+        conf = conf.astype(np.float64)
+        bad = np.flatnonzero(~((conf > 0.0) & (conf <= 1.0)))
+        if bad.size:
+            check_confidence("confidence", float(conf[bad[0]]))
+        keys, order = sorted_pair_keys(us, vs, "knowledge base")
+        return KnowledgeBase.from_arrays(keys, dep.astype(bool)[order], conf[order])
 
 
 @dataclass(frozen=True)
@@ -340,12 +303,6 @@ class GroundTruth:
             raise ConfigError(f"a claim is outside the variable range [0, {self.m})")
         return self._tree_array[us] == self._tree_array[vs]
 
-    def same_tree(self, u: int, v: int) -> bool:
-        return self.tree_ids[u] == self.tree_ids[v]
-
-    def all_pairs(self) -> Iterator[tuple[int, int]]:
-        return combinations(range(self.m), 2)
-
     def to_json(self) -> dict:
         return {
             "m": self.m,
@@ -353,11 +310,6 @@ class GroundTruth:
             "p_stay": self.p_stay,
             "tree_count": self.tree_count,
         }
-
-
-class Membership(Enum):
-    IN_K = "in_k"
-    IN_KC = "in_kc"
 
 
 class Role(Enum):
@@ -425,6 +377,22 @@ def _forest_table(m: int, tree_count: int) -> tuple[dict[int, int], ...]:
         else:
             table.append({n: sum(_first_tree_weights(n, k, table[k - 1])) for n in sizes})
     return tuple(table)
+
+
+#: Largest ``forest_table_work`` a config may ask for. The work tracks the
+#: table's build time at about 3 s per 10**9 on one core of a 2-core x86-64
+#: sandbox (Python 3.11), so the limit keeps it to about 10 s.
+FOREST_WORK_LIMIT = 3 * 10**9
+
+
+def forest_table_work(m: int, tree_count: int) -> int:
+    """Closed-form estimate of the work of ``_forest_table(m, tree_count)``:
+    its big-integer products (one per first-tree size s of each (n, k) it
+    fills) times the bit length of the forest counts they multiply, which
+    grows like ``(m - tree_count) * log2(m)``. O(1)."""
+    spare = m - tree_count
+    products = max(tree_count - 2, 0) * (spare + 1) * (spare + 2) // 2 + spare + 1
+    return products * (spare + 1) * m.bit_length()
 
 
 def _forest_count(n: int, k: int) -> int:
@@ -546,26 +514,8 @@ def build_ground_truth(m: int, tree_count: int, p_stay: float, rng: np.random.Ge
     return GroundTruth(m, _sample_forest_parents(m, tree_count, rng), p_stay)
 
 
-def true_knowledge(gt: GroundTruth) -> frozenset[Claim]:
-    """The complete set of true claims: one per pair, polarity by shared tree."""
-    out = []
-    for u, v in gt.all_pairs():
-        pol = Polarity.DEPENDENT if gt.same_tree(u, v) else Polarity.INDEPENDENT
-        out.append(Claim(u, v, pol))
-    return frozenset(out)
-
-
-def membership(claim: Claim, gt: GroundTruth) -> Membership:
-    """Exact truth oracle. Simulator-side only; agents never call this."""
-    if claim.v >= gt.m:
-        raise ConfigError(f"claim {claim} is outside the variable range [0, {gt.m})")
-    truly_dependent = gt.same_tree(claim.u, claim.v)
-    holds = (claim.polarity is Polarity.DEPENDENT) == truly_dependent
-    return Membership.IN_K if holds else Membership.IN_KC
-
-
 @lru_cache(maxsize=8)
-def _all_pair_keys(m: int) -> np.ndarray:
+def all_pair_keys(m: int) -> np.ndarray:
     """Key of every pair of ``m`` variables, in ``combinations`` order."""
     us, vs = np.triu_indices(m, 1)
     return _frozen(us.astype(np.int64) << _KEY_SHIFT | vs)
@@ -584,7 +534,7 @@ def sample_agent_prior(
         raise ConfigError(f"coverage must lie in [0, 1], got {coverage}")
     if not (0.0 <= accuracy <= 1.0):
         raise ConfigError(f"accuracy must lie in [0, 1], got {accuracy}")
-    keys = _all_pair_keys(gt.m)
+    keys = all_pair_keys(gt.m)
     include = rng.random(keys.size) < coverage
     truthful = rng.random(keys.size) < accuracy
     confidence = rng.uniform(0.5, 1.0, keys.size)

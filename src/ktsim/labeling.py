@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .experimenting import Datasheet
-from .knowledge import Claim, KnowledgeBase, Polarity, check_confidence, sorted_claim_keys, split_keys
+from .knowledge import Claim, KnowledgeBase, Polarity, check_confidence, sorted_pair_keys, split_keys
 from .mining import (
     DEFAULT_DEP_THRESHOLD,
     DEFAULT_IND_THRESHOLD,
@@ -85,7 +85,9 @@ class LabeledKnowledge:
         for e in entries:
             if e.origin not in (ORIGIN_PATTERN, ORIGIN_PRIOR):
                 raise ConfigError(f"unknown claim origin {e.origin!r}")
-        keys, order = sorted_claim_keys([e.claim for e in entries], "labeled knowledge")
+        keys, order = sorted_pair_keys(
+            [e.claim.u for e in entries], [e.claim.v for e in entries], "labeled knowledge"
+        )
         self._set(
             keys,
             np.array([e.claim.polarity is Polarity.DEPENDENT for e in entries], dtype=bool)[order],

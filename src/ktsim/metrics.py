@@ -25,15 +25,10 @@ from .config import ScenarioConfig
 from .errors import ConfigError
 from .experimenting import design_experiment, sample_dataset
 from .knowledge import (
-    Claim,
     GroundTruth,
     KnowledgeBase,
-    Membership,
-    Polarity,
-    WeightedClaim,
+    all_pair_keys,
     build_ground_truth,
-    membership,
-    negate,
     rectify,
     sample_agent_prior,
     split_keys,
@@ -141,8 +136,8 @@ class MonotonicityReport(Record):
     transcripts: tuple[str, ...]
 
 
-def _count_side(lk: LabeledKnowledge, gt: GroundTruth, side: Membership) -> int:
-    return _counts(_claim_codes(lk), gt)["true_count" if side is Membership.IN_K else "false_count"]
+def _count_side(lk: LabeledKnowledge, gt: GroundTruth, true_side: bool) -> int:
+    return _counts(_claim_codes(lk), gt)["true_count" if true_side else "false_count"]
 
 
 def negate_passthrough(lk: LabeledKnowledge) -> LabeledKnowledge:
@@ -208,37 +203,36 @@ def validate_monotonicity(
         prior = build_effective_prior(own_kb, miner_kb if ch2 else None, exp_kb if ch3 else None, peers)
         exp_sheet = datasheet if ch3 else None
 
-        covered = prior.claims.pairs()
-        us, vs = split_keys(info.patterns.keys)
-        pattern_pairs = [pair for pair in zip(us.tolist(), vs.tolist()) if pair not in covered]
-        free_pairs = [pair for pair in gt.all_pairs() if pair not in covered]
-        if not free_pairs:
+        # Pattern pairs in mined order and free pairs in key order, each
+        # without the pairs the effective prior already holds.
+        pattern_keys = info.patterns.keys[~prior.claims.held(info.patterns.keys)]
+        all_keys = all_pair_keys(gt.m)
+        free_keys = all_keys[~prior.claims.held(all_keys)]
+        if not free_keys.size:
             continue
-        if pattern_pairs and trial_rng.random() < 0.5:
-            pair = pattern_pairs[int(trial_rng.integers(len(pattern_pairs)))]
-        else:
-            pair = free_pairs[int(trial_rng.integers(len(free_pairs)))]
-        true_pol = Polarity.DEPENDENT if gt.same_tree(*pair) else Polarity.INDEPENDENT
-        claim = Claim(pair[0], pair[1], true_pol)
-        if trial_rng.random() < 0.5:
-            claim = negate(claim)
+        candidates = pattern_keys if pattern_keys.size and trial_rng.random() < 0.5 else free_keys
+        row = int(trial_rng.integers(candidates.size))
+        key = candidates[row : row + 1]
+        negated = trial_rng.random() < 0.5
+        dep = bool(gt.same_tree_keys(key)[0]) ^ negated
         confidence = float(trial_rng.uniform(floor, 1.0)) if floor < 1.0 else 1.0
-        side = membership(claim, gt)
+        u, v = (int(ids[0]) for ids in split_keys(key))
 
         before = label(reinterpret(info, prior, exp_sheet, params), prior, params)
-        grown = EffectivePrior(prior.claims.extended(WeightedClaim(claim, confidence)))
+        grown = EffectivePrior(prior.claims.extended(u, v, dep, confidence))
         after = label(reinterpret(info, grown, exp_sheet, params), grown, params)
         if break_passthrough:
             before, after = negate_passthrough(before), negate_passthrough(after)
 
-        n_before = _count_side(before, gt, side)
-        n_after = _count_side(after, gt, side)
+        n_before = _count_side(before, gt, not negated)
+        n_after = _count_side(after, gt, not negated)
         if n_after < n_before:
             violations += 1
             if len(transcripts) < 20:
+                side = "in_kc" if negated else "in_k"
                 transcripts.append(
-                    f"trial {trial}: added {claim} (confidence {confidence:.3f}, "
-                    f"{side.value}) and the {side.value} count fell {n_before} -> {n_after}"
+                    f"trial {trial}: added {'dep' if dep else 'indep'}({u},{v}) (confidence {confidence:.3f}, "
+                    f"{side}) and the {side} count fell {n_before} -> {n_after}"
                 )
     return MonotonicityReport(trials, violations, tuple(transcripts))
 

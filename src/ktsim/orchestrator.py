@@ -19,11 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import os
+import secrets
+import shutil
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -377,12 +379,46 @@ def write_sweep_outputs(result: SweepResult, out_dir: Path | str) -> tuple[Path,
 
 
 def write_run_outputs(result: RunResult, out_dir: Path | str) -> Path:
-    """Write result.json plus dataset CSVs with datasheet sidecars."""
+    """Write dataset CSVs with datasheet sidecars, then result.json. The
+    ``datasets`` directory holds this run's files only, never an earlier run's."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+
+    def export_all(data_dir: Path) -> None:
+        for record in result.datasets:
+            export_dataset(record.dataset, record.datasheet, data_dir / f"team{record.team_id}.csv")
+
+    replace_directory(out / "datasets", export_all)
     result_path = out / "result.json"
     result_path.write_text(result.to_json_text())
-    data_dir = out / "datasets"
-    for record in result.datasets:
-        export_dataset(record.dataset, record.datasheet, data_dir / f"team{record.team_id}.csv")
     return result_path
+
+
+def _fresh_sibling(target: Path, tag: str) -> Path:
+    """Create and return a new, empty hidden directory next to ``target``."""
+    path = target.with_name(f".{target.name}.{tag}-{secrets.token_hex(6)}")
+    path.mkdir(parents=True)
+    return path
+
+
+T = TypeVar("T")
+
+
+def replace_directory(target: Path, build: Callable[[Path], T]) -> T:
+    """Run ``build`` on a fresh hidden sibling of ``target`` and swap the
+    sibling in for ``target`` only once ``build`` returns, so ``target``
+    never mixes files of two builds. If ``build`` fails, the sibling is
+    deleted and ``target`` is left as it was. Returns what ``build`` returns."""
+    staging = _fresh_sibling(target, "partial")
+    try:
+        built = build(staging)
+        if target.exists():
+            retired = _fresh_sibling(target, "retired")
+            target.rename(retired / target.name)
+            staging.rename(target)
+            shutil.rmtree(retired)
+        else:
+            staging.rename(target)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    return built

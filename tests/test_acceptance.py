@@ -12,12 +12,7 @@ import numpy as np
 from ktsim.cli import EXIT_OK, main
 from ktsim.config import ChannelPolicy, default_scenario
 from ktsim.experimenting import ExperimentDesign, Selection, sample_dataset
-from ktsim.knowledge import (
-    GroundTruth,
-    KnowledgeBase,
-    Membership,
-    membership,
-)
+from ktsim.knowledge import GroundTruth, KnowledgeBase
 from ktsim.labeling import EffectivePrior, LabelingParams, label, reinterpret
 from ktsim.labeling import ORIGIN_PATTERN, LabeledClaim, LabeledKnowledge
 from ktsim.knowledge import dependent, independent
@@ -25,7 +20,7 @@ from ktsim.metrics import openness, validate_monotonicity
 from ktsim.mining import MiningParams, mine, phi_coefficient
 from ktsim.orchestrator import run, sweep
 
-EMPTY = KnowledgeBase()
+EMPTY = KnowledgeBase.from_json({"u": [], "v": [], "dep": [], "conf": []})
 
 
 def _report(num, description, ok, detail=""):
@@ -106,7 +101,7 @@ def test_criterion_3_selection_masking_and_abstention():
     emits_false_independent = (
         len(emitted) == 1
         and emitted[0] == independent(0, 2)
-        and membership(emitted[0], gt) is Membership.IN_KC
+        and gt.tree_ids[0] == gt.tree_ids[2]
     )
     _report(
         3,

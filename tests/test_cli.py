@@ -1,13 +1,17 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import contextlib
+import functools
 import io
 import json
+import multiprocessing
 import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from ktsim import orchestrator
 from ktsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from ktsim.config import default_scenario
 
@@ -388,3 +392,75 @@ def test_run_table_follows_a_replaced_stdout(config_path, tmp_path, capsys):
         assert main(["run", "--config", str(config_path), "--seed", "1", "--out", str(tmp_path / "out")]) == EXIT_OK
     assert any(line.split()[:1] == ["union"] for line in buffer.getvalue().splitlines())
     assert capsys.readouterr().out == ""
+
+
+def _rewrite(config_path, **fields):
+    data = json.loads(config_path.read_text())
+    data.update(fields)
+    config_path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("command", [["run"], ["validate", "--trials", "1"]], ids=lambda c: c[0])
+@pytest.mark.parametrize(("m", "tree_count"), [(845, 3), (1200, 3), (2000, 3), (1200, 600), (1200, 1122)])
+def test_forests_too_costly_to_count_fail_validation(config_path, tmp_path, capsys, command, m, tree_count):
+    # Counting these forests took 10 s, 45 s, over a minute, over a minute
+    # and 9 s on a 2-core x86-64 machine; the first and last sit just past
+    # the limit.
+    _rewrite(config_path, m=m, tree_count=tree_count)
+    out = tmp_path / "out"
+    argv = [*command, "--config", str(config_path)] + (["--out", str(out)] if command == ["run"] else [])
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: tree_count: counting the forests of m={m} variables in {tree_count} trees")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["validate", "--trials", "1"]], ids=lambda c: c[0])
+def test_as_many_trees_as_variables_still_runs_at_m_1200(config_path, tmp_path, capsys, command):
+    _rewrite(config_path, m=1200, tree_count=1200, agents={"count": 6, "coverage": 0.002, "accuracy": 0.85})
+    argv = [*command, "--config", str(config_path), "--seed", "3", "--quiet"]
+    assert main(argv + (["--out", str(tmp_path / "out")] if command == ["run"] else [])) == EXIT_OK
+    payload = capsys.readouterr().out
+    if command == ["run"]:
+        assert json.loads((tmp_path / "out" / "result.json").read_text())["ground_truth"]["tree_count"] == 1200
+    else:
+        assert json.loads(payload)["violations"] == 0
+
+
+def test_a_run_replaces_the_datasets_of_an_earlier_run(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    teams = json.loads(config_path.read_text())["teams"]
+    _rewrite(config_path, teams={**teams, "experimenting": {"count": 4, "size": 2}})
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert len(list((out / "datasets").iterdir())) == 8
+    _rewrite(config_path, teams=teams)
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--quiet"]) == EXIT_OK
+    written = [d["team_id"] for d in json.loads((out / "result.json").read_text())["datasets"]]
+    assert written == [0]
+    assert sorted(p.name for p in (out / "datasets").iterdir()) == ["team0.csv", "team0.datasheet.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["datasets", "result.json"]
+
+
+def test_a_sweep_worker_that_dies_exits_1_with_one_error_line(config_path, tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def die(*args):
+        # As under the OOM killer: the worker vanishes without a Python exception.
+        if os.getpid() != parent:
+            os._exit(9)
+        raise AssertionError("a cell ran in the parent process")
+
+    fork = multiprocessing.get_context("fork")
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=fork))
+    monkeypatch.setattr(orchestrator, "run", die)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "out"
+    argv = ["sweep", "--jobs", "2", "--replicates", "1", "--config", str(config_path), "--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a sweep worker process died")
+    assert captured.err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())

@@ -21,11 +21,8 @@ from ktsim.experimenting import Dataset, Datasheet, Selection
 from ktsim.knowledge import (
     Claim,
     KnowledgeBase,
-    Membership,
     Polarity,
-    WeightedClaim,
     build_ground_truth,
-    membership,
     negate,
     pair_key,
     rectify,
@@ -61,6 +58,9 @@ from ktsim.mining import (
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
+#: One claim of the references and its confidence.
+WeightedClaim = namedtuple("WeightedClaim", "claim confidence")
+
 #: Threshold values are drawn often so comparisons at the boundary are hit.
 CONFIDENCES = st.one_of(st.sampled_from([0.5, 0.9, 0.95, 1.0]), st.floats(0.01, 1.0))
 PHIS = st.one_of(st.sampled_from([0.0, 0.05, -0.05, 0.3, -0.3, 0.1, 1.0]), st.floats(-1.0, 1.0))
@@ -82,6 +82,30 @@ def claim_lists(draw, m):
 
 def _as_dict(claims):
     return {wc.claim.pair: wc for wc in claims}
+
+
+def _kb(claims):
+    """Knowledge base of weighted claims in any order, read through ``from_json``."""
+    return KnowledgeBase.from_json({
+        "u": [wc.claim.u for wc in claims],
+        "v": [wc.claim.v for wc in claims],
+        "dep": [wc.claim.polarity is Polarity.DEPENDENT for wc in claims],
+        "conf": [wc.confidence for wc in claims],
+    })
+
+
+def _weighted(kb):
+    """The rows of ``kb`` as weighted claims, in key order."""
+    us, vs = split_keys(kb.keys)
+    return [
+        WeightedClaim(Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT), conf)
+        for u, v, dep, conf in zip(us.tolist(), vs.tolist(), kb.dep.tolist(), kb.conf.tolist())
+    ]
+
+
+def _in_k(claim, gt):
+    """Whether ``claim`` is true: Dependent exactly when its pair shares a tree."""
+    return (gt.tree_ids[claim.u] == gt.tree_ids[claim.v]) == (claim.polarity is Polarity.DEPENDENT)
 
 
 def _rows(claims):
@@ -165,7 +189,7 @@ def ref_label(patterns, prior, params):
 
 
 def ref_score(claims, gt):
-    true_count = sum(1 for c in claims if membership(c, gt) is Membership.IN_K)
+    true_count = sum(1 for c in claims if _in_k(c, gt))
     return true_count, len(claims) - true_count
 
 
@@ -208,9 +232,9 @@ def test_rectify_matches_the_reference(data, m, count):
         # An exact tie: two members that disagree on every pair of the first.
         first = members[0]
         members[1:1] = [[WeightedClaim(negate(wc.claim), wc.confidence) for wc in first]]
-    merged = rectify([KnowledgeBase(claims) for claims in members])
-    assert _rows(merged) == _rows(ref_rectify(members))
-    assert merged == KnowledgeBase(ref_rectify(members))
+    merged = rectify([_kb(claims) for claims in members])
+    assert _rows(_weighted(merged)) == _rows(ref_rectify(members))
+    assert merged == _kb(ref_rectify(members))
 
 
 @SETTINGS
@@ -221,12 +245,12 @@ def test_effective_prior_matches_the_reference(data, m):
     exp = data.draw(st.none() | claim_lists(m))
     peers = data.draw(st.lists(claim_lists(m), max_size=3))
     prior = build_effective_prior(
-        KnowledgeBase(own),
-        None if miner is None else KnowledgeBase(miner),
-        None if exp is None else KnowledgeBase(exp),
-        [KnowledgeBase(p) for p in peers],
+        _kb(own),
+        None if miner is None else _kb(miner),
+        None if exp is None else _kb(exp),
+        [_kb(p) for p in peers],
     )
-    assert _rows(prior.claims) == _rows(ref_effective_prior(own, miner, exp, peers))
+    assert _rows(_weighted(prior.claims)) == _rows(ref_effective_prior(own, miner, exp, peers))
 
 
 #: Noise rates, with the values that make the correction clamp or vanish.
@@ -280,7 +304,7 @@ def test_label_matches_the_reference(data, m):
     found = data.draw(patterns(m))
     prior = data.draw(claim_lists(m))
     params = LabelingParams()
-    out = label(_info(found), EffectivePrior(KnowledgeBase(prior)), params)
+    out = label(_info(found), EffectivePrior(_kb(prior)), params)
     assert [(e.claim, e.origin) for e in out.entries] == ref_label(found, prior, params)
 
 
@@ -292,7 +316,7 @@ def test_label_with_repeated_pattern_pairs_keeps_the_last_label(data, m):
     found = data.draw(patterns(m, unique=False))
     prior = data.draw(claim_lists(m))
     params = LabelingParams()
-    out = label(_info(found), EffectivePrior(KnowledgeBase(prior)), params)
+    out = label(_info(found), EffectivePrior(_kb(prior)), params)
     assert [(e.claim, e.origin) for e in out.entries] == ref_label(found, prior, params)
 
 
@@ -307,7 +331,7 @@ def test_labeling_arrays_match_per_entry_references(data, m):
     prior = data.draw(claim_lists(m))
     params = LabelingParams()
     teams = data.draw(st.tuples(*[st.integers(0, 3)] * 3))
-    out = label(_info(found), EffectivePrior(KnowledgeBase(prior)), params, teams=teams)
+    out = label(_info(found), EffectivePrior(_kb(prior)), params, teams=teams)
     expected = ref_label(found, prior, params)
     assert out.to_json() == {"teams": list(teams), "claims": [_record(c, o) for c, o in expected]}
     negated = [(negate(c) if o == ORIGIN_PRIOR else c, o) for c, o in expected]
@@ -318,8 +342,8 @@ def test_labeling_arrays_match_per_entry_references(data, m):
     assert LabeledKnowledge(entries, teams) == out
     assert LabeledKnowledge.from_arrays(out.keys, out.dep, out.from_prior, teams) == out
     gt = build_ground_truth(m, data.draw(st.integers(1, m)), 0.9, np.random.default_rng(data.draw(st.integers(0, 99))))
-    for side in Membership:
-        assert metrics._count_side(out, gt, side) == sum(1 for c in out.claims if membership(c, gt) is side)
+    for true_side in (True, False):
+        assert metrics._count_side(out, gt, true_side) == sum(1 for c in out.claims if _in_k(c, gt) == true_side)
 
 
 def test_labeled_knowledge_equality_covers_every_array_and_the_teams():
@@ -360,7 +384,7 @@ def test_veto_matches_the_reference(data, m):
     corrections = data.draw(st.sampled_from([frozenset(), frozenset({TAG_NOISE_CORRECTED})]))
     upstream, delivered = (data.draw(st.none() | datasheets(list(range(m)))) for _ in range(2))
     params = LabelingParams()
-    out = reinterpret(_info(found, upstream, corrections), EffectivePrior(KnowledgeBase(prior)), delivered, params)
+    out = reinterpret(_info(found, upstream, corrections), EffectivePrior(_kb(prior)), delivered, params)
     datasheet = delivered if delivered is not None else upstream
     correct_noise = datasheet is not None and datasheet.noise_rate > 0.0 and TAG_NOISE_CORRECTED not in corrections
     fixed = found if datasheet is None else [ref_corrections(p, datasheet, correct_noise) for p in found]
@@ -404,7 +428,7 @@ def test_mined_phi_and_disputes_match_per_pair_references(data, width, n):
     miner = data.draw(claim_lists(8))
     peers = data.draw(st.lists(claim_lists(8), max_size=2))
     params = MiningParams()
-    info = mine(ds, KnowledgeBase(miner), datasheet, [KnowledgeBase(p) for p in peers], params)
+    info = mine(ds, _kb(miner), datasheet, [_kb(p) for p in peers], params)
     assert len(info.patterns) == width * (width - 1) // 2
     assert refs(info.patterns) == ref_mine(rows, columns, datasheet, [miner, *peers], params)
     assert info.patterns.support == n
@@ -440,7 +464,7 @@ def test_mined_phi_is_exact_over_several_row_blocks():
     rows = (rng.random((20_000, 4)) < [0.5, 0.3, 0.02, 0.9]).astype(np.uint8)
     rows[:, 1] |= rows[:, 0]
     ds = Dataset((3, 0, 7, 5), rows)
-    info = mine(ds, KnowledgeBase(), None, [], MiningParams())
+    info = mine(ds, _kb([]), None, [], MiningParams())
     for pattern in refs(info.patterns):
         assert pattern.phi == phi_coefficient(ds, *pattern.pair)
 
@@ -454,32 +478,31 @@ def test_a_repeated_pair_is_still_rejected(data, m):
     twin = WeightedClaim(Claim(v, u, data.draw(st.sampled_from(Polarity))), data.draw(CONFIDENCES))
     order = data.draw(st.permutations(claims + [twin]))
     with pytest.raises(ConfigError, match=rf"pair \({u}, {v}\)"):
-        KnowledgeBase(order)
+        _kb(order)
 
 
 @SETTINGS
 @given(st.data(), st.integers(2, 8))
 def test_extended_inserts_one_claim_like_the_checked_constructor(data, m):
     claims = data.draw(claim_lists(m))
-    kb = KnowledgeBase(claims)
+    kb = _kb(claims)
     taken = {wc.claim.pair for wc in claims}
     u, v = data.draw(st.sampled_from([pair for pair in combinations(range(m + 2), 2) if pair not in taken]))
     if data.draw(st.booleans()):
         u, v = v, u
     wc = WeightedClaim(Claim(u, v, data.draw(st.sampled_from(Polarity))), data.draw(CONFIDENCES))
-    grown = kb.extended(wc)
-    assert grown == KnowledgeBase([*kb, wc])
+    grown = kb.extended(u, v, wc.claim.polarity is Polarity.DEPENDENT, wc.confidence)
+    assert grown == _kb([*_weighted(kb), wc])
     assert not grown.keys.flags.writeable and not grown.dep.flags.writeable and not grown.conf.flags.writeable
-    assert kb == KnowledgeBase(claims)
+    assert kb == _kb(claims)
     if claims:
         held = data.draw(st.sampled_from(claims)).claim
         a, b = held.pair if data.draw(st.booleans()) else held.pair[::-1]
-        twin = WeightedClaim(Claim(a, b, data.draw(st.sampled_from(Polarity))), data.draw(CONFIDENCES))
         held_twice = rf"knowledge base holds more than one claim for pair \({held.u}, {held.v}\)"
         with pytest.raises(ConfigError, match=held_twice):
-            kb.extended(twin)
+            kb.extended(a, b, data.draw(st.booleans()), data.draw(CONFIDENCES))
 
 
 def test_extended_rejects_a_variable_id_the_keys_cannot_hold():
     with pytest.raises(ConfigError, match=r"variable ids must lie below 2\*\*32"):
-        KnowledgeBase().extended(WeightedClaim(Claim(0, 2**32, Polarity.DEPENDENT), 0.9))
+        _kb([]).extended(0, 2**32, True, 0.9)

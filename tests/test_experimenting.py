@@ -22,13 +22,26 @@ from ktsim.experimenting import (
 from ktsim.knowledge import (
     GroundTruth,
     KnowledgeBase,
-    WeightedClaim,
+    Polarity,
     build_ground_truth,
     dependent,
     pair_key,
     split_keys,
 )
 from ktsim.mining import phi_coefficient
+
+
+def _kb(*claims):
+    """Knowledge base of ``(claim, confidence)`` pairs, read through ``from_json``."""
+    return KnowledgeBase.from_json({
+        "u": [c.u for c, _ in claims],
+        "v": [c.v for c, _ in claims],
+        "dep": [c.polarity is Polarity.DEPENDENT for c, _ in claims],
+        "conf": [conf for _, conf in claims],
+    })
+
+
+EMPTY = _kb()
 
 
 def chain_gt(length, p_stay=0.9):
@@ -53,21 +66,21 @@ def test_design_validation():
 
 
 def test_empty_kb_design_falls_back_to_uniform_variables():
-    design = design_experiment(KnowledgeBase(), 30, 5, 0.0, 0.0, 100, np.random.default_rng(0))
+    design = design_experiment(EMPTY, 30, 5, 0.0, 0.0, 100, np.random.default_rng(0))
     assert len(design.measured) == 5
     assert len(set(design.measured)) == 5
     assert design.selection is None
 
 
 def test_design_measures_the_variables_of_dependent_claims():
-    kb = KnowledgeBase([WeightedClaim(dependent(2, 7), 0.9)])
+    kb = _kb((dependent(2, 7), 0.9))
     design = design_experiment(kb, 10, 2, 0.0, 0.0, 100, np.random.default_rng(1))
     assert design.measured == (2, 7)
 
 
 def test_selection_prob_one_always_attaches_a_condition():
     for seed in range(10):
-        design = design_experiment(KnowledgeBase(), 12, 4, 1.0, 0.0, 50, np.random.default_rng(seed))
+        design = design_experiment(EMPTY, 12, 4, 1.0, 0.0, 50, np.random.default_rng(seed))
         assert design.selection is not None
         assert design.selection.variable in design.measured
         assert design.selection.value == 1
@@ -76,11 +89,7 @@ def test_selection_prob_one_always_attaches_a_condition():
 def test_design_grows_dependence_clusters_before_padding():
     # Claims form one connected component {0,1,2,3}; at width 4 the measured
     # set must be exactly that cluster, whatever the seed.
-    kb = KnowledgeBase([
-        WeightedClaim(dependent(0, 1), 0.8),
-        WeightedClaim(dependent(1, 2), 0.8),
-        WeightedClaim(dependent(2, 3), 0.8),
-    ])
+    kb = _kb((dependent(0, 1), 0.8), (dependent(1, 2), 0.8), (dependent(2, 3), 0.8))
     for seed in range(8):
         design = design_experiment(kb, 20, 4, 0.0, 0.0, 50, np.random.default_rng(seed))
         assert design.measured == (0, 1, 2, 3)
@@ -88,9 +97,9 @@ def test_design_grows_dependence_clusters_before_padding():
 
 def test_design_width_bounds():
     with pytest.raises(ConfigError):
-        design_experiment(KnowledgeBase(), 10, 11, 0.0, 0.0, 50, np.random.default_rng(0))
+        design_experiment(EMPTY, 10, 11, 0.0, 0.0, 50, np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        design_experiment(KnowledgeBase(), 10, 1, 0.0, 0.0, 50, np.random.default_rng(0))
+        design_experiment(EMPTY, 10, 1, 0.0, 0.0, 50, np.random.default_rng(0))
 
 
 def reference_design(team_kb, m, target_width, selection_prob, noise_rate, samples, rng):

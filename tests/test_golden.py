@@ -34,9 +34,10 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ktsim import scenario_from_dict, sweep, write_sweep_outputs
+from ktsim import default_scenario, scenario_from_dict, sweep, validate_monotonicity, write_sweep_outputs
 from ktsim.cli import EXIT_OK, EXIT_VALIDATION, main
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -58,6 +59,9 @@ RUN_SEED_42_DATASETS_SHA256 = {
 VALIDATE_STDOUT_SHA256 = "dda64a139d2e12ed83f58772a73eff3fddef1b3c8e0b9ce2c4599dc50a5342d9"
 #: ``validate --trials 100 --seed 1 --break-passthrough``: the negative control.
 BROKEN_VALIDATE_STDOUT_SHA256 = "93c66e8a546fb57bc898dfb17e6fe098d3158d8e5894a42d43d189097072a28a"
+#: ``validate_monotonicity(150, ...)`` reports over three configs x seeds 1-3
+#: x with and without the negative control.
+VALIDATOR_MATRIX_SHA256 = "7d2c3789877f90e82e30bbf5b3dd2c1ac079a1f8009ca2ed1e9ca20bd615c360"
 ORACLE_STDOUT_SHA256 = "a0bc874c2255995a79e93b0a0167831790565dd6346c3b709c00056caa082999"
 #: ``rep0/upstream.json`` and ``combo<mask>/rep0.json`` of a one-replicate
 #: CLI sweep of the default config.
@@ -165,6 +169,31 @@ def test_negative_control_report_on_stdout(capsys):
     argv = ["validate", "--trials", "100", "--seed", "1", "--break-passthrough"]
     assert main(argv) == EXIT_VALIDATION
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BROKEN_VALIDATE_STDOUT_SHA256
+
+
+def test_validator_reports_over_a_config_matrix():
+    # Every draw of the validator and the text of every transcript it keeps.
+    configs = [
+        default_scenario(),
+        scenario_from_dict(
+            {"schema": 1, "m": 6, "tree_count": 2, "agents": {"coverage": 0.9}, "experiment": {"target_width": 4}}
+        ),
+        scenario_from_dict({
+            "schema": 1,
+            "m": 12,
+            "agents": {"coverage": 0.5, "accuracy": 0.5},
+            "labeling": {"trust_confidence": 0.55, "veto_confidence": 0.6},
+        }),
+    ]
+    reports = [
+        validate_monotonicity(150, cfg, np.random.default_rng(seed), break_passthrough=broken).to_json()
+        for cfg in configs
+        for seed in (1, 2, 3)
+        for broken in (False, True)
+    ]
+    assert sum(r["violations"] for r in reports[1::2]) > 0
+    digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == VALIDATOR_MATRIX_SHA256
 
 
 def test_per_cell_files_of_a_one_replicate_sweep(tmp_path, capsys):

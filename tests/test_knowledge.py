@@ -9,21 +9,24 @@ from hypothesis import strategies as st
 
 from ktsim.errors import ConfigError
 from ktsim.knowledge import (
+    FOREST_WORK_LIMIT,
     Claim,
     GroundTruth,
     KnowledgeBase,
-    Membership,
     Polarity,
-    WeightedClaim,
+    _forest_table,
+    all_pair_keys,
     build_ground_truth,
     dependent,
+    forest_table_work,
     independent,
-    membership,
     negate,
+    pair_key,
     rectify,
     sample_agent_prior,
-    true_knowledge,
+    split_keys,
 )
+from ktsim.metrics import _counts
 
 
 class DisjointSet:
@@ -48,6 +51,37 @@ class DisjointSet:
 def chain_gt(length, p_stay=0.9):
     parents = (None,) + tuple(range(length - 1))
     return GroundTruth(length, parents, p_stay)
+
+
+def _kb(*claims):
+    """Knowledge base of ``(claim, confidence)`` pairs, read through ``from_json``."""
+    return KnowledgeBase.from_json({
+        "u": [c.u for c, _ in claims],
+        "v": [c.v for c, _ in claims],
+        "dep": [c.polarity is Polarity.DEPENDENT for c, _ in claims],
+        "conf": [conf for _, conf in claims],
+    })
+
+
+def _claims(kb):
+    """``(claim, confidence)`` of every row of ``kb``, in key order."""
+    us, vs = split_keys(kb.keys)
+    return [
+        (Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT), conf)
+        for u, v, dep, conf in zip(us.tolist(), vs.tolist(), kb.dep.tolist(), kb.conf.tolist())
+    ]
+
+
+def true_knowledge(gt):
+    """The complete set of true claims: one per pair, polarity by ``same_tree_keys``."""
+    keys = all_pair_keys(gt.m)
+    return {c for c, _ in _claims(KnowledgeBase.from_arrays(keys, gt.same_tree_keys(keys), np.ones(keys.size)))}
+
+
+def in_k(claim, gt):
+    """Whether the scorer counts ``claim`` on the true side."""
+    code = pair_key(claim.u, claim.v) << 1 | (claim.polarity is Polarity.DEPENDENT)
+    return _counts(np.array([code], dtype=np.int64), gt)["true_count"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -78,21 +112,25 @@ def test_negate_is_an_involution(u, v, dep):
 
 
 def test_weighted_claim_confidence_range():
-    with pytest.raises(ConfigError):
-        WeightedClaim(dependent(0, 1), 0.0)
-    with pytest.raises(ConfigError):
-        WeightedClaim(dependent(0, 1), 1.2)
+    for conf in (0.0, 1.2, float("nan")):
+        with pytest.raises(ConfigError, match="confidence must lie in"):
+            _kb((dependent(0, 1), conf))
+        with pytest.raises(ConfigError, match="confidence must lie in"):
+            _kb().extended(0, 1, True, conf)
+    assert _claims(_kb((dependent(0, 1), 1.0))) == [(dependent(0, 1), 1.0)]
 
 
 def test_knowledge_base_rejects_duplicate_pairs():
-    with pytest.raises(ConfigError):
-        KnowledgeBase([WeightedClaim(dependent(0, 1), 0.7), WeightedClaim(independent(0, 1), 0.9)])
+    with pytest.raises(ConfigError, match=r"more than one claim for pair \(0, 1\)"):
+        _kb((dependent(0, 1), 0.7), (independent(1, 0), 0.9))
 
 
 def test_knowledge_base_round_trips_json():
-    kb = KnowledgeBase([WeightedClaim(independent(5, 2), 0.6), WeightedClaim(dependent(0, 1), 0.7)])
+    kb = _kb((independent(5, 2), 0.6), (dependent(0, 1), 0.7))
     assert KnowledgeBase.from_json(kb.to_json()) == kb
     assert kb.to_json() == {"u": [0, 2], "v": [1, 5], "dep": [True, False], "conf": [0.7, 0.6]}
+    assert _claims(kb) == [(dependent(0, 1), 0.7), (independent(2, 5), 0.6)]
+    assert KnowledgeBase.from_json({"u": [5, 1], "v": [2, 0], "dep": [False, True], "conf": [0.6, 0.7]}) == kb
 
 
 @st.composite
@@ -102,18 +140,14 @@ def knowledge_bases(draw):
     claims = {}
     for u, v in pairs:
         claim = Claim(u, v, draw(st.sampled_from(Polarity)))
-        claims.setdefault(claim.pair, WeightedClaim(claim, draw(st.floats(5e-324, 1.0))))
-    return KnowledgeBase(claims.values())
+        claims.setdefault(claim.pair, (claim, draw(st.floats(5e-324, 1.0))))
+    return _kb(*claims.values())
 
 
 @settings(max_examples=100, deadline=None)
 @given(knowledge_bases())
-@example(KnowledgeBase())
-@example(KnowledgeBase([
-    WeightedClaim(dependent(0, 1), 0.1 + 0.2),
-    WeightedClaim(independent(0, 2), 1.0),
-    WeightedClaim(dependent(1, 2), 5e-324),
-]))
+@example(_kb())
+@example(_kb((dependent(0, 1), 0.1 + 0.2), (independent(0, 2), 1.0), (dependent(1, 2), 5e-324)))
 def test_knowledge_base_json_round_trip_is_exact(kb):
     assert KnowledgeBase.from_json(json.loads(json.dumps(kb.to_json()))) == kb
 
@@ -126,6 +160,13 @@ def test_knowledge_base_json_round_trip_is_exact(kb):
     ("conf", [0.5, 0.0], "confidence must lie in"),
     ("conf", [1.5, 0.5], "confidence must lie in"),
     ("conf", None, "missing columns \\['conf'\\]"),
+    ("v", [0, 2], "variable ids must lie below 2\\*\\*32, be non-negative and differ"),
+    ("u", [-1, 0], "variable ids must lie below 2\\*\\*32, be non-negative and differ"),
+    ("v", [1, 2**32], "variable ids must lie below 2\\*\\*32, be non-negative and differ"),
+    ("v", [1, 2**64], "must be integers"),
+    ("u", [0.0, 0.0], "must be integers"),
+    ("u", [[0], [0]], "must be integers"),
+    ("conf", [0.5, "0.5"], "must hold numbers"),
 ])
 def test_knowledge_base_from_json_rejects_malformed_columns(column, value, message):
     doc = {"u": [0, 0], "v": [1, 2], "dep": [True, False], "conf": [0.5, 0.5]}
@@ -225,6 +266,7 @@ def test_true_knowledge_matches_union_find_on_100_random_forests():
                 dsu.union(v, p)
         claims = {c.pair: c.polarity for c in true_knowledge(gt)}
         assert len(claims) == m * (m - 1) // 2
+        assert all(in_k(Claim(u, v, pol), gt) for (u, v), pol in claims.items())
         for u in range(m):
             for v in range(u + 1, m):
                 expected = Polarity.DEPENDENT if dsu.connected(u, v) else Polarity.INDEPENDENT
@@ -267,25 +309,28 @@ def test_k_and_complement_partition_all_claims():
     assert K.isdisjoint(complement)
     assert len(K) == len(complement) == 45
     for c in K:
-        assert membership(c, gt) is Membership.IN_K
-        assert membership(negate(c), gt) is Membership.IN_KC
+        assert in_k(c, gt)
+        assert not in_k(negate(c), gt)
 
 
 def test_membership_agrees_with_materialized_set():
+    # The scorer's verdict on every claim against the set that a
+    # full-coverage, full-accuracy prior materializes.
     rng = np.random.default_rng(4)
     gt = build_ground_truth(12, 4, 0.9, rng)
-    K = true_knowledge(gt)
+    K = {c for c, _ in _claims(sample_agent_prior(gt, 1.0, 1.0, rng))}
+    assert len(K) == 66
     for u in range(gt.m):
         for v in range(u + 1, gt.m):
             for pol in Polarity:
                 c = Claim(u, v, pol)
-                assert (membership(c, gt) is Membership.IN_K) == (c in K)
+                assert in_k(c, gt) == (c in K)
 
 
 def test_membership_range_check():
     gt = chain_gt(3)
-    with pytest.raises(ConfigError):
-        membership(dependent(0, 9), gt)
+    with pytest.raises(ConfigError, match="outside the variable range"):
+        gt.same_tree_keys(np.array([pair_key(0, 9)], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +346,8 @@ def test_zero_coverage_gives_empty_prior():
 def test_full_coverage_full_accuracy_reproduces_k():
     gt = build_ground_truth(8, 2, 0.9, np.random.default_rng(5))
     kb = sample_agent_prior(gt, 1.0, 1.0, np.random.default_rng(6))
-    assert {wc.claim for wc in kb} == set(true_knowledge(gt))
-    assert all(0.5 <= wc.confidence <= 1.0 for wc in kb)
+    assert {c for c, _ in _claims(kb)} == true_knowledge(gt)
+    assert all(0.5 <= conf <= 1.0 for _, conf in _claims(kb))
 
 
 def test_prior_accuracy_fraction_matches_binomial_expectation():
@@ -311,7 +356,7 @@ def test_prior_accuracy_fraction_matches_binomial_expectation():
     rng = np.random.default_rng(99)
     gt = build_ground_truth(142, 3, 0.9, rng)
     kb = sample_agent_prior(gt, 0.5, 0.8, rng)
-    truths = [membership(wc.claim, gt) is Membership.IN_K for wc in kb]
+    truths = [in_k(c, gt) for c, _ in _claims(kb)]
     frac = sum(truths) / len(truths)
     assert abs(frac - 0.8) < 0.02
     assert abs(len(kb) / 10011 - 0.5) < 0.02
@@ -321,19 +366,15 @@ def test_prior_accuracy_fraction_matches_binomial_expectation():
 # Rectification
 # ---------------------------------------------------------------------------
 
-def _kb(*claims):
-    return KnowledgeBase([WeightedClaim(c, conf) for c, conf in claims])
-
-
 def test_rectify_majority_wins_with_mean_confidence():
     merged = rectify([
         _kb((dependent(0, 1), 0.6)),
         _kb((independent(0, 1), 0.9)),
         _kb((dependent(0, 1), 0.8)),
     ])
-    wc = merged.get(0, 1)
-    assert wc.claim == dependent(0, 1)
-    assert wc.confidence == pytest.approx(0.7)
+    [(claim, conf)] = _claims(merged)
+    assert claim == dependent(0, 1)
+    assert conf == pytest.approx(0.7)
 
 
 def test_rectify_drops_exact_ties():
@@ -368,5 +409,19 @@ def test_rectify_never_emits_both_polarities():
     gt = build_ground_truth(10, 2, 0.9, rng)
     bases = [sample_agent_prior(gt, 0.6, 0.7, rng) for _ in range(5)]
     merged = rectify(bases)
-    pairs = [wc.claim.pair for wc in merged]
+    pairs = [c.pair for c, _ in _claims(merged)]
     assert len(pairs) == len(set(pairs))
+
+
+@pytest.mark.parametrize("m,k", [(2, 2), (6, 2), (12, 5), (30, 3), (40, 40), (60, 17)])
+def test_forest_table_work_counts_the_products_of_the_table(m, k):
+    # Row j >= 2 of the table takes one product per first-tree size, n - j + 1 of them per entry n.
+    table = _forest_table(m, k)
+    products = sum(n - j + 1 for j in range(2, k + 1) for n in table[j])
+    assert forest_table_work(m, k) == products * (m - k + 1) * m.bit_length()
+
+
+def test_forest_work_limit_sits_between_accepted_and_rejected_configs():
+    assert forest_table_work(1200, 1200) < forest_table_work(844, 3) <= FOREST_WORK_LIMIT
+    assert FOREST_WORK_LIMIT < forest_table_work(845, 3) < forest_table_work(1200, 1122)
+    assert forest_table_work(1200, 1123) <= FOREST_WORK_LIMIT

@@ -1,5 +1,7 @@
 """Tests for effective priors, reinterpretation, and monotone labeling."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,10 @@ from ktsim.knowledge import (
     Claim,
     GroundTruth,
     KnowledgeBase,
-    Membership,
-    WeightedClaim,
+    Polarity,
     build_ground_truth,
     dependent,
     independent,
-    membership,
     negate,
     pair_key,
     sample_agent_prior,
@@ -39,12 +39,20 @@ from ktsim.mining import (
     mine,
 )
 
-EMPTY = KnowledgeBase()
 PARAMS = LabelingParams()
 
 
 def _kb(*claims):
-    return KnowledgeBase([WeightedClaim(c, conf) for c, conf in claims])
+    """Knowledge base of ``(claim, confidence)`` pairs, read through ``from_json``."""
+    return KnowledgeBase.from_json({
+        "u": [c.u for c, _ in claims],
+        "v": [c.v for c, _ in claims],
+        "dep": [c.polarity is Polarity.DEPENDENT for c, _ in claims],
+        "conf": [conf for _, conf in claims],
+    })
+
+
+EMPTY = _kb()
 
 
 def _info(patterns, datasheet=None, corrections=()):
@@ -72,6 +80,17 @@ def _pairs(keys):
     return list(zip(us.tolist(), vs.tolist()))
 
 
+def _claim_on(kb, u, v):
+    """The claim ``kb`` holds on the pair {u, v}."""
+    [row] = np.flatnonzero(kb.keys == pair_key(u, v))
+    return Claim(u, v, Polarity.DEPENDENT if kb.dep[row] else Polarity.INDEPENDENT)
+
+
+def _truth(gt, u, v):
+    """The true claim on {u, v}, read off the forest's tree ids."""
+    return dependent(u, v) if gt.tree_ids[u] == gt.tree_ids[v] else independent(u, v)
+
+
 # ---------------------------------------------------------------------------
 # Effective prior
 # ---------------------------------------------------------------------------
@@ -85,7 +104,7 @@ def test_own_knowledge_outranks_the_miners():
     own = _kb((dependent(0, 1), 0.6))
     miner = _kb((independent(0, 1), 0.99))
     prior = build_effective_prior(own, miner, None)
-    assert prior.claims.get(0, 1).claim == dependent(0, 1)
+    assert _claim_on(prior.claims, 0, 1) == dependent(0, 1)
 
 
 def test_precedence_labeler_miner_experimenter_peers():
@@ -95,17 +114,17 @@ def test_precedence_labeler_miner_experimenter_peers():
     peer0 = _kb((independent(4, 5), 0.9), (dependent(6, 7), 0.9))
     peer1 = _kb((independent(6, 7), 0.9))
     prior = build_effective_prior(own, miner, exp, [peer0, peer1])
-    assert prior.claims.get(0, 1).claim == dependent(0, 1)  # labeler wins
-    assert prior.claims.get(2, 3).claim == dependent(2, 3)  # miner beats experimenter
-    assert prior.claims.get(4, 5).claim == dependent(4, 5)  # experimenter beats peers
-    assert prior.claims.get(6, 7).claim == dependent(6, 7)  # earlier peer beats later
+    assert _claim_on(prior.claims, 0, 1) == dependent(0, 1)  # labeler wins
+    assert _claim_on(prior.claims, 2, 3) == dependent(2, 3)  # miner beats experimenter
+    assert _claim_on(prior.claims, 4, 5) == dependent(4, 5)  # experimenter beats peers
+    assert _claim_on(prior.claims, 6, 7) == dependent(6, 7)  # earlier peer beats later
 
 
 def test_closed_channels_leave_only_own_and_peers():
     own = _kb((dependent(0, 1), 0.6))
     peer = _kb((independent(4, 5), 0.8))
     prior = build_effective_prior(own, None, None, [peer])
-    assert prior.claims.pairs() == {(0, 1), (4, 5)}
+    assert _pairs(prior.claims.keys) == [(0, 1), (4, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +276,8 @@ def test_self_driving_reinterpret_is_identity_on_corrected_information():
 # Monotonicity of the labeling stage
 # ---------------------------------------------------------------------------
 
-def _count_side(lk, gt, side):
-    return sum(1 for c in lk.claims if membership(c, gt) is side)
+def _count_side(lk, gt, true_side):
+    return sum(1 for c in lk.claims if (c == _truth(gt, c.u, c.v)) == true_side)
 
 
 @pytest.mark.parametrize("want_true", [True, False])
@@ -278,19 +297,20 @@ def test_adding_a_conflict_free_claim_never_shrinks_its_own_side(want_true):
         delivered = datasheet if rng.random() < 0.5 else None
         info = mine(ds, sample_agent_prior(gt, 0.2, 0.8, rng), delivered, [], MiningParams())
         prior = build_effective_prior(kb, None, None)
-        free = [p for p in gt.all_pairs() if p not in prior.claims.pairs()]
+        covered = set(_pairs(prior.claims.keys))
+        free = [p for p in combinations(range(gt.m), 2) if p not in covered]
         if not free:
             continue
-        pair = free[int(rng.integers(len(free)))]
-        truth = dependent(*pair) if gt.same_tree(*pair) else independent(*pair)
+        truth = _truth(gt, *free[int(rng.integers(len(free)))])
         claim = truth if want_true else negate(truth)
-        side = Membership.IN_K if want_true else Membership.IN_KC
         confidence = float(rng.uniform(floor, 1.0))
 
         before = label(reinterpret(info, prior, None, PARAMS), prior, PARAMS)
-        grown = EffectivePrior(prior.claims.extended(WeightedClaim(claim, confidence)))
+        grown = EffectivePrior(
+            prior.claims.extended(claim.u, claim.v, claim.polarity is Polarity.DEPENDENT, confidence)
+        )
         after = label(reinterpret(info, grown, None, PARAMS), grown, PARAMS)
-        assert _count_side(after, gt, side) >= _count_side(before, gt, side)
+        assert _count_side(after, gt, want_true) >= _count_side(before, gt, want_true)
 
 
 def test_broken_pass_through_can_shrink_the_true_side():
@@ -302,5 +322,5 @@ def test_broken_pass_through_can_shrink_the_true_side():
     before = negate_passthrough(label(reinterpret(info, prior, None, PARAMS), prior, PARAMS))
     grown = EffectivePrior(_kb((dependent(0, 1), 0.95)))
     after = negate_passthrough(label(reinterpret(info, grown, None, PARAMS), grown, PARAMS))
-    assert _count_side(before, gt, Membership.IN_K) == 1
-    assert _count_side(after, gt, Membership.IN_K) == 0
+    assert _count_side(before, gt, True) == 1
+    assert _count_side(after, gt, True) == 0

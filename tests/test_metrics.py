@@ -1,5 +1,6 @@
 """Tests for the openness score, sign test, validator, and correlation oracle."""
 
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from ktsim import knowledge, labeling, metrics
 from ktsim.config import default_scenario
 from ktsim.errors import ConfigError
-from ktsim.knowledge import GroundTruth, dependent, independent, negate, true_knowledge
+from ktsim.knowledge import GroundTruth, dependent, independent, negate
 from ktsim.labeling import ORIGIN_PATTERN, LabeledClaim, LabeledKnowledge
 from ktsim.metrics import (
     correlation_oracle,
@@ -24,6 +25,14 @@ GT = GroundTruth(5, (None, 0, 1, None, 3), 0.9)
 
 def lk(claims, teams=(0, 0, 0)):
     return LabeledKnowledge(tuple(LabeledClaim(c, ORIGIN_PATTERN) for c in claims), teams)
+
+
+def true_claims(gt):
+    """The true claim on every pair, in pair order, read off the forest's tree ids."""
+    return [
+        dependent(u, v) if gt.tree_ids[u] == gt.tree_ids[v] else independent(u, v)
+        for u, v in combinations(range(gt.m), 2)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +97,7 @@ def test_per_triple_breakdown():
 
 
 def test_adding_only_true_claims_never_decreases_openness():
-    K = sorted(true_knowledge(GT), key=lambda c: (c.u, c.v))
+    K = true_claims(GT)
     base = [lk([dependent(0, 1), negate(K[3])], (0, 0, 0))]
     before = openness(base, GT).openness
     extra = lk(K[:5], (1, 1, 1))
@@ -97,7 +106,7 @@ def test_adding_only_true_claims_never_decreases_openness():
 
 
 def test_adding_only_false_claims_never_increases_openness():
-    K = sorted(true_knowledge(GT), key=lambda c: (c.u, c.v))
+    K = true_claims(GT)
     base = [lk(K[:4], (0, 0, 0))]
     before = openness(base, GT).openness
     extra = lk([negate(c) for c in K[4:8]], (1, 1, 1))

@@ -7,7 +7,7 @@ from ktsim.experimenting import Dataset, Datasheet, ExperimentDesign, Selection,
 from ktsim.knowledge import (
     GroundTruth,
     KnowledgeBase,
-    WeightedClaim,
+    Polarity,
     dependent,
     independent,
     split_keys,
@@ -23,7 +23,17 @@ from ktsim.mining import (
     phi_coefficient,
 )
 
-EMPTY = KnowledgeBase()
+def _kb(*claims):
+    """Knowledge base of ``(claim, confidence)`` pairs, read through ``from_json``."""
+    return KnowledgeBase.from_json({
+        "u": [c.u for c, _ in claims],
+        "v": [c.v for c, _ in claims],
+        "dep": [c.polarity is Polarity.DEPENDENT for c, _ in claims],
+        "conf": [conf for _, conf in claims],
+    })
+
+
+EMPTY = _kb()
 PARAMS = MiningParams()
 
 
@@ -192,22 +202,22 @@ def test_corrected_phi_is_clamped():
 
 def test_contradicted_patterns_are_tagged_disputed():
     ds = make_dataset((0, 1), [[0, 0], [1, 1], [0, 0], [1, 1]])  # phi = 1
-    miner_kb = KnowledgeBase([WeightedClaim(independent(0, 1), 0.95)])
+    miner_kb = _kb((independent(0, 1), 0.95))
     info = mine(ds, miner_kb, None, [], PARAMS)
     assert info.patterns.has(TAG_DISPUTED)[0]
     # below the veto confidence nothing is disputed
-    weak = KnowledgeBase([WeightedClaim(independent(0, 1), 0.5)])
+    weak = _kb((independent(0, 1), 0.5))
     info2 = mine(ds, weak, None, [], PARAMS)
     assert not info2.patterns.has(TAG_DISPUTED)[0]
     # agreement is not a dispute
-    agreeing = KnowledgeBase([WeightedClaim(dependent(0, 1), 0.99)])
+    agreeing = _kb((dependent(0, 1), 0.99))
     info3 = mine(ds, agreeing, None, [], PARAMS)
     assert not info3.patterns.has(TAG_DISPUTED)[0]
 
 
 def test_peer_knowledge_can_also_dispute():
     ds = make_dataset((0, 1), [[0, 0], [1, 1], [0, 0], [1, 1]])
-    peer = KnowledgeBase([WeightedClaim(independent(0, 1), 0.92)])
+    peer = _kb((independent(0, 1), 0.92))
     info = mine(ds, EMPTY, None, [peer], PARAMS)
     assert info.patterns.has(TAG_DISPUTED)[0]
 
@@ -215,7 +225,7 @@ def test_peer_knowledge_can_also_dispute():
 def test_mining_is_deterministic():
     rng = np.random.default_rng(6)
     ds = make_dataset((0, 1, 2), rng.integers(0, 2, size=(500, 3)))
-    kb = KnowledgeBase([WeightedClaim(dependent(0, 1), 0.91)])
+    kb = _kb((dependent(0, 1), 0.91))
     a = mine(ds, kb, sheet(noise_rate=0.1, measured=(0, 1, 2)), [], PARAMS)
     b = mine(ds, kb, sheet(noise_rate=0.1, measured=(0, 1, 2)), [], PARAMS)
     assert a == b
