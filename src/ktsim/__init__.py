@@ -31,23 +31,17 @@ from .experimenting import (
 )
 from .knowledge import (
     AgentPool,
-    Claim,
     GroundTruth,
     KnowledgeBase,
-    Polarity,
     Role,
     Team,
     build_ground_truth,
-    dependent,
-    independent,
-    negate,
     rectify,
     sample_agent_pool,
     sample_agent_prior,
 )
 from .labeling import (
     EffectivePrior,
-    LabeledClaim,
     LabeledKnowledge,
     LabelingParams,
     build_effective_prior,

@@ -47,7 +47,9 @@ def _load_config(path: str) -> ScenarioConfig:
         raise FileNotFoundError(f"config file not found: {p}") from None
     except IsADirectoryError:
         raise IsADirectoryError(f"config path is a directory, not a file: {p}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, bytes that are not UTF-8 and an
+        # integer of more than the 4300 digits Python converts from text.
         raise ConfigError(f"{p}: not valid JSON ({exc})") from exc
     return scenario_from_dict(data)
 

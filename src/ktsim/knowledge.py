@@ -27,60 +27,6 @@ from .errors import ConfigError
 from .records import Record
 
 
-class Polarity(Enum):
-    DEPENDENT = "dep"
-    INDEPENDENT = "indep"
-
-    @property
-    def flipped(self) -> "Polarity":
-        if self is Polarity.DEPENDENT:
-            return Polarity.INDEPENDENT
-        return Polarity.DEPENDENT
-
-
-@dataclass(frozen=True)
-class Claim:
-    """Polarity-tagged statement about one unordered variable pair.
-
-    The pair is canonicalized to ``u < v`` on construction, so two claims over
-    the same pair compare equal regardless of argument order.
-    """
-
-    u: int
-    v: int
-    polarity: Polarity
-
-    def __post_init__(self) -> None:
-        u, v = self.u, self.v
-        if u == v:
-            raise ConfigError(f"claim pair must use two distinct variables, got ({u}, {v})")
-        if u < 0 or v < 0:
-            raise ConfigError(f"variable ids must be non-negative, got ({u}, {v})")
-        if u > v:
-            object.__setattr__(self, "u", v)
-            object.__setattr__(self, "v", u)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v)
-
-    def __str__(self) -> str:
-        return f"{self.polarity.value}({self.u},{self.v})"
-
-
-def dependent(u: int, v: int) -> Claim:
-    return Claim(u, v, Polarity.DEPENDENT)
-
-
-def independent(u: int, v: int) -> Claim:
-    return Claim(u, v, Polarity.INDEPENDENT)
-
-
-def negate(claim: Claim) -> Claim:
-    """Polarity complement; involutive and maps true claims onto false ones."""
-    return Claim(claim.u, claim.v, claim.polarity.flipped)
-
-
 def check_confidence(name: str, value: float) -> None:
     if not (0.0 < value <= 1.0):
         raise ConfigError(f"{name} must lie in (0, 1], got {value}")
@@ -91,19 +37,15 @@ _KEY_SHIFT = 32
 _KEY_MASK = (1 << _KEY_SHIFT) - 1
 
 
-def pair_key(u: int, v: int) -> int:
-    """Sort key of the unordered pair {u, v}: the smaller id in the high bits,
-    so ascending keys give the ``combinations`` order of pairs."""
-    return (u << _KEY_SHIFT | v) if u < v else (v << _KEY_SHIFT | u)
-
-
 def split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both variable ids of every pair key."""
     return keys >> _KEY_SHIFT, keys & _KEY_MASK
 
 
 def join_keys(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Pair key of every pair {us[i], vs[i]} of int64 ids; ``pair_key`` on arrays."""
+    """Pair key ``u << 32 | v`` of every pair {us[i], vs[i]} of int64 ids,
+    smaller id in the high bits, so ascending keys give the ``combinations``
+    order of pairs."""
     return np.minimum(us, vs) << _KEY_SHIFT | np.maximum(us, vs)
 
 
@@ -141,7 +83,7 @@ class KnowledgeBase:
     """Conflict-free collection of weighted claims, at most one per pair.
 
     Stored as three aligned read-only arrays sorted by pair key (see
-    ``pair_key``): ``keys`` (int64), ``dep`` (True for a Dependent claim) and
+    ``join_keys``): ``keys`` (int64), ``dep`` (True for a Dependent claim) and
     ``conf`` (float64 confidence), so any serialization derived from a
     knowledge base is deterministic. ``from_arrays`` trusts its input;
     ``from_json`` and ``extended`` check theirs.

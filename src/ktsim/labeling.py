@@ -12,18 +12,22 @@ a false one, and dually for false claims. High-confidence prior claims pass
 through into the output and take precedence over pattern-derived labels on
 the same pair; ambiguous, degenerate, disputed, or selection-compromised
 patterns yield no claim at all.
+
+A labeling is its columns: ``LabeledKnowledge`` holds pair keys, polarities
+and origins as aligned arrays, built only by ``from_arrays``. Its
+``{u, v, polarity, origin}`` records, ``entries``, are derived on demand and
+are what a result file holds under ``claims``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
 from .experimenting import Datasheet
-from .knowledge import Claim, KnowledgeBase, Polarity, check_confidence, sorted_pair_keys, split_keys
+from .knowledge import KnowledgeBase, check_confidence, split_keys
 from .mining import (
     DEFAULT_DEP_THRESHOLD,
     DEFAULT_IND_THRESHOLD,
@@ -62,12 +66,6 @@ class EffectivePrior:
     claims: KnowledgeBase
 
 
-@dataclass(frozen=True)
-class LabeledClaim:
-    claim: Claim
-    origin: str
-
-
 class LabeledKnowledge:
     """One labeling's claims, at most one per pair, and the (experimenter,
     miner, labeler) ``teams`` that produced it.
@@ -75,30 +73,10 @@ class LabeledKnowledge:
     Stored like a ``KnowledgeBase``: aligned read-only arrays sorted by pair
     key, ``keys`` (int64), ``dep`` (True for a Dependent claim) and
     ``from_prior`` (True for a prior pass-through, False for a pattern label).
-    ``entries`` and ``claims`` rebuild the per-claim objects in key order.
+    ``entries`` is the record view of the same claims that ``to_json`` writes.
     """
 
     __slots__ = ("keys", "dep", "from_prior", "teams")
-
-    def __init__(self, entries: Iterable[LabeledClaim], teams: tuple[int, int, int]):
-        entries = list(entries)
-        for e in entries:
-            if e.origin not in (ORIGIN_PATTERN, ORIGIN_PRIOR):
-                raise ConfigError(f"unknown claim origin {e.origin!r}")
-        keys, order = sorted_pair_keys(
-            [e.claim.u for e in entries], [e.claim.v for e in entries], "labeled knowledge"
-        )
-        self._set(
-            keys,
-            np.array([e.claim.polarity is Polarity.DEPENDENT for e in entries], dtype=bool)[order],
-            np.array([e.origin == ORIGIN_PRIOR for e in entries], dtype=bool)[order],
-            teams,
-        )
-
-    def _set(self, keys: np.ndarray, dep: np.ndarray, from_prior: np.ndarray, teams: tuple[int, int, int]) -> None:
-        for array in (keys, dep, from_prior):
-            array.setflags(write=False)
-        self.keys, self.dep, self.from_prior, self.teams = keys, dep, from_prior, tuple(teams)
 
     @classmethod
     def from_arrays(
@@ -106,26 +84,19 @@ class LabeledKnowledge:
     ) -> "LabeledKnowledge":
         """Wrap aligned arrays whose keys are already strictly ascending."""
         lk = cls.__new__(cls)
-        lk._set(keys, dep, from_prior, teams)
+        for array in (keys, dep, from_prior):
+            array.setflags(write=False)
+        lk.keys, lk.dep, lk.from_prior, lk.teams = keys, dep, from_prior, tuple(teams)
         return lk
 
-    def _columns(self) -> zip:
+    @property
+    def entries(self) -> list[dict]:
+        """One ``{u, v, polarity, origin}`` record per claim, in key order."""
         us, vs = split_keys(self.keys)
-        return zip(us.tolist(), vs.tolist(), self.dep.tolist(), self.from_prior.tolist())
-
-    @property
-    def entries(self) -> tuple[LabeledClaim, ...]:
-        return tuple(
-            LabeledClaim(
-                Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT),
-                ORIGIN_PRIOR if prior else ORIGIN_PATTERN,
-            )
-            for u, v, dep, prior in self._columns()
-        )
-
-    @property
-    def claims(self) -> tuple[Claim, ...]:
-        return tuple(e.claim for e in self.entries)
+        return [
+            {"u": u, "v": v, "polarity": "dep" if d else "indep", "origin": ORIGIN_PRIOR if p else ORIGIN_PATTERN}
+            for u, v, d, p in zip(us.tolist(), vs.tolist(), self.dep.tolist(), self.from_prior.tolist())
+        ]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledKnowledge):
@@ -141,15 +112,8 @@ class LabeledKnowledge:
         return f"LabeledKnowledge({self.keys.shape[0]} claims, teams={self.teams})"
 
     def to_json(self) -> dict:
-        """``teams`` and one ``{u, v, polarity, origin}`` record per claim, in key order."""
-        dep, indep = Polarity.DEPENDENT.value, Polarity.INDEPENDENT.value
-        return {
-            "teams": list(self.teams),
-            "claims": [
-                {"u": u, "v": v, "polarity": dep if d else indep, "origin": ORIGIN_PRIOR if p else ORIGIN_PATTERN}
-                for u, v, d, p in self._columns()
-            ],
-        }
+        """``teams`` and ``entries``, the latter under ``claims``."""
+        return {"teams": list(self.teams), "claims": self.entries}
 
 
 def build_effective_prior(

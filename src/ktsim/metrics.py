@@ -59,7 +59,7 @@ class OpennessReport(Record):
 
 
 def _claim_codes(lk: LabeledKnowledge) -> np.ndarray:
-    """Claims of one labeling (distinct: one per pair) as ``pair_key * 2 + dependent``."""
+    """Claims of one labeling (distinct: one per pair) as ``key << 1 | dep``."""
     return lk.keys << 1 | lk.dep
 
 

@@ -12,15 +12,15 @@ import numpy as np
 from ktsim.cli import EXIT_OK, main
 from ktsim.config import ChannelPolicy, default_scenario
 from ktsim.experimenting import ExperimentDesign, Selection, sample_dataset
-from ktsim.knowledge import GroundTruth, KnowledgeBase
+from ktsim.knowledge import GroundTruth
 from ktsim.labeling import EffectivePrior, LabelingParams, label, reinterpret
-from ktsim.labeling import ORIGIN_PATTERN, LabeledClaim, LabeledKnowledge
-from ktsim.knowledge import dependent, independent
 from ktsim.metrics import openness, validate_monotonicity
 from ktsim.mining import MiningParams, mine, phi_coefficient
 from ktsim.orchestrator import run, sweep
 
-EMPTY = KnowledgeBase.from_json({"u": [], "v": [], "dep": [], "conf": []})
+from claimref import _kb, claims_of, dependent, independent, labeling
+
+EMPTY = _kb()
 
 
 def _report(num, description, ok, detail=""):
@@ -96,8 +96,8 @@ def test_criterion_3_selection_masking_and_abstention():
         EffectivePrior(EMPTY),
         params,
     )
-    abstains = all(c.pair != (0, 2) for c in informed_labels.claims)
-    emitted = [c for c in blind_labels.claims if c.pair == (0, 2)]
+    abstains = all((c.u, c.v) != (0, 2) for c in claims_of(informed_labels))
+    emitted = [c for c in claims_of(blind_labels) if (c.u, c.v) == (0, 2)]
     emits_false_independent = (
         len(emitted) == 1
         and emitted[0] == independent(0, 2)
@@ -148,8 +148,7 @@ def test_criterion_5_openness_grows_with_open_channels():
 def test_criterion_6_metric_arithmetic():
     gt = GroundTruth(5, (None, 0, 1, None, 3), 0.9)
     claims = [dependent(0, 1), dependent(0, 2), independent(0, 3), independent(1, 2)]
-    lk = LabeledKnowledge(tuple(LabeledClaim(c, ORIGIN_PATTERN) for c in claims), (0, 0, 0))
-    report = openness([lk], gt)
+    report = openness([labeling(claims)], gt)
     empty = openness([], gt)
     _report(
         6,

@@ -1,7 +1,7 @@
 """The array-backed knowledge operations against plain per-claim references.
 
 Each reference below is the straightforward dict/per-pair version of the
-algorithm: one claim object per pair, Python sums, one contingency table per
+algorithm: one claim tuple per pair, Python sums, one contingency table per
 pattern. Hypothesis draws small bases (m <= 8, empty bases and exact vote
 ties included) and every result must match the reference exactly, floats
 bit for bit.
@@ -18,21 +18,11 @@ from hypothesis import strategies as st
 
 from ktsim.errors import ConfigError
 from ktsim.experimenting import Dataset, Datasheet, Selection
-from ktsim.knowledge import (
-    Claim,
-    KnowledgeBase,
-    Polarity,
-    build_ground_truth,
-    negate,
-    pair_key,
-    rectify,
-    split_keys,
-)
+from ktsim.knowledge import build_ground_truth, rectify, sorted_pair_keys, split_keys
 from ktsim.labeling import (
     ORIGIN_PATTERN,
     ORIGIN_PRIOR,
     EffectivePrior,
-    LabeledClaim,
     LabeledKnowledge,
     LabelingParams,
     build_effective_prior,
@@ -56,6 +46,8 @@ from ktsim.mining import (
     phi_coefficient,
 )
 
+from claimref import _kb, claim, claims_of, dependent, labeling, negate, pair_keys, truth, weighted_claims
+
 SETTINGS = settings(max_examples=100, deadline=None)
 
 #: One claim of the references and its confidence.
@@ -72,45 +64,16 @@ def claim_lists(draw, m):
     """Weighted claims on distinct pairs of m variables, in drawn order."""
     pairs = list(combinations(range(m), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    return [
-        WeightedClaim(Claim(v, u, draw(st.sampled_from(Polarity))), draw(CONFIDENCES))
-        if draw(st.booleans())
-        else WeightedClaim(Claim(u, v, draw(st.sampled_from(Polarity))), draw(CONFIDENCES))
-        for u, v in chosen
-    ]
+    return [WeightedClaim(claim(u, v, draw(st.booleans())), draw(CONFIDENCES)) for u, v in chosen]
 
 
 def _as_dict(claims):
-    return {wc.claim.pair: wc for wc in claims}
-
-
-def _kb(claims):
-    """Knowledge base of weighted claims in any order, read through ``from_json``."""
-    return KnowledgeBase.from_json({
-        "u": [wc.claim.u for wc in claims],
-        "v": [wc.claim.v for wc in claims],
-        "dep": [wc.claim.polarity is Polarity.DEPENDENT for wc in claims],
-        "conf": [wc.confidence for wc in claims],
-    })
-
-
-def _weighted(kb):
-    """The rows of ``kb`` as weighted claims, in key order."""
-    us, vs = split_keys(kb.keys)
-    return [
-        WeightedClaim(Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT), conf)
-        for u, v, dep, conf in zip(us.tolist(), vs.tolist(), kb.dep.tolist(), kb.conf.tolist())
-    ]
-
-
-def _in_k(claim, gt):
-    """Whether ``claim`` is true: Dependent exactly when its pair shares a tree."""
-    return (gt.tree_ids[claim.u] == gt.tree_ids[claim.v]) == (claim.polarity is Polarity.DEPENDENT)
+    return {(wc.claim.u, wc.claim.v): wc for wc in claims}
 
 
 def _rows(claims):
-    """(u, v, polarity, confidence) per claim, sorted by pair."""
-    return sorted((wc.claim.u, wc.claim.v, wc.claim.polarity, wc.confidence) for wc in claims)
+    """(u, v, dep, confidence) per weighted claim, sorted by pair."""
+    return sorted((c.u, c.v, c.dep, conf) for c, conf in claims)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +85,8 @@ def ref_rectify(members):
     merged = []
     for pair in sorted(set().union(*bases)):
         votes = [base[pair] for base in bases if pair in base]
-        deps = [wc for wc in votes if wc.claim.polarity is Polarity.DEPENDENT]
-        inds = [wc for wc in votes if wc.claim.polarity is Polarity.INDEPENDENT]
+        deps = [wc for wc in votes if wc.claim.dep]
+        inds = [wc for wc in votes if not wc.claim.dep]
         if len(deps) == len(inds):
             continue
         winners = deps if len(deps) > len(inds) else inds
@@ -143,12 +106,13 @@ Ref = namedtuple("Ref", "pair phi tags")
 
 
 def ref_implied(pattern, params):
+    """True for Dependent, False for Independent, None for no polarity."""
     if TAG_DEGENERATE in pattern.tags:
         return None
     if abs(pattern.phi) >= params.dep_threshold:
-        return Polarity.DEPENDENT
+        return True
     if abs(pattern.phi) <= params.ind_threshold:
-        return Polarity.INDEPENDENT
+        return False
     return None
 
 
@@ -169,7 +133,7 @@ def ref_contradicted(pattern, base, params):
         implied is not None
         and wc is not None
         and wc.confidence >= params.veto_confidence
-        and wc.claim.polarity is not implied
+        and wc.claim.dep != implied
     )
 
 
@@ -179,17 +143,17 @@ def ref_label(patterns, prior, params):
         if TAG_DEGENERATE in p.tags or TAG_DISPUTED in p.tags:
             continue
         implied = ref_implied(p, params)
-        if implied is None or (implied is Polarity.INDEPENDENT and TAG_SELECTION_CONDITIONED in p.tags):
+        if implied is None or (not implied and TAG_SELECTION_CONDITIONED in p.tags):
             continue
-        chosen[p.pair] = (Claim(*p.pair, implied), ORIGIN_PATTERN)
+        chosen[p.pair] = (claim(*p.pair, implied), ORIGIN_PATTERN)
     for wc in prior:
         if wc.confidence >= params.trust_confidence:
-            chosen[wc.claim.pair] = (wc.claim, ORIGIN_PRIOR)
+            chosen[(wc.claim.u, wc.claim.v)] = (wc.claim, ORIGIN_PRIOR)
     return [chosen[pair] for pair in sorted(chosen)]
 
 
 def ref_score(claims, gt):
-    true_count = sum(1 for c in claims if _in_k(c, gt))
+    true_count = sum(1 for c in claims if c == truth(gt, c.u, c.v))
     return true_count, len(claims) - true_count
 
 
@@ -232,9 +196,9 @@ def test_rectify_matches_the_reference(data, m, count):
         # An exact tie: two members that disagree on every pair of the first.
         first = members[0]
         members[1:1] = [[WeightedClaim(negate(wc.claim), wc.confidence) for wc in first]]
-    merged = rectify([_kb(claims) for claims in members])
-    assert _rows(_weighted(merged)) == _rows(ref_rectify(members))
-    assert merged == _kb(ref_rectify(members))
+    merged = rectify([_kb(*claims) for claims in members])
+    assert _rows(weighted_claims(merged)) == _rows(ref_rectify(members))
+    assert merged == _kb(*ref_rectify(members))
 
 
 @SETTINGS
@@ -245,12 +209,12 @@ def test_effective_prior_matches_the_reference(data, m):
     exp = data.draw(st.none() | claim_lists(m))
     peers = data.draw(st.lists(claim_lists(m), max_size=3))
     prior = build_effective_prior(
-        _kb(own),
-        None if miner is None else _kb(miner),
-        None if exp is None else _kb(exp),
-        [_kb(p) for p in peers],
+        _kb(*own),
+        None if miner is None else _kb(*miner),
+        None if exp is None else _kb(*exp),
+        [_kb(*p) for p in peers],
     )
-    assert _rows(_weighted(prior.claims)) == _rows(ref_effective_prior(own, miner, exp, peers))
+    assert _rows(weighted_claims(prior.claims)) == _rows(ref_effective_prior(own, miner, exp, peers))
 
 
 #: Noise rates, with the values that make the correction clamp or vanish.
@@ -275,7 +239,7 @@ def patterns(draw, m, unique=True):
 def table(found, support=100):
     """The pattern table holding ``found`` in order."""
     return PatternTable(
-        np.array([pair_key(*p.pair) for p in found], dtype=np.int64),
+        pair_keys([p.pair for p in found]),
         np.array([p.phi for p in found], dtype=np.float64),
         np.array([sum(int(TAG_BITS[t]) for t in p.tags) for p in found], dtype=np.uint8),
         support,
@@ -291,6 +255,10 @@ def refs(patterns):
     ]
 
 
+def _record(c, origin):
+    return {"u": c.u, "v": c.v, "polarity": "dep" if c.dep else "indep", "origin": origin}
+
+
 def _info(patterns, datasheet=None, corrections=frozenset()):
     sheet = InfoSheet(
         team_id=0, params=MiningParams(), corrections_applied=corrections, upstream_datasheet=datasheet
@@ -304,8 +272,8 @@ def test_label_matches_the_reference(data, m):
     found = data.draw(patterns(m))
     prior = data.draw(claim_lists(m))
     params = LabelingParams()
-    out = label(_info(found), EffectivePrior(_kb(prior)), params)
-    assert [(e.claim, e.origin) for e in out.entries] == ref_label(found, prior, params)
+    out = label(_info(found), EffectivePrior(_kb(*prior)), params)
+    assert out.entries == [_record(c, o) for c, o in ref_label(found, prior, params)]
 
 
 @SETTINGS
@@ -316,12 +284,8 @@ def test_label_with_repeated_pattern_pairs_keeps_the_last_label(data, m):
     found = data.draw(patterns(m, unique=False))
     prior = data.draw(claim_lists(m))
     params = LabelingParams()
-    out = label(_info(found), EffectivePrior(_kb(prior)), params)
-    assert [(e.claim, e.origin) for e in out.entries] == ref_label(found, prior, params)
-
-
-def _record(claim, origin):
-    return {"u": claim.u, "v": claim.v, "polarity": claim.polarity.value, "origin": origin}
+    out = label(_info(found), EffectivePrior(_kb(*prior)), params)
+    assert out.entries == [_record(c, o) for c, o in ref_label(found, prior, params)]
 
 
 @SETTINGS
@@ -331,49 +295,43 @@ def test_labeling_arrays_match_per_entry_references(data, m):
     prior = data.draw(claim_lists(m))
     params = LabelingParams()
     teams = data.draw(st.tuples(*[st.integers(0, 3)] * 3))
-    out = label(_info(found), EffectivePrior(_kb(prior)), params, teams=teams)
+    out = label(_info(found), EffectivePrior(_kb(*prior)), params, teams=teams)
     expected = ref_label(found, prior, params)
     assert out.to_json() == {"teams": list(teams), "claims": [_record(c, o) for c, o in expected]}
     negated = [(negate(c) if o == ORIGIN_PRIOR else c, o) for c, o in expected]
-    assert [(e.claim, e.origin) for e in negate_passthrough(out).entries] == negated
+    assert negate_passthrough(out).entries == [_record(c, o) for c, o in negated]
     assert negate_passthrough(negate_passthrough(out)) == out
-    # The checked constructor takes the entries in any order.
-    entries = [LabeledClaim(c, o) for c, o in data.draw(st.permutations(expected))]
-    assert LabeledKnowledge(entries, teams) == out
+    # Claims keyed by sorted_pair_keys in any order give the same columns.
+    shuffled = data.draw(st.permutations(expected))
+    assert labeling([c for c, _ in shuffled], teams, [o == ORIGIN_PRIOR for _, o in shuffled]) == out
     assert LabeledKnowledge.from_arrays(out.keys, out.dep, out.from_prior, teams) == out
     gt = build_ground_truth(m, data.draw(st.integers(1, m)), 0.9, np.random.default_rng(data.draw(st.integers(0, 99))))
     for true_side in (True, False):
-        assert metrics._count_side(out, gt, true_side) == sum(1 for c in out.claims if _in_k(c, gt) == true_side)
+        expected_side = sum(1 for c in claims_of(out) if (c == truth(gt, c.u, c.v)) == true_side)
+        assert metrics._count_side(out, gt, true_side) == expected_side
 
 
 def test_labeled_knowledge_equality_covers_every_array_and_the_teams():
-    a = LabeledKnowledge([LabeledClaim(Claim(0, 1, Polarity.DEPENDENT), ORIGIN_PATTERN)], (0, 1, 2))
+    a = labeling([dependent(0, 1)], (0, 1, 2))
     keys, dep, prior = a.keys, a.dep, a.from_prior
     assert a == LabeledKnowledge.from_arrays(keys.copy(), dep.copy(), prior.copy(), (0, 1, 2))
     assert a != LabeledKnowledge.from_arrays(keys, dep, prior, (0, 1, 3))
     assert a != LabeledKnowledge.from_arrays(keys, ~dep, prior, (0, 1, 2))
     assert a != LabeledKnowledge.from_arrays(keys, dep, ~prior, (0, 1, 2))
     assert a != LabeledKnowledge.from_arrays(keys + 1, dep, prior, (0, 1, 2))
-    assert a != LabeledKnowledge([], (0, 1, 2))
+    assert a != labeling([], (0, 1, 2))
     assert a != "LabeledKnowledge"
     assert not a.keys.flags.writeable and not a.dep.flags.writeable and not a.from_prior.flags.writeable
 
 
 @SETTINGS
 @given(st.data(), st.integers(2, 8))
-def test_labeled_knowledge_still_rejects_a_repeated_pair(data, m):
-    claims = [wc.claim for wc in data.draw(claim_lists(m).filter(bool))]
-    origins = st.sampled_from([ORIGIN_PATTERN, ORIGIN_PRIOR])
-    entries = [LabeledClaim(c, data.draw(origins)) for c in claims]
-    u, v = data.draw(st.sampled_from(claims)).pair
-    twin = LabeledClaim(Claim(v, u, data.draw(st.sampled_from(Polarity))), data.draw(origins))
+def test_sorted_pair_keys_rejects_a_repeated_pair_in_any_order(data, m):
+    pairs = [(wc.claim.u, wc.claim.v) for wc in data.draw(claim_lists(m).filter(bool))]
+    u, v = data.draw(st.sampled_from(pairs))
+    rows = data.draw(st.permutations(pairs + [(v, u)]))
     with pytest.raises(ConfigError, match=rf"labeled knowledge holds more than one claim for pair \({u}, {v}\)"):
-        LabeledKnowledge(data.draw(st.permutations(entries + [twin])), (0, 0, 0))
-
-
-def test_labeled_knowledge_rejects_an_unknown_origin():
-    with pytest.raises(ConfigError, match="origin 'guess'"):
-        LabeledKnowledge([LabeledClaim(Claim(0, 1, Polarity.DEPENDENT), "guess")], (0, 0, 0))
+        sorted_pair_keys([a for a, _ in rows], [b for _, b in rows], "labeled knowledge")
 
 
 @SETTINGS
@@ -384,7 +342,7 @@ def test_veto_matches_the_reference(data, m):
     corrections = data.draw(st.sampled_from([frozenset(), frozenset({TAG_NOISE_CORRECTED})]))
     upstream, delivered = (data.draw(st.none() | datasheets(list(range(m)))) for _ in range(2))
     params = LabelingParams()
-    out = reinterpret(_info(found, upstream, corrections), EffectivePrior(_kb(prior)), delivered, params)
+    out = reinterpret(_info(found, upstream, corrections), EffectivePrior(_kb(*prior)), delivered, params)
     datasheet = delivered if delivered is not None else upstream
     correct_noise = datasheet is not None and datasheet.noise_rate > 0.0 and TAG_NOISE_CORRECTED not in corrections
     fixed = found if datasheet is None else [ref_corrections(p, datasheet, correct_noise) for p in found]
@@ -400,15 +358,14 @@ def test_openness_matches_the_reference(data, m, seed):
     gt = build_ground_truth(m, data.draw(st.integers(1, m)), 0.9, np.random.default_rng(seed))
     labelings = []
     for t in range(data.draw(st.integers(0, 3))):
-        claims = [wc.claim for wc in data.draw(claim_lists(m))]
-        labelings.append(LabeledKnowledge(tuple(LabeledClaim(c, ORIGIN_PATTERN) for c in claims), (t, 0, 0)))
+        labelings.append(labeling([wc.claim for wc in data.draw(claim_lists(m))], (t, 0, 0)))
     report = openness(labelings, gt)
-    union = set().union(*(set(lk.claims) for lk in labelings))
+    union = set().union(*(set(claims_of(lk)) for lk in labelings))
     assert (report.true_count, report.false_count) == ref_score(union, gt)
     assert report.union_size == len(union)
     for lk, triple in zip(labelings, report.per_triple):
-        assert (triple.true_count, triple.false_count) == ref_score(set(lk.claims), gt)
-        assert triple.union_size == len(lk.claims)
+        assert (triple.true_count, triple.false_count) == ref_score(claims_of(lk), gt)
+        assert triple.union_size == len(lk.keys)
     assert report.normalized == ((report.openness / len(union)) if union else 0.0)
 
 
@@ -428,7 +385,7 @@ def test_mined_phi_and_disputes_match_per_pair_references(data, width, n):
     miner = data.draw(claim_lists(8))
     peers = data.draw(st.lists(claim_lists(8), max_size=2))
     params = MiningParams()
-    info = mine(ds, _kb(miner), datasheet, [_kb(p) for p in peers], params)
+    info = mine(ds, _kb(*miner), datasheet, [_kb(*p) for p in peers], params)
     assert len(info.patterns) == width * (width - 1) // 2
     assert refs(info.patterns) == ref_mine(rows, columns, datasheet, [miner, *peers], params)
     assert info.patterns.support == n
@@ -464,7 +421,7 @@ def test_mined_phi_is_exact_over_several_row_blocks():
     rows = (rng.random((20_000, 4)) < [0.5, 0.3, 0.02, 0.9]).astype(np.uint8)
     rows[:, 1] |= rows[:, 0]
     ds = Dataset((3, 0, 7, 5), rows)
-    info = mine(ds, _kb([]), None, [], MiningParams())
+    info = mine(ds, _kb(), None, [], MiningParams())
     for pattern in refs(info.patterns):
         assert pattern.phi == phi_coefficient(ds, *pattern.pair)
 
@@ -474,30 +431,30 @@ def test_mined_phi_is_exact_over_several_row_blocks():
 def test_a_repeated_pair_is_still_rejected(data, m):
     claims = data.draw(claim_lists(m).filter(bool))
     repeat = data.draw(st.sampled_from(claims))
-    u, v = repeat.claim.pair
-    twin = WeightedClaim(Claim(v, u, data.draw(st.sampled_from(Polarity))), data.draw(CONFIDENCES))
+    u, v = repeat.claim.u, repeat.claim.v
+    twin = WeightedClaim(claim(v, u, data.draw(st.booleans())), data.draw(CONFIDENCES))
     order = data.draw(st.permutations(claims + [twin]))
     with pytest.raises(ConfigError, match=rf"pair \({u}, {v}\)"):
-        _kb(order)
+        _kb(*order)
 
 
 @SETTINGS
 @given(st.data(), st.integers(2, 8))
 def test_extended_inserts_one_claim_like_the_checked_constructor(data, m):
     claims = data.draw(claim_lists(m))
-    kb = _kb(claims)
-    taken = {wc.claim.pair for wc in claims}
+    kb = _kb(*claims)
+    taken = {(wc.claim.u, wc.claim.v) for wc in claims}
     u, v = data.draw(st.sampled_from([pair for pair in combinations(range(m + 2), 2) if pair not in taken]))
     if data.draw(st.booleans()):
         u, v = v, u
-    wc = WeightedClaim(Claim(u, v, data.draw(st.sampled_from(Polarity))), data.draw(CONFIDENCES))
-    grown = kb.extended(u, v, wc.claim.polarity is Polarity.DEPENDENT, wc.confidence)
-    assert grown == _kb([*_weighted(kb), wc])
+    wc = WeightedClaim(claim(u, v, data.draw(st.booleans())), data.draw(CONFIDENCES))
+    grown = kb.extended(u, v, wc.claim.dep, wc.confidence)
+    assert grown == _kb(*weighted_claims(kb), wc)
     assert not grown.keys.flags.writeable and not grown.dep.flags.writeable and not grown.conf.flags.writeable
-    assert kb == _kb(claims)
+    assert kb == _kb(*claims)
     if claims:
         held = data.draw(st.sampled_from(claims)).claim
-        a, b = held.pair if data.draw(st.booleans()) else held.pair[::-1]
+        a, b = (held.u, held.v) if data.draw(st.booleans()) else (held.v, held.u)
         held_twice = rf"knowledge base holds more than one claim for pair \({held.u}, {held.v}\)"
         with pytest.raises(ConfigError, match=held_twice):
             kb.extended(a, b, data.draw(st.booleans()), data.draw(CONFIDENCES))
@@ -505,4 +462,4 @@ def test_extended_inserts_one_claim_like_the_checked_constructor(data, m):
 
 def test_extended_rejects_a_variable_id_the_keys_cannot_hold():
     with pytest.raises(ConfigError, match=r"variable ids must lie below 2\*\*32"):
-        _kb([]).extended(0, 2**32, True, 0.9)
+        _kb().extended(0, 2**32, True, 0.9)

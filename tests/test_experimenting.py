@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,26 +18,10 @@ from ktsim.experimenting import (
     export_dataset,
     sample_dataset,
 )
-from ktsim.knowledge import (
-    GroundTruth,
-    KnowledgeBase,
-    Polarity,
-    build_ground_truth,
-    dependent,
-    pair_key,
-    split_keys,
-)
+from ktsim.knowledge import GroundTruth, KnowledgeBase, all_pair_keys, build_ground_truth, split_keys
 from ktsim.mining import phi_coefficient
 
-
-def _kb(*claims):
-    """Knowledge base of ``(claim, confidence)`` pairs, read through ``from_json``."""
-    return KnowledgeBase.from_json({
-        "u": [c.u for c, _ in claims],
-        "v": [c.v for c, _ in claims],
-        "dep": [c.polarity is Polarity.DEPENDENT for c, _ in claims],
-        "conf": [conf for _, conf in claims],
-    })
+from claimref import _kb, dependent
 
 
 EMPTY = _kb()
@@ -143,7 +126,7 @@ def design_cases(draw):
     """A team base over m variables, sparse to dense, with both polarities."""
     m = draw(st.integers(2, 40))
     graph = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    keys = np.array([pair_key(u, v) for u, v in combinations(range(m), 2)], dtype=np.int64)
+    keys = all_pair_keys(m)
     held = graph.random(len(keys)) < draw(st.floats(0.0, 1.0))
     dep = graph.random(len(keys)) < draw(st.floats(0.0, 1.0))
     kb = KnowledgeBase.from_arrays(keys[held], dep[held], np.full(int(held.sum()), 0.9))

@@ -10,23 +10,30 @@ from hypothesis import strategies as st
 from ktsim.errors import ConfigError
 from ktsim.knowledge import (
     FOREST_WORK_LIMIT,
-    Claim,
     GroundTruth,
     KnowledgeBase,
-    Polarity,
     _forest_table,
-    all_pair_keys,
     build_ground_truth,
-    dependent,
     forest_table_work,
-    independent,
-    negate,
-    pair_key,
     rectify,
     sample_agent_prior,
-    split_keys,
+    sorted_pair_keys,
 )
-from ktsim.metrics import _counts
+from ktsim.metrics import _counts, negate_passthrough
+
+from claimref import (
+    Claim,
+    _kb,
+    claim,
+    claims_of,
+    dependent,
+    independent,
+    labeling,
+    negate,
+    pair_keys,
+    true_claims,
+    weighted_claims,
+)
 
 
 class DisjointSet:
@@ -53,34 +60,9 @@ def chain_gt(length, p_stay=0.9):
     return GroundTruth(length, parents, p_stay)
 
 
-def _kb(*claims):
-    """Knowledge base of ``(claim, confidence)`` pairs, read through ``from_json``."""
-    return KnowledgeBase.from_json({
-        "u": [c.u for c, _ in claims],
-        "v": [c.v for c, _ in claims],
-        "dep": [c.polarity is Polarity.DEPENDENT for c, _ in claims],
-        "conf": [conf for _, conf in claims],
-    })
-
-
-def _claims(kb):
-    """``(claim, confidence)`` of every row of ``kb``, in key order."""
-    us, vs = split_keys(kb.keys)
-    return [
-        (Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT), conf)
-        for u, v, dep, conf in zip(us.tolist(), vs.tolist(), kb.dep.tolist(), kb.conf.tolist())
-    ]
-
-
-def true_knowledge(gt):
-    """The complete set of true claims: one per pair, polarity by ``same_tree_keys``."""
-    keys = all_pair_keys(gt.m)
-    return {c for c, _ in _claims(KnowledgeBase.from_arrays(keys, gt.same_tree_keys(keys), np.ones(keys.size)))}
-
-
 def in_k(claim, gt):
     """Whether the scorer counts ``claim`` on the true side."""
-    code = pair_key(claim.u, claim.v) << 1 | (claim.polarity is Polarity.DEPENDENT)
+    code = int(pair_keys([(claim.u, claim.v)])[0]) << 1 | claim.dep
     return _counts(np.array([code], dtype=np.int64), gt)["true_count"] == 1
 
 
@@ -88,27 +70,37 @@ def in_k(claim, gt):
 # Claims
 # ---------------------------------------------------------------------------
 
-def test_claim_canonicalizes_pair_order():
-    assert Claim(7, 2, Polarity.DEPENDENT) == dependent(2, 7)
-    assert dependent(2, 7).pair == (2, 7)
-
-
 def test_claim_rejects_self_pair():
-    with pytest.raises(ConfigError):
-        Claim(3, 3, Polarity.DEPENDENT)
+    # The equal and negative id checks of every claim reader.
+    for u, v in ((3, 3), (-1, 2), (2, -1)):
+        with pytest.raises(ConfigError, match="be non-negative and differ"):
+            sorted_pair_keys([u], [v], "knowledge base")
+        with pytest.raises(ConfigError, match="be non-negative and differ"):
+            _kb((Claim(u, v, True), 0.9))
 
 
 def test_negate_flips_polarity_and_keeps_pair():
-    c = dependent(0, 1)
-    assert negate(c) == independent(0, 1)
+    # The validator's negated pass-through flips the polarity of prior
+    # pass-throughs only, on the same pairs.
+    lk = labeling([dependent(0, 1), independent(2, 3), dependent(1, 4)], (1, 2, 3), [True, True, False])
+    flipped = negate_passthrough(lk)
+    assert claims_of(flipped) == [independent(0, 1), dependent(1, 4), dependent(2, 3)]
+    assert np.array_equal(flipped.keys, lk.keys) and np.array_equal(flipped.from_prior, lk.from_prior)
+    assert flipped.teams == lk.teams
 
 
-@given(st.integers(0, 50), st.integers(0, 50), st.booleans())
-def test_negate_is_an_involution(u, v, dep):
-    if u == v:
-        return
-    c = Claim(u, v, Polarity.DEPENDENT if dep else Polarity.INDEPENDENT)
-    assert negate(negate(c)) == c
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 50), st.integers(0, 50)).filter(lambda p: p[0] != p[1]),
+        unique_by=lambda p: (min(p), max(p)),
+        max_size=20,
+    ),
+    st.data(),
+)
+def test_negate_is_an_involution(pairs, data):
+    flags = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))
+    lk = labeling([claim(u, v, dep) for (u, v), dep in zip(pairs, data.draw(flags))], (1, 2, 3), data.draw(flags))
+    assert negate_passthrough(negate_passthrough(lk)) == lk
 
 
 def test_weighted_claim_confidence_range():
@@ -117,7 +109,7 @@ def test_weighted_claim_confidence_range():
             _kb((dependent(0, 1), conf))
         with pytest.raises(ConfigError, match="confidence must lie in"):
             _kb().extended(0, 1, True, conf)
-    assert _claims(_kb((dependent(0, 1), 1.0))) == [(dependent(0, 1), 1.0)]
+    assert weighted_claims(_kb((dependent(0, 1), 1.0))) == [(dependent(0, 1), 1.0)]
 
 
 def test_knowledge_base_rejects_duplicate_pairs():
@@ -129,7 +121,7 @@ def test_knowledge_base_round_trips_json():
     kb = _kb((independent(5, 2), 0.6), (dependent(0, 1), 0.7))
     assert KnowledgeBase.from_json(kb.to_json()) == kb
     assert kb.to_json() == {"u": [0, 2], "v": [1, 5], "dep": [True, False], "conf": [0.7, 0.6]}
-    assert _claims(kb) == [(dependent(0, 1), 0.7), (independent(2, 5), 0.6)]
+    assert weighted_claims(kb) == [(dependent(0, 1), 0.7), (independent(2, 5), 0.6)]
     assert KnowledgeBase.from_json({"u": [5, 1], "v": [2, 0], "dep": [False, True], "conf": [0.6, 0.7]}) == kb
 
 
@@ -139,8 +131,8 @@ def knowledge_bases(draw):
     pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), max_size=30))
     claims = {}
     for u, v in pairs:
-        claim = Claim(u, v, draw(st.sampled_from(Polarity)))
-        claims.setdefault(claim.pair, (claim, draw(st.floats(5e-324, 1.0))))
+        c = claim(u, v, draw(st.booleans()))
+        claims.setdefault((c.u, c.v), (c, draw(st.floats(5e-324, 1.0))))
     return _kb(*claims.values())
 
 
@@ -185,7 +177,7 @@ def test_knowledge_base_from_json_rejects_malformed_columns(column, value, messa
 def test_forest_with_tree_count_equal_m_has_no_edges():
     gt = build_ground_truth(2, 2, 0.9, np.random.default_rng(0))
     assert gt.parents == (None, None)
-    assert true_knowledge(gt) == frozenset({independent(0, 1)})
+    assert true_claims(gt) == [independent(0, 1)]
 
 
 def test_single_tree_has_m_minus_one_edges():
@@ -264,13 +256,12 @@ def test_true_knowledge_matches_union_find_on_100_random_forests():
         for v, p in enumerate(gt.parents):
             if p is not None:
                 dsu.union(v, p)
-        claims = {c.pair: c.polarity for c in true_knowledge(gt)}
+        claims = {(c.u, c.v): c.dep for c in true_claims(gt)}
         assert len(claims) == m * (m - 1) // 2
-        assert all(in_k(Claim(u, v, pol), gt) for (u, v), pol in claims.items())
+        assert all(in_k(Claim(u, v, dep), gt) for (u, v), dep in claims.items())
         for u in range(m):
             for v in range(u + 1, m):
-                expected = Polarity.DEPENDENT if dsu.connected(u, v) else Polarity.INDEPENDENT
-                assert claims[(u, v)] is expected
+                assert claims[(u, v)] == dsu.connected(u, v)
 
 
 def test_forest_counts_match_brute_force_enumeration():
@@ -304,7 +295,7 @@ def test_forest_counts_match_brute_force_enumeration():
 
 def test_k_and_complement_partition_all_claims():
     gt = build_ground_truth(10, 3, 0.9, np.random.default_rng(3))
-    K = true_knowledge(gt)
+    K = set(true_claims(gt))
     complement = {negate(c) for c in K}
     assert K.isdisjoint(complement)
     assert len(K) == len(complement) == 45
@@ -318,19 +309,19 @@ def test_membership_agrees_with_materialized_set():
     # full-coverage, full-accuracy prior materializes.
     rng = np.random.default_rng(4)
     gt = build_ground_truth(12, 4, 0.9, rng)
-    K = {c for c, _ in _claims(sample_agent_prior(gt, 1.0, 1.0, rng))}
+    K = set(claims_of(sample_agent_prior(gt, 1.0, 1.0, rng)))
     assert len(K) == 66
     for u in range(gt.m):
         for v in range(u + 1, gt.m):
-            for pol in Polarity:
-                c = Claim(u, v, pol)
+            for dep in (True, False):
+                c = Claim(u, v, dep)
                 assert in_k(c, gt) == (c in K)
 
 
 def test_membership_range_check():
     gt = chain_gt(3)
     with pytest.raises(ConfigError, match="outside the variable range"):
-        gt.same_tree_keys(np.array([pair_key(0, 9)], dtype=np.int64))
+        gt.same_tree_keys(pair_keys([(0, 9)]))
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +337,8 @@ def test_zero_coverage_gives_empty_prior():
 def test_full_coverage_full_accuracy_reproduces_k():
     gt = build_ground_truth(8, 2, 0.9, np.random.default_rng(5))
     kb = sample_agent_prior(gt, 1.0, 1.0, np.random.default_rng(6))
-    assert {c for c, _ in _claims(kb)} == true_knowledge(gt)
-    assert all(0.5 <= conf <= 1.0 for _, conf in _claims(kb))
+    assert claims_of(kb) == true_claims(gt)
+    assert all(0.5 <= conf <= 1.0 for conf in kb.conf.tolist())
 
 
 def test_prior_accuracy_fraction_matches_binomial_expectation():
@@ -356,7 +347,7 @@ def test_prior_accuracy_fraction_matches_binomial_expectation():
     rng = np.random.default_rng(99)
     gt = build_ground_truth(142, 3, 0.9, rng)
     kb = sample_agent_prior(gt, 0.5, 0.8, rng)
-    truths = [in_k(c, gt) for c, _ in _claims(kb)]
+    truths = [in_k(c, gt) for c in claims_of(kb)]
     frac = sum(truths) / len(truths)
     assert abs(frac - 0.8) < 0.02
     assert abs(len(kb) / 10011 - 0.5) < 0.02
@@ -372,7 +363,7 @@ def test_rectify_majority_wins_with_mean_confidence():
         _kb((independent(0, 1), 0.9)),
         _kb((dependent(0, 1), 0.8)),
     ])
-    [(claim, conf)] = _claims(merged)
+    [(claim, conf)] = weighted_claims(merged)
     assert claim == dependent(0, 1)
     assert conf == pytest.approx(0.7)
 
@@ -409,7 +400,7 @@ def test_rectify_never_emits_both_polarities():
     gt = build_ground_truth(10, 2, 0.9, rng)
     bases = [sample_agent_prior(gt, 0.6, 0.7, rng) for _ in range(5)]
     merged = rectify(bases)
-    pairs = [c.pair for c, _ in _claims(merged)]
+    pairs = [(c.u, c.v) for c in claims_of(merged)]
     assert len(pairs) == len(set(pairs))
 
 

@@ -6,19 +6,7 @@ import numpy as np
 import pytest
 
 from ktsim.experimenting import ExperimentDesign, Selection, sample_dataset
-from ktsim.knowledge import (
-    Claim,
-    GroundTruth,
-    KnowledgeBase,
-    Polarity,
-    build_ground_truth,
-    dependent,
-    independent,
-    negate,
-    pair_key,
-    sample_agent_prior,
-    split_keys,
-)
+from ktsim.knowledge import GroundTruth, build_ground_truth, sample_agent_prior, split_keys
 from ktsim.labeling import (
     ORIGIN_PATTERN,
     ORIGIN_PRIOR,
@@ -39,19 +27,9 @@ from ktsim.mining import (
     mine,
 )
 
+from claimref import _kb, claims_of, dependent, independent, negate, pair_keys, truth
+
 PARAMS = LabelingParams()
-
-
-def _kb(*claims):
-    """Knowledge base of ``(claim, confidence)`` pairs, read through ``from_json``."""
-    return KnowledgeBase.from_json({
-        "u": [c.u for c, _ in claims],
-        "v": [c.v for c, _ in claims],
-        "dep": [c.polarity is Polarity.DEPENDENT for c, _ in claims],
-        "conf": [conf for _, conf in claims],
-    })
-
-
 EMPTY = _kb()
 
 
@@ -63,7 +41,7 @@ def _info(patterns, datasheet=None, corrections=()):
         upstream_datasheet=datasheet,
     )
     table = PatternTable(
-        np.array([pair_key(u, v) for u, v, _, _ in patterns], dtype=np.int64),
+        pair_keys([(u, v) for u, v, _, _ in patterns]),
         np.array([phi for _, _, phi, _ in patterns], dtype=np.float64),
         np.array([sum(int(TAG_BITS[t]) for t in tags) for _, _, _, tags in patterns], dtype=np.uint8),
         1000,
@@ -80,17 +58,6 @@ def _pairs(keys):
     return list(zip(us.tolist(), vs.tolist()))
 
 
-def _claim_on(kb, u, v):
-    """The claim ``kb`` holds on the pair {u, v}."""
-    [row] = np.flatnonzero(kb.keys == pair_key(u, v))
-    return Claim(u, v, Polarity.DEPENDENT if kb.dep[row] else Polarity.INDEPENDENT)
-
-
-def _truth(gt, u, v):
-    """The true claim on {u, v}, read off the forest's tree ids."""
-    return dependent(u, v) if gt.tree_ids[u] == gt.tree_ids[v] else independent(u, v)
-
-
 # ---------------------------------------------------------------------------
 # Effective prior
 # ---------------------------------------------------------------------------
@@ -104,7 +71,7 @@ def test_own_knowledge_outranks_the_miners():
     own = _kb((dependent(0, 1), 0.6))
     miner = _kb((independent(0, 1), 0.99))
     prior = build_effective_prior(own, miner, None)
-    assert _claim_on(prior.claims, 0, 1) == dependent(0, 1)
+    assert dependent(0, 1) in claims_of(prior.claims)
 
 
 def test_precedence_labeler_miner_experimenter_peers():
@@ -114,10 +81,10 @@ def test_precedence_labeler_miner_experimenter_peers():
     peer0 = _kb((independent(4, 5), 0.9), (dependent(6, 7), 0.9))
     peer1 = _kb((independent(6, 7), 0.9))
     prior = build_effective_prior(own, miner, exp, [peer0, peer1])
-    assert _claim_on(prior.claims, 0, 1) == dependent(0, 1)  # labeler wins
-    assert _claim_on(prior.claims, 2, 3) == dependent(2, 3)  # miner beats experimenter
-    assert _claim_on(prior.claims, 4, 5) == dependent(4, 5)  # experimenter beats peers
-    assert _claim_on(prior.claims, 6, 7) == dependent(6, 7)  # earlier peer beats later
+    assert dependent(0, 1) in claims_of(prior.claims)  # labeler wins
+    assert dependent(2, 3) in claims_of(prior.claims)  # miner beats experimenter
+    assert dependent(4, 5) in claims_of(prior.claims)  # experimenter beats peers
+    assert dependent(6, 7) in claims_of(prior.claims)  # earlier peer beats later
 
 
 def test_closed_channels_leave_only_own_and_peers():
@@ -189,23 +156,23 @@ def test_datasheet_reveals_selection_the_miner_missed():
 def test_high_phi_labels_dependent():
     info = _info([_pattern(0, 1, 0.8)])
     out = label(info, EffectivePrior(EMPTY), LabelingParams(dep_threshold=0.3))
-    assert out.claims == (dependent(0, 1),)
-    assert out.entries[0].origin == ORIGIN_PATTERN
+    assert claims_of(out) == [dependent(0, 1)]
+    assert out.entries == [{"u": 0, "v": 1, "polarity": "dep", "origin": ORIGIN_PATTERN}]
 
 
 def test_low_phi_labels_independent_unless_selection_conditioned():
     plain = _info([_pattern(0, 1, 0.01)])
     out = label(plain, EffectivePrior(EMPTY), PARAMS)
-    assert out.claims == (independent(0, 1),)
+    assert claims_of(out) == [independent(0, 1)]
     masked = _info([_pattern(0, 1, 0.01, tags={TAG_SELECTION_CONDITIONED})])
     out2 = label(masked, EffectivePrior(EMPTY), PARAMS)
-    assert out2.claims == ()
+    assert claims_of(out2) == []
 
 
 def test_selection_tag_does_not_block_dependent_labels():
     info = _info([_pattern(0, 1, 0.7, tags={TAG_SELECTION_CONDITIONED})])
     out = label(info, EffectivePrior(EMPTY), PARAMS)
-    assert out.claims == (dependent(0, 1),)
+    assert claims_of(out) == [dependent(0, 1)]
 
 
 def test_ambiguous_degenerate_and_disputed_patterns_abstain():
@@ -215,38 +182,34 @@ def test_ambiguous_degenerate_and_disputed_patterns_abstain():
         _pattern(1, 2, 0.9, tags={"disputed"}),
     ])
     out = label(info, EffectivePrior(EMPTY), PARAMS)
-    assert out.claims == ()
+    assert claims_of(out) == []
 
 
 def test_trusted_prior_claims_pass_through():
     prior = EffectivePrior(_kb((dependent(4, 5), 0.95)))
     out = label(_info([]), prior, LabelingParams(trust_confidence=0.9))
-    assert out.entries == tuple(out.entries)
-    (entry,) = out.entries
-    assert entry.claim == dependent(4, 5)
-    assert entry.origin == ORIGIN_PRIOR
+    assert out.entries == [{"u": 4, "v": 5, "polarity": "dep", "origin": ORIGIN_PRIOR}]
 
 
 def test_pass_through_overwrites_pattern_labels():
     prior = EffectivePrior(_kb((independent(0, 1), 0.95)))
     info = _info([_pattern(0, 1, 0.9)])
     out = label(info, prior, PARAMS)
-    (entry,) = out.entries
-    assert entry.claim == independent(0, 1)
-    assert entry.origin == ORIGIN_PRIOR
+    assert claims_of(out) == [independent(0, 1)]
+    assert out.from_prior.tolist() == [True]
 
 
 def test_untrusted_prior_claims_do_not_pass_through():
     prior = EffectivePrior(_kb((dependent(4, 5), 0.5)))
     out = label(_info([]), prior, LabelingParams(trust_confidence=0.9))
-    assert out.claims == ()
+    assert claims_of(out) == []
 
 
 def test_labeled_knowledge_never_repeats_a_pair():
     prior = EffectivePrior(_kb((dependent(0, 1), 0.95), (independent(2, 3), 0.95)))
     info = _info([_pattern(0, 1, 0.01), _pattern(2, 3, 0.9)])
     out = label(info, prior, PARAMS, teams=(1, 2, 3))
-    pairs = [e.claim.pair for e in out.entries]
+    pairs = [(e["u"], e["v"]) for e in out.entries]
     assert len(pairs) == len(set(pairs))
     assert out.teams == (1, 2, 3)
 
@@ -277,7 +240,7 @@ def test_self_driving_reinterpret_is_identity_on_corrected_information():
 # ---------------------------------------------------------------------------
 
 def _count_side(lk, gt, true_side):
-    return sum(1 for c in lk.claims if (c == _truth(gt, c.u, c.v)) == true_side)
+    return sum(1 for c in claims_of(lk) if (c == truth(gt, c.u, c.v)) == true_side)
 
 
 @pytest.mark.parametrize("want_true", [True, False])
@@ -301,13 +264,13 @@ def test_adding_a_conflict_free_claim_never_shrinks_its_own_side(want_true):
         free = [p for p in combinations(range(gt.m), 2) if p not in covered]
         if not free:
             continue
-        truth = _truth(gt, *free[int(rng.integers(len(free)))])
-        claim = truth if want_true else negate(truth)
+        true_claim = truth(gt, *free[int(rng.integers(len(free)))])
+        claim = true_claim if want_true else negate(true_claim)
         confidence = float(rng.uniform(floor, 1.0))
 
         before = label(reinterpret(info, prior, None, PARAMS), prior, PARAMS)
         grown = EffectivePrior(
-            prior.claims.extended(claim.u, claim.v, claim.polarity is Polarity.DEPENDENT, confidence)
+            prior.claims.extended(claim.u, claim.v, claim.dep, confidence)
         )
         after = label(reinterpret(info, grown, None, PARAMS), grown, PARAMS)
         assert _count_side(after, gt, want_true) >= _count_side(before, gt, want_true)

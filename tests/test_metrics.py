@@ -1,7 +1,5 @@
 """Tests for the openness score, sign test, validator, and correlation oracle."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +8,7 @@ from hypothesis import strategies as st
 from ktsim import knowledge, labeling, metrics
 from ktsim.config import default_scenario
 from ktsim.errors import ConfigError
-from ktsim.knowledge import GroundTruth, dependent, independent, negate
-from ktsim.labeling import ORIGIN_PATTERN, LabeledClaim, LabeledKnowledge
+from ktsim.knowledge import GroundTruth
 from ktsim.metrics import (
     correlation_oracle,
     openness,
@@ -19,20 +16,10 @@ from ktsim.metrics import (
     validate_monotonicity,
 )
 
+from claimref import dependent, independent, labeling as lk, negate, true_claims
+
 # 0-1-2 chained, 3-4 chained: pairs within {0,1,2} and (3,4) are dependent.
 GT = GroundTruth(5, (None, 0, 1, None, 3), 0.9)
-
-
-def lk(claims, teams=(0, 0, 0)):
-    return LabeledKnowledge(tuple(LabeledClaim(c, ORIGIN_PATTERN) for c in claims), teams)
-
-
-def true_claims(gt):
-    """The true claim on every pair, in pair order, read off the forest's tree ids."""
-    return [
-        dependent(u, v) if gt.tree_ids[u] == gt.tree_ids[v] else independent(u, v)
-        for u, v in combinations(range(gt.m), 2)
-    ]
 
 
 # ---------------------------------------------------------------------------

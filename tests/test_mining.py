@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from ktsim.experimenting import Dataset, Datasheet, ExperimentDesign, Selection, sample_dataset
-from ktsim.knowledge import (
-    GroundTruth,
-    KnowledgeBase,
-    Polarity,
-    dependent,
-    independent,
-    split_keys,
-)
+from ktsim.knowledge import GroundTruth, split_keys
 from ktsim.mining import (
     TAG_DEGENERATE,
     TAG_DISPUTED,
@@ -23,14 +16,7 @@ from ktsim.mining import (
     phi_coefficient,
 )
 
-def _kb(*claims):
-    """Knowledge base of ``(claim, confidence)`` pairs, read through ``from_json``."""
-    return KnowledgeBase.from_json({
-        "u": [c.u for c, _ in claims],
-        "v": [c.v for c, _ in claims],
-        "dep": [c.polarity is Polarity.DEPENDENT for c, _ in claims],
-        "conf": [conf for _, conf in claims],
-    })
+from claimref import _kb, dependent, independent
 
 
 EMPTY = _kb()
