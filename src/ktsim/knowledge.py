@@ -322,19 +322,30 @@ def _forest_table(m: int, tree_count: int) -> tuple[dict[int, int], ...]:
 
 
 #: Largest ``forest_table_work`` a config may ask for. The work tracks the
-#: table's build time at about 3 s per 10**9 on one core of a 2-core x86-64
-#: sandbox (Python 3.11), so the limit keeps it to about 10 s.
+#: time to build the table and draw one forest at about 3 s per 10**9 on one
+#: core of a 2-core x86-64 machine (Python 3.11), so the limit keeps it to
+#: about 10 s.
 FOREST_WORK_LIMIT = 3 * 10**9
+
+#: Bit length past which a product of two forest counts costs more than its
+#: length (CPython multiplies them by Karatsuba); charging b * b / 2**14 per
+#: b-bit product there came within about 20% of the measured two-tree times.
+_WIDE_COUNT_BITS = 2**14
 
 
 def forest_table_work(m: int, tree_count: int) -> int:
-    """Closed-form estimate of the work of ``_forest_table(m, tree_count)``:
-    its big-integer products (one per first-tree size s of each (n, k) it
-    fills) times the bit length of the forest counts they multiply, which
-    grows like ``(m - tree_count) * log2(m)``. O(1)."""
+    """Closed-form estimate of the work of ``_forest_table(m, tree_count)``
+    and of one forest draw from it, O(1). It counts the table's big-integer
+    products (one per first-tree size s of each (n, k) it fills, none when
+    there is one tree), the one-tree row's ``n ** (n - 2)`` for n up to
+    ``m - tree_count + 1``, and the m first-tree weights one draw takes. Each
+    costs the bit length b of the forest counts, which grows like
+    ``(m - tree_count) * log2(m)``, times ``b / _WIDE_COUNT_BITS`` once b
+    passes it."""
     spare = m - tree_count
-    products = max(tree_count - 2, 0) * (spare + 1) * (spare + 2) // 2 + spare + 1
-    return products * (spare + 1) * m.bit_length()
+    products = 0 if tree_count == 1 else max(tree_count - 2, 0) * (spare + 1) * (spare + 2) // 2 + spare + 1
+    bits = (spare + 1) * m.bit_length()
+    return (products + spare + 1 + m) * bits * max(bits, _WIDE_COUNT_BITS) // _WIDE_COUNT_BITS
 
 
 def _forest_count(n: int, k: int) -> int:

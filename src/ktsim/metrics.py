@@ -121,7 +121,8 @@ def paired_sign_test(first: Sequence[float], second: Sequence[float]) -> SignTes
     if n == 0:
         p = 1.0
     else:
-        p = sum(math.comb(n, k) for k in range(wins, n + 1)) / 2.0 ** n
+        # Exact int division, rounded once: 2.0 ** n overflows from n = 1024.
+        p = sum(math.comb(n, k) for k in range(wins, n + 1)) / (1 << n)
     return SignTestResult(wins, losses, len(first) - n, p)
 
 

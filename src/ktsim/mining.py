@@ -62,10 +62,9 @@ def check_params(params) -> None:
         )
 
 
-#: Tag ``TAG_NAMES[i]`` is bit ``1 << i`` of ``PatternTable.tags``; sorted, as in JSON.
+#: Tag ``TAG_NAMES[i]`` is bit ``1 << i`` of ``PatternTable.tags``, names in sorted order.
 TAG_NAMES = (TAG_DEGENERATE, TAG_DISPUTED, TAG_NOISE_CORRECTED, TAG_SELECTION_CONDITIONED)
 TAG_BITS = {name: np.uint8(1 << i) for i, name in enumerate(TAG_NAMES)}
-_TAG_LISTS = tuple(tuple(name for i, name in enumerate(TAG_NAMES) if code >> i & 1) for code in range(16))
 
 
 class PatternTable:
@@ -93,13 +92,14 @@ class PatternTable:
         columns = zip((self.keys, self.phi, self.tags), (other.keys, other.phi, other.tags))
         return self.support == other.support and all(np.array_equal(a, b) for a, b in columns)
 
-    def to_json(self) -> list[dict]:
-        """One ``{u, v, phi, support, tags}`` record per pattern, tags sorted."""
+    def to_json(self) -> dict:
+        """Aligned columns in mining order: ``u``, ``v``, ``phi`` and ``tags``
+        (bit codes), plus ``support``."""
         us, vs = split_keys(self.keys)
-        return [
-            {"u": u, "v": v, "phi": phi, "support": self.support, "tags": list(_TAG_LISTS[code])}
-            for u, v, phi, code in zip(us.tolist(), vs.tolist(), self.phi.tolist(), self.tags.tolist())
-        ]
+        return {
+            "u": us.tolist(), "v": vs.tolist(), "phi": self.phi.tolist(), "tags": self.tags.tolist(),
+            "support": self.support,
+        }
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,17 @@ once, to ``rep<r>/upstream.json``, and left the rest of the run in each
 ``combo<mask>/rep<r>.json`` together with the upstream's dataset sha256s. So
 ``SWEEP_REP0_SHA256`` moved and ``SWEEP_REP0_UPSTREAM_SHA256`` was added. The
 record-form digests did not move: a cell merged with its upstream is the run
-document it used to be. A change that moves any digest must say why in
-CHANGES.md; never update a digest to hide a defect.
+document it used to be.
+
+Each information's patterns were then written as aligned ``u``/``v``/``phi``/
+``tags`` columns plus one ``support``, with each pattern's tags as their bit
+code, instead of one ``{u, v, phi, support, tags}`` record per pattern. So
+``RUN_SEED_42_SHA256``, ``WIDE_RUN_SEED_7_SHA256`` and ``SWEEP_REP0_SHA256``
+moved again. ``record_form`` also turns the pattern columns back into those
+records, tag names taken from the ``TAG_NAMES`` bits and sorted, and the
+record-form digests did not move, so no pattern and no number changed.
+A change that moves any digest must say why in CHANGES.md; never update a
+digest to hide a defect.
 """
 
 import hashlib
@@ -39,14 +48,15 @@ import pytest
 
 from ktsim import default_scenario, scenario_from_dict, sweep, validate_monotonicity, write_sweep_outputs
 from ktsim.cli import EXIT_OK, EXIT_VALIDATION, main
+from ktsim.mining import TAG_NAMES
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 SWEEP_CSV_SHA256 = "608b9654c023da13402bf0b91eb24a64e817ac39f2e0baa8725cb458a9e5ea23"
 SWEEP_SUMMARY_SHA256 = "c15903a7420980e79f8e355d278fce832e6311a5ec4a8f1d7922abd8e8b29092"
-RUN_SEED_42_SHA256 = "9930a09f3622d0d368c05ec0cf6aad02d6912ed12842e58e1d95d955e4b21b11"
+RUN_SEED_42_SHA256 = "c7c39f743377c07ff76b453440337c247c20b3592f6f5e9fd426e8e943cd3594"
 RUN_SEED_42_RECORD_FORM_SHA256 = "0096cafa6465588ac096e378d57b773773ea05325ba43ef9df5ad02364273fb0"
-WIDE_RUN_SEED_7_SHA256 = "37fb7c8aea58a44940d0888edb32a05bc311ceb689f1fa513db07c900b02015d"
+WIDE_RUN_SEED_7_SHA256 = "4283f9eb295621070e30ba309b85c1859733c48bad3727d461e89284406a995b"
 WIDE_RUN_SEED_7_RECORD_FORM_SHA256 = "7168ae80a5cd3333b76caae0c9660611a5b5dd3d716a6510c556699ef4acab4b"
 
 #: Dataset exports of ``run --seed 42``: CSV and datasheet sidecar per team.
@@ -67,14 +77,14 @@ ORACLE_STDOUT_SHA256 = "a0bc874c2255995a79e93b0a0167831790565dd6346c3b709c00056c
 #: CLI sweep of the default config.
 SWEEP_REP0_UPSTREAM_SHA256 = "9f11ce15229777cd011c16de565e6d4075d53a8a9c35481e6cce29e801c6e616"
 SWEEP_REP0_SHA256 = (
-    "251b21979ca3e438f04ac20a583229b7ca8a984a670429ee2daa053b44ecb145",
-    "d56afb26082a2e29f0bba21da067a21e443ac4236bdc5886357b8ffed5258034",
-    "db238fa132c2f71e716a7b2d5702067cfcc536fe27857a3b4fc292832ba752a9",
-    "36931c51d3fa39e32dce03b9b1b5731febc247a3d9455dbf4072f3b73e32a70f",
-    "0469c4548d453de454da147df89fe6ed045fd9119ef30e5b2bb9f8b2585795ce",
-    "f1a91701229b9ce8a06607245690e3b43b8a72c9a140167ae9130a0f53305229",
-    "d9d7a9b3eee9d4a66edf394fa233b1e95216d394ec382ff7b7b4b62d3c78ca3c",
-    "8b2e0f1d435ae6fac3fb3b69ae2f0cb9f97f6395d0c6b2664700de3caea8d5e4",
+    "2206d47d5e5030e4d30a93d9ee074d2bb2afa14362bf5473dd98e67a4bbd60d4",
+    "cd8490de329f16477b739dabad6086015a2d1ff0524088c66ee18cd990c7d6bb",
+    "799332b8d4ed0217972241f6fb3591350e5a7889653f6f3d6d1bf2dc44e7e56c",
+    "2c62036f0caa61a539eb0b277ab2593baa46cf3ce2406792720a9342030f8470",
+    "7173ac8428338bc3aa2d43c1a797438be2a46483d804c2dfbc7a10196f8685b1",
+    "b0cd746f9dbc9d4baf6e1cb08aa7caa09c612cc22835ff9e0ac8ebc67286b478",
+    "c15214a15e4f8792aa8af71d21eb48fe414898bc296adec92c9dd026cddca525",
+    "b51229331bb98afb54e021e4bd195784d1ee0aa0537e43b881ea406567344d5b",
 )
 SWEEP_REP0_RECORD_FORM_SHA256 = (
     "7a871391a02affe2ad2e7e74fbd2d5dd3b073f14c7b837ba0d0d8fa78477b09f",
@@ -92,9 +102,25 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _pattern_records(block: dict) -> list[dict]:
+    """One ``{"u", "v", "phi", "support", "tags"}`` record per pattern of a
+    pattern column block, with the tag names of each code's bits, sorted."""
+    return [
+        {
+            "u": u,
+            "v": v,
+            "phi": phi,
+            "support": block["support"],
+            "tags": sorted(name for i, name in enumerate(TAG_NAMES) if code >> i & 1),
+        }
+        for u, v, phi, code in zip(block["u"], block["v"], block["phi"], block["tags"], strict=True)
+    ]
+
+
 def record_form(doc: dict) -> dict:
     """``doc`` with each team's knowledge columns turned back into one
-    ``{"u", "v", "polarity", "confidence"}`` record per claim."""
+    ``{"u", "v", "polarity", "confidence"}`` record per claim, and each
+    information's pattern columns into one record per pattern."""
     teams = []
     for team in doc["teams"]:
         kb = team["knowledge"]
@@ -103,7 +129,11 @@ def record_form(doc: dict) -> dict:
             for u, v, dep, conf in zip(kb["u"], kb["v"], kb["dep"], kb["conf"], strict=True)
         ]
         teams.append({**team, "knowledge": claims})
-    return {**doc, "teams": teams}
+    informations = []
+    for entry in doc["informations"]:
+        info = entry["information"]
+        informations.append({**entry, "information": {**info, "patterns": _pattern_records(info["patterns"])}})
+    return {**doc, "teams": teams, "informations": informations}
 
 
 def _compact_doc(path: Path, digest: str) -> dict:

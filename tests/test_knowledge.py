@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ktsim import knowledge
 from ktsim.errors import ConfigError
 from ktsim.knowledge import (
     FOREST_WORK_LIMIT,
@@ -404,15 +405,38 @@ def test_rectify_never_emits_both_polarities():
     assert len(pairs) == len(set(pairs))
 
 
-@pytest.mark.parametrize("m,k", [(2, 2), (6, 2), (12, 5), (30, 3), (40, 40), (60, 17)])
-def test_forest_table_work_counts_the_products_of_the_table(m, k):
+@pytest.mark.parametrize("m,k", [(2, 2), (6, 2), (12, 5), (30, 3), (40, 40), (60, 17), (30, 1), (50, 2)])
+def test_forest_table_work_counts_the_products_of_the_table(m, k, monkeypatch):
     # Row j >= 2 of the table takes one product per first-tree size, n - j + 1 of them per entry n.
+    # A draw then takes one first-tree weight per vertex, and the n ** (n - 2) of every
+    # n <= m - k + 1 is computed once, by the table's one-tree row or by the draw.
+    taken = []
+    first_tree_weights = knowledge._first_tree_weights
+
+    def counted(*args):
+        for weight in first_tree_weights(*args):
+            taken.append(weight)
+            yield weight
+
+    monkeypatch.setattr(knowledge, "_first_tree_weights", counted)
+    _forest_table.cache_clear()
+    knowledge._tree_count_on.cache_clear()
     table = _forest_table(m, k)
     products = sum(n - j + 1 for j in range(2, k + 1) for n in table[j])
-    assert forest_table_work(m, k) == products * (m - k + 1) * m.bit_length()
+    assert len(taken) == products
+    knowledge._sample_forest_parents(m, k, np.random.default_rng(0))
+    assert len(taken) == products + m
+    powers = knowledge._tree_count_on.cache_info().misses
+    assert powers == m - k + 1
+    bits = (m - k + 1) * m.bit_length()
+    wide = knowledge._WIDE_COUNT_BITS
+    assert forest_table_work(m, k) == (products + powers + m) * bits * max(bits, wide) // wide
 
 
 def test_forest_work_limit_sits_between_accepted_and_rejected_configs():
-    assert forest_table_work(1200, 1200) < forest_table_work(844, 3) <= FOREST_WORK_LIMIT
-    assert FOREST_WORK_LIMIT < forest_table_work(845, 3) < forest_table_work(1200, 1122)
+    # Building the table and drawing one forest took 9.3 s at (843, 3), 5.0 s at
+    # (5000, 1) and 13.1 s at (5000, 2) on a 2-core x86-64 machine.
+    assert forest_table_work(1200, 1200) < forest_table_work(843, 3) <= FOREST_WORK_LIMIT
+    assert FOREST_WORK_LIMIT < forest_table_work(844, 3) < forest_table_work(1200, 1122)
     assert forest_table_work(1200, 1123) <= FOREST_WORK_LIMIT
+    assert forest_table_work(5000, 1) <= FOREST_WORK_LIMIT < forest_table_work(5000, 2)

@@ -1,5 +1,7 @@
 """Tests for the openness score, sign test, validator, and correlation oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,6 +122,19 @@ def test_sign_test_all_ties_gives_p_one():
     result = paired_sign_test([1, 1], [1, 1])
     assert result.ties == 2
     assert result.p_greater == 1.0
+
+
+@pytest.mark.parametrize(("wins", "losses"), [(1023, 0), (1024, 0), (600, 500), (0, 1100), (550, 550)])
+def test_sign_test_p_past_1023_untied_pairs(wins, losses):
+    # 2.0 ** n overflows from n = 1024; the p-value must not.
+    n = wins + losses
+    result = paired_sign_test([1] * wins + [0] * losses + [5], [0] * wins + [1] * losses + [5])
+    assert (result.wins, result.losses, result.ties) == (wins, losses, 1)
+    log_terms = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in range(wins, n + 1)]
+    top = max(log_terms)
+    expected = math.exp(top - n * math.log(2)) * math.fsum(math.exp(t - top) for t in log_terms)
+    assert 0.0 <= result.p_greater <= 1.0
+    assert result.p_greater == pytest.approx(expected, rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
