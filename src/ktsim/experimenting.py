@@ -10,7 +10,6 @@ stages can undo or flag exactly what happened here.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass
@@ -23,8 +22,11 @@ from .errors import ConfigError
 from .knowledge import GroundTruth, KnowledgeBase, split_keys
 from .records import Record
 
-#: Rows per block of noise flips in ``sample_dataset``.
-_NOISE_BLOCK_ROWS = 8192
+#: Bytes of float64 draws per block of noise flips in ``sample_dataset``.
+_NOISE_BLOCK_BYTES = 2**20
+
+#: Dataset cells per block of rows in ``export_dataset``.
+_EXPORT_BLOCK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,9 @@ class Dataset:
             raise ConfigError(f"variable {variable} is not measured in this dataset") from None
 
     def sha256(self) -> str:
-        header = ",".join(str(c) for c in self.columns).encode()
-        return hashlib.sha256(header + b"\n" + self.rows.tobytes()).hexdigest()
+        h = hashlib.sha256(",".join(str(c) for c in self.columns).encode() + b"\n")
+        h.update(self.rows)
+        return h.hexdigest()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -187,7 +190,9 @@ def _draw_rows(need: int, selected: bool) -> int:
 def largest_array_bytes(m: int, samples: int) -> int:
     """Bytes of the largest array ``sample_dataset`` may allocate for
     ``samples`` rows of an m-variable model: the first round's ``(m, rows)``
-    uint8 table or one float64 draw of that many rows."""
+    uint8 table or one float64 draw of that many rows. The noise step adds
+    one block of m float64 draws per row, at most 1 MiB unless a single row
+    is more."""
     return max(m, 8) * _draw_rows(samples, selected=True)
 
 
@@ -208,9 +213,9 @@ def _sample_columns(gt: GroundTruth, count: int, rng: np.random.Generator) -> np
 
 def _measured_rows(gt: GroundTruth, design: ExperimentDesign, rng: np.random.Generator) -> np.ndarray:
     """``design.samples`` accepted draws of the measured variables, one row
-    per draw: rounds of ``_sample_columns``, each filtered on the selection
-    condition (when present) and projected onto the measured columns. The
-    full tables die on return, so they are not held during the noise step."""
+    per draw: rounds of ``_sample_columns``, each projected onto the measured
+    columns and then filtered on the selection condition (when present).
+    Each full table dies before the next round draws one."""
     selection = design.selection
     measured = list(design.measured)
     need = design.samples
@@ -218,10 +223,12 @@ def _measured_rows(gt: GroundTruth, design: ExperimentDesign, rng: np.random.Gen
     # Uncapped: p_stay in (0.5, 1) and fair-coin roots make every marginal exactly 1/2, so a round accepts ~half.
     while need > 0:
         table = _sample_columns(gt, _draw_rows(need, selection is not None), rng)
+        part = table[measured]
         if selection is not None:
-            table = table.take(np.flatnonzero(table[selection.variable] == selection.value)[:need], axis=1)
-        parts.append(table[measured, :need])
-        need -= parts[-1].shape[1]
+            part = part[:, np.flatnonzero(table[selection.variable] == selection.value)[:need]]
+        del table
+        parts.append(part)
+        need -= part.shape[1]
     return np.concatenate([part.T for part in parts])
 
 
@@ -248,8 +255,9 @@ def sample_dataset(
         # Each block draws flips for all m variables, so the stream is the same
         # as one whole-array draw over full rows; only measured ones are kept.
         measured = list(design.measured)
-        for start in range(0, rows.shape[0], _NOISE_BLOCK_ROWS):
-            block = rows[start:start + _NOISE_BLOCK_ROWS]
+        step = max(1, _NOISE_BLOCK_BYTES // (8 * gt.m))
+        for start in range(0, rows.shape[0], step):
+            block = rows[start:start + step]
             block ^= (rng.random((block.shape[0], gt.m)) < design.noise_rate)[:, measured]
     dataset = Dataset(design.measured, rows)
     sheet = Datasheet(
@@ -263,14 +271,26 @@ def sample_dataset(
     return dataset, sheet
 
 
+def _csv_lines(rows: np.ndarray) -> np.ndarray:
+    """0/1 ``rows`` as the bytes ``csv.writer`` writes for them: one digit
+    per value, joined by commas, each line ended by CR LF."""
+    n, k = rows.shape
+    text = np.full((n, max(2 * k + 1, 2)), ord(","), dtype=np.uint8)
+    np.add(rows, ord("0"), out=text[:, 0:2 * k:2])
+    text[:, -2:] = (ord("\r"), ord("\n"))
+    return text
+
+
 def export_dataset(dataset: Dataset, datasheet: Datasheet, path: Path | str) -> Path:
-    """Write the dataset as CSV plus a JSON datasheet sidecar next to it."""
+    """Write the dataset as CSV plus a JSON datasheet sidecar next to it.
+    Rows go out in blocks, so no copy of the whole dataset is made."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset.columns)
-        writer.writerows(dataset.rows.tolist())
+    step = max(1, _EXPORT_BLOCK_CELLS // max(1, len(dataset.columns)))
+    with path.open("wb") as fh:
+        fh.write((",".join(str(c) for c in dataset.columns) + "\r\n").encode())
+        for start in range(0, dataset.n, step):
+            fh.write(_csv_lines(dataset.rows[start:start + step]))
     sidecar = path.with_suffix(".datasheet.json")
     sidecar.write_text(json.dumps(datasheet.to_json(), indent=2, sort_keys=True) + "\n")
     return sidecar

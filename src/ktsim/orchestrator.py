@@ -22,10 +22,11 @@ import os
 import secrets
 import shutil
 import statistics
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -82,40 +83,96 @@ class RunResult:
     labelings: tuple[LabeledKnowledge, ...]
     openness: OpennessReport
 
-    def upstream_json(self) -> dict:
+    def upstream_doc(self) -> dict:
         """The part of the run no channel can change: the seed, the forest,
         the teams and the datasets."""
         return {
             "seed": self.seed,
             "ground_truth": self.ground_truth.to_json(),
-            "teams": [t.to_json() for t in self.teams],
+            "teams": (t.to_json() for t in self.teams),
             "datasets": [d.to_json() for d in self.datasets],
         }
 
-    def downstream_json(self) -> dict:
+    def downstream_doc(self) -> dict:
         """The config, the seed and what the channels decide: the mined
         informations, the labelings and their openness."""
         return {
             "config": self.config.to_json(),
             "seed": self.seed,
-            "informations": [
+            "informations": (
                 {"experimenter": i, "miner": j, "information": info.to_json()}
                 for (j, i), info in self.informations
-            ],
-            "labelings": [lk.to_json() for lk in self.labelings],
+            ),
+            "labelings": (lk.to_json() for lk in self.labelings),
             "openness": self.openness.to_json(),
         }
 
-    def to_json(self) -> dict:
-        return {**self.upstream_json(), **self.downstream_json()}
+    def doc(self) -> dict:
+        """The whole run, as ``result.json`` holds it. In this and the two
+        halves above, teams, informations and labelings are generators that
+        build each element as it is written, so a document is written once."""
+        return {**self.upstream_doc(), **self.downstream_doc()}
 
     def to_json_text(self) -> str:
-        return _json_line(self.to_json())
+        return "".join(_json_line(self.doc()))
 
 
-def _json_line(doc: dict) -> str:
-    # Compact separators keep json.dumps on its C encoder; indent does not.
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+#: Elements per piece when ``_json_pieces`` encodes a long list.
+_LIST_CHUNK = 256
+
+# Compact separators keep the encoder in C; indent does not.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _streamed(value: Any) -> bool:
+    """Whether ``_json_pieces`` writes ``value`` in more than one piece: an
+    iterator, a list longer than ``_LIST_CHUNK`` or a dict that holds one."""
+    if isinstance(value, dict):
+        return any(map(_streamed, value.values()))
+    return isinstance(value, Iterator) or (isinstance(value, list) and len(value) > _LIST_CHUNK)
+
+
+def _json_pieces(value: Any) -> Iterator[str]:
+    """``value`` as compact, sorted-key JSON text in pieces whose join is
+    ``_encode(value)``, with an iterator taken as the list of its elements.
+
+    An iterator is written element by element, a long list in chunks of
+    ``_LIST_CHUNK`` elements and a dict holding either key by key (its keys
+    are strings), so only one element of an iterator is built at a time and
+    no piece encodes more than one chunk of a list."""
+    if isinstance(value, Iterator):
+        yield "["
+        # No name holds an element, so it is freed before the next is built.
+        for n, pieces in enumerate(map(_json_pieces, value)):
+            if n:
+                yield ","
+            yield from pieces
+        yield "]"
+    elif isinstance(value, list) and len(value) > _LIST_CHUNK:
+        yield "["
+        for start in range(0, len(value), _LIST_CHUNK):
+            yield ("," if start else "") + _encode(value[start:start + _LIST_CHUNK])[1:-1]
+        yield "]"
+    elif isinstance(value, dict) and _streamed(value):
+        yield "{"
+        for n, key in enumerate(sorted(value)):
+            yield ("," if n else "") + _encode(key) + ":"
+            yield from _json_pieces(value[key])
+        yield "}"
+    else:
+        yield _encode(value)
+
+
+def _json_line(doc: dict) -> Iterator[str]:
+    """``doc`` as one JSON line, in pieces: the format of every result file."""
+    yield from _json_pieces(doc)
+    yield "\n"
+
+
+def _write_json_line(path: Path, doc: dict) -> None:
+    """Write ``doc`` to ``path`` piece by piece."""
+    with path.open("w") as fh:
+        fh.writelines(_json_line(doc))
 
 
 def _form_teams(cfg: ScenarioConfig, pool: AgentPool, rng: np.random.Generator) -> dict[Role, tuple[Team, ...]]:
@@ -288,11 +345,11 @@ def _run_cell(cfg: ScenarioConfig, mask: int, rep: int, out_dir: Optional[str]) 
         if mask == 0:
             rep_dir = Path(out_dir) / f"rep{rep}"
             rep_dir.mkdir(parents=True, exist_ok=True)
-            (rep_dir / "upstream.json").write_text(_json_line(result.upstream_json()))
-        cell = {**result.downstream_json(), "dataset_sha256": [d.sha256 for d in result.datasets]}
+            _write_json_line(rep_dir / "upstream.json", result.upstream_doc())
+        cell = {**result.downstream_doc(), "dataset_sha256": [d.sha256 for d in result.datasets]}
         target = Path(out_dir) / f"combo{mask}"
         target.mkdir(parents=True, exist_ok=True)
-        (target / f"rep{rep}.json").write_text(_json_line(cell))
+        _write_json_line(target / f"rep{rep}.json", cell)
     rep_report = result.openness
     return SweepRow(
         scenario=cfg.name,
@@ -379,8 +436,9 @@ def write_sweep_outputs(result: SweepResult, out_dir: Path | str) -> tuple[Path,
 
 
 def write_run_outputs(result: RunResult, out_dir: Path | str) -> Path:
-    """Write dataset CSVs with datasheet sidecars, then result.json. The
-    ``datasets`` directory holds this run's files only, never an earlier run's."""
+    """Write dataset CSVs with datasheet sidecars, then result.json, one
+    team and one labeling at a time. The ``datasets`` directory holds this
+    run's files only, never an earlier run's."""
     out = Path(out_dir)
 
     def export_all(data_dir: Path) -> None:
@@ -389,7 +447,7 @@ def write_run_outputs(result: RunResult, out_dir: Path | str) -> Path:
 
     replace_directory(out / "datasets", export_all)
     result_path = out / "result.json"
-    result_path.write_text(result.to_json_text())
+    _write_json_line(result_path, result.doc())
     return result_path
 
 

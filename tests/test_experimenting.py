@@ -1,7 +1,10 @@
 """Tests for experiment design, biased sampling, and datasheet provenance."""
 
+import csv
 import hashlib
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from ktsim.experimenting import (
     Selection,
     design_experiment,
     export_dataset,
+    largest_array_bytes,
     sample_dataset,
 )
 from ktsim.knowledge import GroundTruth, KnowledgeBase, all_pair_keys, build_ground_truth, split_keys
@@ -266,6 +270,31 @@ def test_export_writes_csv_and_datasheet_sidecar(tmp_path):
     assert sidecar.name == "team1.datasheet.json"
 
 
+def _peak_bytes(call):
+    """``call()``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_writes_rows_in_blocks_and_the_same_bytes(tmp_path):
+    # Many blocks, the last one short. ``csv.writer`` fed ``rows.tolist()``
+    # peaks near 9x rows.nbytes; the reference below writes that way.
+    rows = np.random.default_rng(4).integers(0, 2, size=(20_000, 48), dtype=np.uint8)
+    ds = Dataset(range(48), rows)
+    sheet = Datasheet(0, ds.columns, None, 0.0, ds.n, "0" * 16)
+    _, peak = _peak_bytes(lambda: export_dataset(ds, sheet, tmp_path / "team0.csv"))
+    assert peak < 2 * rows.nbytes
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(ds.columns)
+    writer.writerows(rows.tolist())
+    assert (tmp_path / "team0.csv").read_bytes() == expected.getvalue().encode()
+
+
 def test_dataset_column_lookup_errors_on_unmeasured_variable():
     ds = Dataset((0, 2), np.zeros((3, 2), dtype=np.uint8))
     with pytest.raises(ConfigError):
@@ -290,6 +319,16 @@ def test_blocked_noise_flips_match_one_whole_array_draw():
     full ^= (reference.random(full.shape) < design.noise_rate).astype(np.uint8)
     assert np.array_equal(dataset.rows, full[:, list(design.measured)])
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_sampling_memory_stays_within_the_largest_array_plus_one_mib():
+    # At m=300 an 8192-row noise block over all m variables took 12 MiB for
+    # 5000 rows, 3.6x the (m, rows) table; a block is now at most 1 MiB.
+    gt = build_ground_truth(300, 3, 0.9, np.random.default_rng(5))
+    design = ExperimentDesign(tuple(range(0, 300, 37)), Selection(74, 1), 0.1, 5000)
+    (dataset, _), peak = _peak_bytes(lambda: sample_dataset(gt, design, np.random.default_rng(6)))
+    assert dataset.n == 5000
+    assert peak <= largest_array_bytes(gt.m, design.samples) + 2**20
 
 
 # ---------------------------------------------------------------------------

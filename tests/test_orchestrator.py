@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import ktsim
 from ktsim import orchestrator
-from ktsim.config import ChannelPolicy, Wiring, scenario_from_dict
+from ktsim.config import ChannelPolicy, Wiring, default_scenario, scenario_from_dict
 from ktsim.errors import ConfigError
 from ktsim.mining import phi_coefficient
 from ktsim.orchestrator import (
@@ -247,6 +248,26 @@ def test_run_outputs_include_datasets_and_result(tmp_path):
     for rec in result.datasets:
         assert (tmp_path / "datasets" / f"team{rec.team_id}.csv").is_file()
         assert (tmp_path / "datasets" / f"team{rec.team_id}.datasheet.json").is_file()
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_outputs_write_one_team_and_one_labeling_at_a_time(tmp_path):
+    # m=90: 4005 pairs, about half of them in each team's base. Holding the
+    # whole text, as to_json_text must, takes four times what writing one
+    # team or one labeling at a time does.
+    result = run(scenario_from_dict({**default_scenario().to_json(), "m": 90}), 3)
+    written = _peak_bytes(lambda: write_run_outputs(result, tmp_path))
+    whole = _peak_bytes(result.to_json_text)
+    assert written < whole / 3
+    assert (tmp_path / "result.json").read_text() == result.to_json_text()
 
 
 #: Runs the CLI's run, a one-replicate sweep and 5 validator trials on the

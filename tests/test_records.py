@@ -7,6 +7,7 @@ must run and must survive a round trip through its own JSON form.
 """
 
 import json
+import tempfile
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktsim import run
+from ktsim import run, write_run_outputs
 from ktsim.config import Wiring, default_scenario, scenario_from_dict
 from ktsim.errors import ConfigError
 from ktsim.records import Record
@@ -135,7 +136,11 @@ def test_every_accepted_config_runs_and_round_trips(doc, seed):
     _assert_missing_keys_take_defaults(doc, cfg, default_scenario())
     assert scenario_from_dict(cfg.to_json()) == cfg
     result = run(cfg, seed)
-    assert json.loads(result.to_json_text())["config"] == cfg.to_json()
+    text = result.to_json_text()
+    assert json.loads(text)["config"] == cfg.to_json()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+    with tempfile.TemporaryDirectory() as out:
+        assert write_run_outputs(result, out).read_bytes() == text.encode()
 
 
 def _assert_missing_keys_take_defaults(doc, record, default):
