@@ -133,20 +133,17 @@ def design_experiment(
     if not (0.0 <= selection_prob <= 1.0):
         raise ConfigError(f"selection_prob must lie in [0, 1], got {selection_prob}")
 
-    # The Dependent claims in key order, where ``us`` ascends, and in the
-    # stable order of ``vs``, where ``us`` still ascends within each ``v``;
-    # ``first_u[x]`` and ``first_v[x]`` are the first rows of an id >= x.
+    # Both ends of every Dependent claim, sorted by end and then by partner,
+    # so the partners of ``x`` are one ascending run from ``start[x]``.
     us, vs = split_keys(team_kb.keys[team_kb.dep])
-    by_v = np.argsort(vs, kind="stable")
-    us_by_v = us[by_v]
-    degree = np.bincount(np.concatenate([us, vs]))
-    ids = np.arange(len(degree) + 1)
-    first_u = np.searchsorted(us, ids).tolist()
-    first_v = np.searchsorted(vs[by_v], ids).tolist()
+    ends, partners = np.concatenate([us, vs]), np.concatenate([vs, us])
+    partners = partners[np.lexsort((partners, ends))].tolist()
+    degree = np.bincount(ends)
+    start = np.concatenate([[0], np.cumsum(degree)]).tolist()
 
     def neighbors(var: int) -> list[int]:
         """The partners of ``var`` in Dependent claims, ascending."""
-        return us_by_v[first_v[var]:first_v[var + 1]].tolist() + vs[first_u[var]:first_u[var + 1]].tolist()
+        return partners[start[var]:start[var + 1]]
 
     measured: list[int] = []
     chosen = set()

@@ -197,37 +197,26 @@ class GroundTruth:
             raise ConfigError("parent links contain a cycle; structure must be a forest")
 
     @cached_property
-    def roots(self) -> tuple[int, ...]:
-        return tuple(v for v, p in enumerate(self.parents) if p is None)
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in range(self.m)]
-        for v, p in enumerate(self.parents):
-            if p is not None:
-                kids[p].append(v)
-        return tuple(tuple(sorted(k)) for k in kids)
-
-    @cached_property
     def topo_order(self) -> tuple[int, ...]:
-        # Breadth-first from roots in ascending order; parents precede children.
-        order: list[int] = []
-        queue = list(self.roots)
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            queue.extend(self.children[v])
+        # Breadth-first from the roots in ascending order, children in
+        # ascending order; the loop also visits the vertices it appends.
+        children: list[list[int]] = [[] for _ in range(self.m)]
+        order = []
+        for v, p in enumerate(self.parents):
+            (order if p is None else children[p]).append(v)
+        for v in order:
+            order.extend(children[v])
         return tuple(order)
 
     @cached_property
     def tree_ids(self) -> tuple[int, ...]:
-        ids = [-1] * self.m
-        for tree_index, root in enumerate(self.roots):
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                ids[v] = tree_index
-                stack.extend(self.children[v])
+        # Trees are numbered by their roots in ascending order. The roots
+        # lead ``topo_order`` in that order, so a root's place there is its
+        # tree's number, and every other vertex follows its parent.
+        ids = [0] * self.m
+        for place, v in enumerate(self.topo_order):
+            p = self.parents[v]
+            ids[v] = place if p is None else ids[p]
         return tuple(ids)
 
     @cached_property
@@ -236,7 +225,7 @@ class GroundTruth:
 
     @property
     def tree_count(self) -> int:
-        return len(self.roots)
+        return self.parents.count(None)
 
     def same_tree_keys(self, keys: np.ndarray) -> np.ndarray:
         """Whether each pair key joins two variables of one tree."""
@@ -338,21 +327,21 @@ def forest_table_work(m: int, tree_count: int) -> int:
     and of one forest draw from it, O(1). It counts the table's big-integer
     products (one per first-tree size s of each (n, k) it fills, none when
     there is one tree), the one-tree row's ``n ** (n - 2)`` for n up to
-    ``m - tree_count + 1``, and the m first-tree weights one draw takes. Each
+    ``m - tree_count + 1``, and m first-tree weights for one draw. Each
     costs the bit length b of the forest counts, which grows like
     ``(m - tree_count) * log2(m)``, times ``b / _WIDE_COUNT_BITS`` once b
-    passes it."""
+    passes it.
+
+    The powers and weights are an upper bound: a draw takes no weight for
+    its last tree, and with one tree the table holds the single power
+    ``m ** (m - 2)``, so a one-tree draw takes milliseconds. The charge is
+    kept because it alone stops one-tree configs at m = 5258; beyond that
+    the C(m, 2)-long knowledge arrays can exhaust memory, and an
+    out-of-memory kill has no documented exit code."""
     spare = m - tree_count
     products = 0 if tree_count == 1 else max(tree_count - 2, 0) * (spare + 1) * (spare + 2) // 2 + spare + 1
     bits = (spare + 1) * m.bit_length()
     return (products + spare + 1 + m) * bits * max(bits, _WIDE_COUNT_BITS) // _WIDE_COUNT_BITS
-
-
-def _forest_count(n: int, k: int) -> int:
-    """Number of labeled forests on n vertices with exactly k (unrooted) trees."""
-    if k < 0 or k > n:
-        return 0
-    return _forest_table(n, k)[k][n]
 
 
 def _rand_below(rng: np.random.Generator, bound: int) -> int:
@@ -371,84 +360,70 @@ def _rand_below(rng: np.random.Generator, bound: int) -> int:
             return r
 
 
-def _decode_pruefer(seq: Sequence[int], size: int) -> list[tuple[int, int]]:
+def _random_rooted_tree(size: int, rng: np.random.Generator) -> list[Optional[int]]:
+    """Local parent of each vertex of a uniformly random labeled tree on
+    vertices 0 .. size-1, rooted at vertex 0. The tree is decoded from a
+    uniform Pruefer sequence: each popped leaf hangs from its sequence entry
+    and the last leaf from ``size - 1``, so the decoding is rooted at
+    ``size - 1``; reversing the path from 0 to there roots it at 0. Trees of
+    one or two vertices draw nothing."""
+    parents: list[Optional[int]] = [None] * size
+    if size == 1:
+        return parents
+    seq = rng.integers(0, size, size=size - 2).tolist()
     degree = [1] * size
     for x in seq:
         degree[x] += 1
     leaves = [i for i in range(size) if degree[i] == 1]
     heapify(leaves)
-    edges = []
     for x in seq:
-        leaf = heappop(leaves)
-        edges.append((leaf, x))
+        parents[heappop(leaves)] = x
         degree[x] -= 1
         if degree[x] == 1:
             heappush(leaves, x)
-    edges.append((heappop(leaves), heappop(leaves)))
-    return edges
-
-
-def _random_tree_edges(labels: Sequence[int], rng: np.random.Generator) -> list[tuple[int, int]]:
-    s = len(labels)
-    if s == 1:
-        return []
-    if s == 2:
-        return [(labels[0], labels[1])]
-    seq = [int(x) for x in rng.integers(0, s, size=s - 2)]
-    return [(labels[a], labels[b]) for a, b in _decode_pruefer(seq, s)]
+    parents[heappop(leaves)] = size - 1
+    child, v = None, 0
+    while v is not None:
+        parents[v], child, v = child, v, parents[v]
+    return parents
 
 
 def _sample_forest_parents(m: int, tree_count: int, rng: np.random.Generator) -> tuple[Optional[int], ...]:
-    """Uniformly random labeled forest with exactly ``tree_count`` trees.
+    """Uniformly random labeled forest with exactly ``tree_count`` trees,
+    each rooted at its smallest vertex.
 
     Sequential decomposition over the component containing the lowest
     remaining label, with component sizes drawn proportionally to exact
-    counts, members as a uniform subset, and the tree itself decoded from a
-    uniform Pruefer sequence.
+    counts, members as a uniform subset, and the tree itself from
+    ``_random_rooted_tree``. The last tree takes every remaining vertex, so
+    its size is not looked up, though its ``r`` is still drawn.
     """
     table = _forest_table(m, tree_count)
     remaining = list(range(m))
-    k = tree_count
-    adjacency: list[list[int]] = [[] for _ in range(m)]
-    while remaining:
+    parents: list[Optional[int]] = [None] * m
+    for k in range(tree_count, 0, -1):
         n = len(remaining)
         anchor = remaining[0]
         r = _rand_below(rng, table[k][n])
-        acc = 0
         size = n - k + 1
-        for s, weight in enumerate(_first_tree_weights(n, k, table[k - 1]), start=1):
-            acc += weight
-            if r < acc:
-                size = s
-                break
+        if k > 1:
+            acc = 0
+            for s, weight in enumerate(_first_tree_weights(n, k, table[k - 1]), start=1):
+                acc += weight
+                if r < acc:
+                    size = s
+                    break
         others = remaining[1:]
         if size > 1:
             picked = rng.choice(len(others), size=size - 1, replace=False)
             members = sorted([anchor] + [others[int(i)] for i in picked])
         else:
             members = [anchor]
-        for a, b in _random_tree_edges(members, rng):
-            adjacency[a].append(b)
-            adjacency[b].append(a)
+        for v, p in zip(members, _random_rooted_tree(size, rng)):
+            if p is not None:
+                parents[v] = members[p]
         member_set = set(members)
         remaining = [v for v in remaining if v not in member_set]
-        k -= 1
-
-    # Root every component at its smallest vertex.
-    parents: list[Optional[int]] = [None] * m
-    seen = [False] * m
-    for v in range(m):
-        if seen[v]:
-            continue
-        seen[v] = True
-        queue = [v]
-        while queue:
-            cur = queue.pop(0)
-            for nxt in sorted(adjacency[cur]):
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    parents[nxt] = cur
-                    queue.append(nxt)
     return tuple(parents)
 
 

@@ -176,21 +176,22 @@ def _write_json_line(path: Path, doc: dict) -> None:
 
 
 def _form_teams(cfg: ScenarioConfig, pool: AgentPool, rng: np.random.Generator) -> dict[Role, tuple[Team, ...]]:
-    """Draw each team's members, role by role and team by team. A
-    self-driving scenario draws only the experimenting teams, and those same
-    agents hold the other two roles."""
+    """Draw each team's members, role by role and team by team, and rectify
+    each drawn member set once. A self-driving scenario draws only the
+    experimenting teams; those agents, with that knowledge, hold all roles."""
     drawing = (Role.EXPERIMENTING,) if cfg.self_driving else tuple(Role)
-    member_sets: dict[Role, list[tuple[int, ...]]] = {}
+    drawn: dict[Role, list] = {}
     for role in drawing:
         spec = getattr(cfg.teams, role.value)
-        member_sets[role] = [
+        member_sets = [
             tuple(sorted(rng.choice(pool.agent_count, size=spec.size, replace=False).tolist()))
             for _ in range(spec.count)
         ]
+        drawn[role] = [(members, rectify([pool.priors[a] for a in members])) for members in member_sets]
     return {
         role: tuple(
-            Team(t, role, members, rectify([pool.priors[a] for a in members]))
-            for t, members in enumerate(member_sets.get(role, member_sets[Role.EXPERIMENTING]))
+            Team(t, role, members, knowledge)
+            for t, (members, knowledge) in enumerate(drawn.get(role, drawn[Role.EXPERIMENTING]))
         )
         for role in Role
     }

@@ -1,4 +1,4 @@
-"""Per-claim references shared by the tests.
+"""Per-claim references and small fixtures shared by the tests.
 
 The program holds claims only as pair-keyed columns. Tests state claims one
 at a time as ``Claim(u, v, dep)`` tuples, with ``u < v`` and ``dep`` True for
@@ -9,7 +9,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ktsim.knowledge import KnowledgeBase, all_pair_keys, join_keys, sorted_pair_keys, split_keys
+from ktsim.knowledge import GroundTruth, KnowledgeBase, all_pair_keys, join_keys, sorted_pair_keys, split_keys
 from ktsim.labeling import LabeledKnowledge
 
 #: One claim: its pair, smaller id first, and whether it says Dependent.
@@ -43,6 +43,15 @@ def _kb(*weighted):
         "dep": [c.dep for c, _ in weighted],
         "conf": [conf for _, conf in weighted],
     })
+
+
+#: The knowledge base without claims.
+EMPTY = _kb()
+
+
+def chain_gt(length, p_stay=0.9):
+    """One tree on ``length`` variables: the chain 0 - 1 - ... rooted at 0."""
+    return GroundTruth(length, (None,) + tuple(range(length - 1)), p_stay)
 
 
 def labeling(claims, teams=(0, 0, 0), from_prior=None):

@@ -18,9 +18,7 @@ from ktsim.metrics import openness, validate_monotonicity
 from ktsim.mining import MiningParams, mine, phi_coefficient
 from ktsim.orchestrator import run, sweep
 
-from claimref import _kb, claims_of, dependent, independent, labeling
-
-EMPTY = _kb()
+from claimref import EMPTY, chain_gt, claims_of, dependent, independent, labeling
 
 
 def _report(num, description, ok, detail=""):
@@ -29,10 +27,6 @@ def _report(num, description, ok, detail=""):
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def chain_gt(length, p_stay):
-    return GroundTruth(length, (None,) + tuple(range(length - 1)), p_stay)
 
 
 def test_criterion_1_analytic_correlation_oracle():

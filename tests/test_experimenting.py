@@ -25,14 +25,7 @@ from ktsim.experimenting import (
 from ktsim.knowledge import GroundTruth, KnowledgeBase, all_pair_keys, build_ground_truth, split_keys
 from ktsim.mining import phi_coefficient
 
-from claimref import _kb, dependent
-
-
-EMPTY = _kb()
-
-
-def chain_gt(length, p_stay=0.9):
-    return GroundTruth(length, (None,) + tuple(range(length - 1)), p_stay)
+from claimref import EMPTY, _kb, chain_gt, dependent
 
 
 def full_design(gt, noise_rate=0.0, samples=10_000, selection=None):

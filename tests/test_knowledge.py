@@ -1,6 +1,7 @@
 """Tests for the knowledge universe: claims, forests, priors, rectification."""
 
 import json
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from ktsim.metrics import _counts, negate_passthrough
 from claimref import (
     Claim,
     _kb,
+    chain_gt,
     claim,
     claims_of,
     dependent,
@@ -54,11 +56,6 @@ class DisjointSet:
 
     def connected(self, a, b):
         return self.find(a) == self.find(b)
-
-
-def chain_gt(length, p_stay=0.9):
-    parents = (None,) + tuple(range(length - 1))
-    return GroundTruth(length, parents, p_stay)
 
 
 def in_k(claim, gt):
@@ -271,8 +268,6 @@ def test_forest_counts_match_brute_force_enumeration():
     # recursion the sampler draws from.
     from itertools import combinations as combos
 
-    from ktsim.knowledge import _forest_count
-
     for n in (2, 3, 4, 5):
         all_edges = list(combos(range(n), 2))
         by_components = {}
@@ -291,7 +286,152 @@ def test_forest_counts_match_brute_force_enumeration():
                 comps = n - edges
                 by_components[comps] = by_components.get(comps, 0) + 1
         for k in range(1, n + 1):
-            assert _forest_count(n, k) == by_components.get(k, 0)
+            assert _forest_table(n, k)[k][n] == by_components.get(k, 0)
+
+
+# The forest sampler as it was written with edge lists and one global
+# breadth-first re-rooting, and GroundTruth's walks over explicit roots and
+# children: independent references for the rooted sampler and its one-pass
+# order and tree ids.
+
+
+def _ref_decode_pruefer(seq, size):
+    degree = [1] * size
+    for x in seq:
+        degree[x] += 1
+    leaves = [i for i in range(size) if degree[i] == 1]
+    heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heappush(leaves, x)
+    edges.append((heappop(leaves), heappop(leaves)))
+    return edges
+
+
+def _ref_random_tree_edges(labels, rng):
+    s = len(labels)
+    if s == 1:
+        return []
+    if s == 2:
+        return [(labels[0], labels[1])]
+    seq = [int(x) for x in rng.integers(0, s, size=s - 2)]
+    return [(labels[a], labels[b]) for a, b in _ref_decode_pruefer(seq, s)]
+
+
+def _ref_sample_forest_parents(m, tree_count, rng):
+    table = _forest_table(m, tree_count)
+    remaining = list(range(m))
+    k = tree_count
+    adjacency = [[] for _ in range(m)]
+    while remaining:
+        n = len(remaining)
+        anchor = remaining[0]
+        r = knowledge._rand_below(rng, table[k][n])
+        acc = 0
+        size = n - k + 1
+        for s, weight in enumerate(knowledge._first_tree_weights(n, k, table[k - 1]), start=1):
+            acc += weight
+            if r < acc:
+                size = s
+                break
+        others = remaining[1:]
+        if size > 1:
+            picked = rng.choice(len(others), size=size - 1, replace=False)
+            members = sorted([anchor] + [others[int(i)] for i in picked])
+        else:
+            members = [anchor]
+        for a, b in _ref_random_tree_edges(members, rng):
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        member_set = set(members)
+        remaining = [v for v in remaining if v not in member_set]
+        k -= 1
+
+    # Root every component at its smallest vertex.
+    parents = [None] * m
+    seen = [False] * m
+    for v in range(m):
+        if seen[v]:
+            continue
+        seen[v] = True
+        queue = [v]
+        while queue:
+            cur = queue.pop(0)
+            for nxt in sorted(adjacency[cur]):
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    parents[nxt] = cur
+                    queue.append(nxt)
+    return tuple(parents)
+
+
+def _ref_walks(gt):
+    """``topo_order`` by a queue from the sorted roots, and ``tree_ids`` by a
+    depth-first walk from each root in turn."""
+    roots = tuple(v for v, p in enumerate(gt.parents) if p is None)
+    kids = [[] for _ in range(gt.m)]
+    for v, p in enumerate(gt.parents):
+        if p is not None:
+            kids[p].append(v)
+    children = tuple(tuple(sorted(k)) for k in kids)
+    order = []
+    queue = list(roots)
+    while queue:
+        v = queue.pop(0)
+        order.append(v)
+        queue.extend(children[v])
+    ids = [-1] * gt.m
+    for tree_index, root in enumerate(roots):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            ids[v] = tree_index
+            stack.extend(children[v])
+    return tuple(order), tuple(ids), len(roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))), st.integers(0, 2**64 - 1))
+def test_rooted_sampler_draws_the_edge_list_forest(shape, seed):
+    m, tree_count = shape
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    parents = knowledge._sample_forest_parents(m, tree_count, rng)
+    assert parents == _ref_sample_forest_parents(m, tree_count, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    gt = GroundTruth(m, parents, 0.9)
+    assert (gt.topo_order, gt.tree_ids, gt.tree_count) == _ref_walks(gt)
+    assert gt.tree_count == tree_count
+
+
+@st.composite
+def rooted_forests(draw):
+    """Parents of a forest with any roots: vertices join in a drawn order,
+    each a new root or a child of a vertex that joined before it."""
+    m = draw(st.integers(1, 30))
+    joined = draw(st.permutations(range(m)))
+    parents = [None] * m
+    for place, v in enumerate(joined[1:], start=1):
+        parents[v] = draw(st.one_of(st.none(), st.sampled_from(joined[:place])))
+    return parents
+
+
+@example([3, None, 1, None, 2])
+@given(rooted_forests())
+def test_order_and_tree_ids_match_the_queue_and_stack_walks(parents):
+    gt = GroundTruth(len(parents), parents, 0.9)
+    assert (gt.topo_order, gt.tree_ids, gt.tree_count) == _ref_walks(gt)
+
+
+def test_trees_are_numbered_by_their_roots_not_their_smallest_vertices():
+    # Tree {0, 3} is rooted at 3 and tree {1, 2, 4} at 1, so tree 0 is the one through 1.
+    gt = GroundTruth(5, (3, None, 1, None, 2), 0.9)
+    assert gt.topo_order == (1, 3, 2, 0, 4)
+    assert gt.tree_ids == (1, 0, 0, 1, 0)
+    assert gt.tree_count == 2
 
 
 def test_k_and_complement_partition_all_claims():
@@ -408,8 +548,10 @@ def test_rectify_never_emits_both_polarities():
 @pytest.mark.parametrize("m,k", [(2, 2), (6, 2), (12, 5), (30, 3), (40, 40), (60, 17), (30, 1), (50, 2)])
 def test_forest_table_work_counts_the_products_of_the_table(m, k, monkeypatch):
     # Row j >= 2 of the table takes one product per first-tree size, n - j + 1 of them per entry n.
-    # A draw then takes one first-tree weight per vertex, and the n ** (n - 2) of every
-    # n <= m - k + 1 is computed once, by the table's one-tree row or by the draw.
+    # A draw then takes one first-tree weight per vertex of every tree but the last. The
+    # one-tree row computes n ** (n - 2) for every n <= m - k + 1, or only m ** (m - 2) when
+    # k = 1; the draw computes no other power. The estimate charges m weights and m - k + 1
+    # powers, an upper bound of the work measured.
     taken = []
     first_tree_weights = knowledge._first_tree_weights
 
@@ -424,13 +566,16 @@ def test_forest_table_work_counts_the_products_of_the_table(m, k, monkeypatch):
     table = _forest_table(m, k)
     products = sum(n - j + 1 for j in range(2, k + 1) for n in table[j])
     assert len(taken) == products
-    knowledge._sample_forest_parents(m, k, np.random.default_rng(0))
-    assert len(taken) == products + m
+    gt = GroundTruth(m, knowledge._sample_forest_parents(m, k, np.random.default_rng(0)), 0.9)
+    last = gt.tree_ids.count(k - 1)
+    assert len(taken) == products + m - last
     powers = knowledge._tree_count_on.cache_info().misses
-    assert powers == m - k + 1
+    assert powers == (m - k + 1 if k > 1 else 1)
     bits = (m - k + 1) * m.bit_length()
     wide = knowledge._WIDE_COUNT_BITS
-    assert forest_table_work(m, k) == (products + powers + m) * bits * max(bits, wide) // wide
+    charged = products + (m - k + 1) + m
+    assert forest_table_work(m, k) == charged * bits * max(bits, wide) // wide
+    assert len(taken) + powers <= charged
 
 
 def test_forest_work_limit_sits_between_accepted_and_rejected_configs():

@@ -27,10 +27,9 @@ from ktsim.mining import (
     mine,
 )
 
-from claimref import _kb, claims_of, dependent, independent, negate, pair_keys, truth
+from claimref import EMPTY, _kb, claims_of, dependent, independent, negate, pair_keys, truth
 
 PARAMS = LabelingParams()
-EMPTY = _kb()
 
 
 def _info(patterns, datasheet=None, corrections=()):

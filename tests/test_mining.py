@@ -16,10 +16,9 @@ from ktsim.mining import (
     phi_coefficient,
 )
 
-from claimref import _kb, dependent, independent
+from claimref import EMPTY, _kb, dependent, independent
 
 
-EMPTY = _kb()
 PARAMS = MiningParams()
 
 

@@ -14,6 +14,7 @@ import ktsim
 from ktsim import orchestrator
 from ktsim.config import ChannelPolicy, Wiring, default_scenario, scenario_from_dict
 from ktsim.errors import ConfigError
+from ktsim.knowledge import Role, rectify
 from ktsim.mining import phi_coefficient
 from ktsim.orchestrator import (
     replicate_seed,
@@ -120,6 +121,23 @@ def test_self_driving_single_team_runs_all_roles():
     assert len(members) == 1  # same agents hold every role
     assert len(result.labelings) == 1
     assert result.labelings[0].teams == (0, 0, 0)
+
+
+def test_self_driving_rectifies_each_member_set_once(monkeypatch):
+    # The three roles share each experimenting team's members, and so its knowledge.
+    calls = []
+
+    def counted(priors):
+        calls.append(len(priors))
+        return rectify(priors)
+
+    monkeypatch.setattr(orchestrator, "rectify", counted)
+    spec = {"count": 3, "size": 2}
+    cfg = small_scenario(self_driving=True, teams={"experimenting": spec, "mining": spec, "labeling": spec})
+    result = run(cfg, 8)
+    assert len(calls) == cfg.teams.experimenting.count
+    by_role = {role: [t.knowledge for t in result.teams if t.role is role] for role in Role}
+    assert by_role[Role.MINING] == by_role[Role.LABELING] == by_role[Role.EXPERIMENTING]
 
 
 def test_explicit_wiring_restricts_products():
