@@ -215,8 +215,10 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
         ("wiring.mining", cfg.wiring.mining or ()),
         ("wiring.labeling", cfg.wiring.labeling or ()),
     ):
+        seen = set()
         for idx, entry in enumerate(entries):
-            check(entry not in entries[:idx], f"{path}[{idx}]", "repeats an earlier entry")
+            check(entry not in seen, f"{path}[{idx}]", "repeats an earlier entry")
+            seen.add(entry)
 
     if cfg.self_driving:
         same = cfg.teams.experimenting == cfg.teams.mining == cfg.teams.labeling
@@ -255,7 +257,10 @@ def _get(obj: Mapping[str, Any], key: str, path: str, kind, default=_REQUIRED):
     # bool is a subclass of int, so it is accepted only where a bool is declared.
     is_bool = isinstance(value, bool)
     if kind is float and isinstance(value, int) and not is_bool:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}.{key}: an integer of {value.bit_length()} bits overflows a float") from None
     if not isinstance(value, kind) or is_bool != (kind is bool):
         raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value

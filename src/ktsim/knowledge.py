@@ -79,36 +79,58 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class KnowledgeBase:
-    """Conflict-free collection of weighted claims, at most one per pair.
+class PairColumns:
+    """Aligned read-only numpy columns keyed by pair, plus plain fields.
 
-    Stored as three aligned read-only arrays sorted by pair key (see
-    ``join_keys``): ``keys`` (int64), ``dep`` (True for a Dependent claim) and
-    ``conf`` (float64 confidence), so any serialization derived from a
-    knowledge base is deterministic. ``from_arrays`` trusts its input;
-    ``from_json`` and ``extended`` check theirs.
+    A subclass names its array columns in ``COLUMNS``, ``keys`` (int64 pair
+    keys, see ``join_keys``) first, and its plain values in ``FIELDS``.
+    ``from_arrays`` is the one trusted constructor: it freezes every column
+    and checks nothing. Two objects are equal when they are of one class and
+    every column and field is equal, so none is hashable. ``to_json`` writes
+    ``keys`` as ``u`` and ``v``, the other columns as lists, then the fields.
     """
 
-    __slots__ = ("keys", "dep", "conf")
+    __slots__ = ()
+    COLUMNS: tuple[str, ...]
+    FIELDS: tuple[str, ...] = ()
 
     @classmethod
-    def from_arrays(cls, keys: np.ndarray, dep: np.ndarray, conf: np.ndarray) -> "KnowledgeBase":
-        """Wrap aligned arrays whose keys are already strictly ascending."""
-        kb = cls.__new__(cls)
-        kb.keys, kb.dep, kb.conf = _frozen(keys), _frozen(dep), _frozen(conf)
-        return kb
+    def from_arrays(cls, *values):
+        """Wrap the columns and then the fields, in ``COLUMNS + FIELDS`` order."""
+        obj = cls.__new__(cls)
+        for name, value in zip(cls.COLUMNS + cls.FIELDS, values, strict=True):
+            setattr(obj, name, _frozen(value) if name in cls.COLUMNS else value)
+        return obj
 
     def __len__(self) -> int:
         return self.keys.shape[0]
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnowledgeBase):
+        if type(other) is not type(self):
             return NotImplemented
-        return (
-            np.array_equal(self.keys, other.keys)
-            and np.array_equal(self.dep, other.dep)
-            and np.array_equal(self.conf, other.conf)
+        return all(getattr(self, name) == getattr(other, name) for name in self.FIELDS) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.COLUMNS
         )
+
+    def to_json(self) -> dict:
+        us, vs = split_keys(self.keys)
+        return {
+            "u": us.tolist(), "v": vs.tolist(),
+            **{name: getattr(self, name).tolist() for name in self.COLUMNS[1:]},
+            **{name: getattr(self, name) for name in self.FIELDS},
+        }
+
+
+class KnowledgeBase(PairColumns):
+    """Conflict-free collection of weighted claims, at most one per pair:
+    ``keys`` in ascending order, ``dep`` (True for a Dependent claim) and
+    ``conf`` (float64 confidence), so any serialization derived from a
+    knowledge base is deterministic. ``from_json`` and ``extended`` check
+    their input.
+    """
+
+    COLUMNS = ("keys", "dep", "conf")
+    __slots__ = COLUMNS
 
     def __repr__(self) -> str:
         return f"KnowledgeBase({len(self)} claims)"
@@ -137,11 +159,6 @@ class KnowledgeBase:
             return np.zeros(keys.shape, dtype=bool)
         rows, held = self._rows(keys)
         return held & (self.conf[rows] >= min_confidence) & (self.dep[rows] != dep)
-
-    def to_json(self) -> dict:
-        """Aligned columns in key order: ``u``, ``v``, ``dep`` (bool) and ``conf``."""
-        us, vs = split_keys(self.keys)
-        return {"u": us.tolist(), "v": vs.tolist(), "dep": self.dep.tolist(), "conf": self.conf.tolist()}
 
     @staticmethod
     def from_json(obj: dict) -> "KnowledgeBase":

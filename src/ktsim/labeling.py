@@ -13,10 +13,8 @@ through into the output and take precedence over pattern-derived labels on
 the same pair; ambiguous, degenerate, disputed, or selection-compromised
 patterns yield no claim at all.
 
-A labeling is its columns: ``LabeledKnowledge`` holds pair keys, polarities
-and origins as aligned arrays, built only by ``from_arrays``. Its
-``{u, v, polarity, origin}`` records, ``entries``, are derived on demand and
-are what a result file holds under ``claims``.
+A labeling is a ``LabeledKnowledge`` (see ``knowledge.PairColumns``); its
+``entries`` are what a result file holds under ``claims``.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .experimenting import Datasheet
-from .knowledge import KnowledgeBase, check_confidence, split_keys
+from .knowledge import KnowledgeBase, PairColumns, check_confidence, split_keys
 from .mining import (
     DEFAULT_DEP_THRESHOLD,
     DEFAULT_IND_THRESHOLD,
@@ -66,28 +64,17 @@ class EffectivePrior:
     claims: KnowledgeBase
 
 
-class LabeledKnowledge:
-    """One labeling's claims, at most one per pair, and the (experimenter,
-    miner, labeler) ``teams`` that produced it.
-
-    Stored like a ``KnowledgeBase``: aligned read-only arrays sorted by pair
-    key, ``keys`` (int64), ``dep`` (True for a Dependent claim) and
-    ``from_prior`` (True for a prior pass-through, False for a pattern label).
-    ``entries`` is the record view of the same claims that ``to_json`` writes.
+class LabeledKnowledge(PairColumns):
+    """One labeling's claims, at most one per pair: ``keys`` in ascending
+    order, ``dep`` (True for a Dependent claim) and ``from_prior`` (True for
+    a prior pass-through, False for a pattern label), plus the (experimenter,
+    miner, labeler) ``teams`` that produced it. ``entries`` is the record
+    view of the same claims that ``to_json`` writes.
     """
 
-    __slots__ = ("keys", "dep", "from_prior", "teams")
-
-    @classmethod
-    def from_arrays(
-        cls, keys: np.ndarray, dep: np.ndarray, from_prior: np.ndarray, teams: tuple[int, int, int]
-    ) -> "LabeledKnowledge":
-        """Wrap aligned arrays whose keys are already strictly ascending."""
-        lk = cls.__new__(cls)
-        for array in (keys, dep, from_prior):
-            array.setflags(write=False)
-        lk.keys, lk.dep, lk.from_prior, lk.teams = keys, dep, from_prior, tuple(teams)
-        return lk
+    COLUMNS = ("keys", "dep", "from_prior")
+    FIELDS = ("teams",)
+    __slots__ = COLUMNS + FIELDS
 
     @property
     def entries(self) -> list[dict]:
@@ -98,18 +85,8 @@ class LabeledKnowledge:
             for u, v, d, p in zip(us.tolist(), vs.tolist(), self.dep.tolist(), self.from_prior.tolist())
         ]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LabeledKnowledge):
-            return NotImplemented
-        return (
-            self.teams == other.teams
-            and np.array_equal(self.keys, other.keys)
-            and np.array_equal(self.dep, other.dep)
-            and np.array_equal(self.from_prior, other.from_prior)
-        )
-
     def __repr__(self) -> str:
-        return f"LabeledKnowledge({self.keys.shape[0]} claims, teams={self.teams})"
+        return f"LabeledKnowledge({len(self)} claims, teams={self.teams})"
 
     def to_json(self) -> dict:
         """``teams`` and ``entries``, the latter under ``claims``."""
@@ -165,7 +142,7 @@ def reinterpret(
             corrections = corrections | {TAG_NOISE_CORRECTED}
 
     kept = patterns.has(TAG_DISPUTED) | ~contradicted_patterns(patterns, [prior.claims], params)
-    patterns = PatternTable(patterns.keys[kept], patterns.phi[kept], patterns.tags[kept], patterns.support)
+    patterns = PatternTable.from_arrays(patterns.keys[kept], patterns.phi[kept], patterns.tags[kept], patterns.support)
     return Information(patterns, replace(sheet, corrections_applied=corrections))
 
 

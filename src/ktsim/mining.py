@@ -9,10 +9,10 @@ independence may be an artifact of the selection). Prior knowledge never
 alters a statistic; it only tags patterns as disputed so the conflict stays
 auditable downstream.
 
-An information's patterns form one ``PatternTable`` of pair-key, phi and
-tag-bit columns, and every step works on whole columns. ``implied_polarity``
-states the polarity a pattern implies once, for the dispute and veto checks
-and for the labeler.
+An information's patterns form one ``PatternTable`` (see
+``knowledge.PairColumns``), and every step works on whole columns.
+``implied_polarity`` states the polarity a pattern implies once, for the
+dispute and veto checks and for the labeler.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .experimenting import Dataset, Datasheet
-from .knowledge import KnowledgeBase, check_confidence, join_keys, split_keys
+from .knowledge import KnowledgeBase, PairColumns, check_confidence, join_keys, split_keys
 from .records import Record
 
 TAG_NOISE_CORRECTED = "noise_corrected"
@@ -67,39 +67,18 @@ TAG_NAMES = (TAG_DEGENERATE, TAG_DISPUTED, TAG_NOISE_CORRECTED, TAG_SELECTION_CO
 TAG_BITS = {name: np.uint8(1 << i) for i, name in enumerate(TAG_NAMES)}
 
 
-class PatternTable:
-    """The patterns of one information in mining order, as aligned read-only
-    columns ``keys`` (int64 pair keys), ``phi`` (float64) and ``tags`` (uint8,
-    one bit per ``TAG_NAMES`` entry), plus ``support``, their dataset's rows."""
+class PatternTable(PairColumns):
+    """The patterns of one information in mining order: ``keys``, ``phi``
+    (float64) and ``tags`` (uint8, one bit per ``TAG_NAMES`` entry), plus
+    ``support``, their dataset's rows."""
 
-    __slots__ = ("keys", "phi", "tags", "support")
-
-    def __init__(self, keys: np.ndarray, phi: np.ndarray, tags: np.ndarray, support: int):
-        for column in (keys, phi, tags):
-            column.setflags(write=False)
-        self.keys, self.phi, self.tags, self.support = keys, phi, tags, support
-
-    def __len__(self) -> int:
-        return self.keys.shape[0]
+    COLUMNS = ("keys", "phi", "tags")
+    FIELDS = ("support",)
+    __slots__ = COLUMNS + FIELDS
 
     def has(self, tag: str) -> np.ndarray:
         """Mask of the patterns tagged ``tag``."""
         return (self.tags & TAG_BITS[tag]) != 0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PatternTable):
-            return NotImplemented
-        columns = zip((self.keys, self.phi, self.tags), (other.keys, other.phi, other.tags))
-        return self.support == other.support and all(np.array_equal(a, b) for a, b in columns)
-
-    def to_json(self) -> dict:
-        """Aligned columns in mining order: ``u``, ``v``, ``phi`` and ``tags``
-        (bit codes), plus ``support``."""
-        us, vs = split_keys(self.keys)
-        return {
-            "u": us.tolist(), "v": vs.tolist(), "phi": self.phi.tolist(), "tags": self.tags.tolist(),
-            "support": self.support,
-        }
 
 
 @dataclass(frozen=True)
@@ -163,7 +142,7 @@ def datasheet_corrections(patterns: PatternTable, datasheet: Datasheet, correct_
         us, vs = split_keys(patterns.keys)
         outside = (us != selection.variable) & (vs != selection.variable)
         tags = tags | outside * TAG_BITS[TAG_SELECTION_CONDITIONED]
-    return PatternTable(patterns.keys, phi, tags, patterns.support)
+    return PatternTable.from_arrays(patterns.keys, phi, tags, patterns.support)
 
 
 def implied_polarity(patterns: PatternTable, params) -> tuple[np.ndarray, np.ndarray]:
@@ -217,7 +196,7 @@ def mine(
     first, second = np.triu_indices(len(ds.columns), 1)
     raw = [_phi(ds.n, counts[i][j], counts[i][i], counts[j][j]) for i, j in zip(first.tolist(), second.tolist())]
     cols = np.array(ds.columns, dtype=np.int64)
-    patterns = PatternTable(
+    patterns = PatternTable.from_arrays(
         join_keys(cols[first], cols[second]),
         np.array([0.0 if r is None else r for r in raw], dtype=np.float64),
         np.array([r is None for r in raw], dtype=bool) * TAG_BITS[TAG_DEGENERATE],
@@ -226,7 +205,8 @@ def mine(
     if delivered is not None:
         patterns = datasheet_corrections(patterns, delivered, apply_noise)
     disputed = contradicted_patterns(patterns, [miner_kb, *peer_kbs], params)
-    patterns = PatternTable(patterns.keys, patterns.phi, patterns.tags | disputed * TAG_BITS[TAG_DISPUTED], ds.n)
+    tags = patterns.tags | disputed * TAG_BITS[TAG_DISPUTED]
+    patterns = PatternTable.from_arrays(patterns.keys, patterns.phi, tags, ds.n)
     sheet = InfoSheet(
         team_id=team_id,
         params=params,

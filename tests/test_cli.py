@@ -116,6 +116,7 @@ _HOLE = "extreme value goes here"
 EXTREME_VALUES = st.one_of(
     st.integers(2**63, 2**80).map(str),
     st.just("9" * 5001),
+    st.just("9" * 400),
     st.integers(-(2**80), -1).map(str),
     st.sampled_from(["NaN", "Infinity", "-Infinity", "-0.0", '"\\u0000"']),
     st.integers(1, 100_000).map(lambda depth: "[" * depth + "]" * depth),
@@ -140,6 +141,7 @@ def extreme_config_files(draw):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(content=extreme_config_files())
 @example(content=json.dumps({**DEFAULT_CONFIG, "m": _HOLE}).replace(json.dumps(_HOLE), "9" * 5001).encode())
+@example(content=json.dumps({**DEFAULT_CONFIG, "p_stay": _HOLE}).replace(json.dumps(_HOLE), "9" * 400).encode())
 def test_validate_on_a_config_with_one_extreme_value_exits_cleanly(tmp_path, capsys, content):
     path = tmp_path / "extreme.json"
     path.write_bytes(content)

@@ -1,6 +1,7 @@
 """Tests for config parsing, validation, and channel policy encoding."""
 
 import sys
+import time
 
 import pytest
 
@@ -93,6 +94,18 @@ def test_peer_access_indices_are_validated():
         scenario_from_dict(data)
     data["peer_access"]["mining"] = [[0, 5]]
     with pytest.raises(ConfigError, match="peer_access.mining"):
+        scenario_from_dict(data)
+
+
+def test_every_peer_grant_among_200_miners_validates_in_linear_time():
+    data = default_scenario().to_json()
+    data["teams"]["mining"]["count"] = 200
+    data["peer_access"]["mining"] = [[c, s] for c in range(200) for s in range(200) if c != s]
+    start = time.perf_counter()
+    assert len(scenario_from_dict(data).peer_access.mining) == 39_800
+    assert time.perf_counter() - start < 2.0
+    data["peer_access"]["mining"].append([7, 3])
+    with pytest.raises(ConfigError, match=r"^peer_access\.mining\[39800\]: repeats an earlier entry$"):
         scenario_from_dict(data)
 
 

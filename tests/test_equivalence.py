@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ktsim.errors import ConfigError
 from ktsim.experimenting import Dataset, Datasheet, Selection
-from ktsim.knowledge import build_ground_truth, rectify, sorted_pair_keys, split_keys
+from ktsim.knowledge import KnowledgeBase, build_ground_truth, rectify, sorted_pair_keys, split_keys
 from ktsim.labeling import (
     ORIGIN_PATTERN,
     ORIGIN_PRIOR,
@@ -46,7 +46,7 @@ from ktsim.mining import (
     phi_coefficient,
 )
 
-from claimref import _kb, claim, claims_of, dependent, labeling, negate, pair_keys, truth, weighted_claims
+from claimref import _kb, claim, claims_of, labeling, negate, pair_keys, truth, weighted_claims
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -238,7 +238,7 @@ def patterns(draw, m, unique=True):
 
 def table(found, support=100):
     """The pattern table holding ``found`` in order."""
-    return PatternTable(
+    return PatternTable.from_arrays(
         pair_keys([p.pair for p in found]),
         np.array([p.phi for p in found], dtype=np.float64),
         np.array([sum(int(TAG_BITS[t]) for t in p.tags) for p in found], dtype=np.uint8),
@@ -311,17 +311,44 @@ def test_labeling_arrays_match_per_entry_references(data, m):
         assert metrics._count_side(out, gt, true_side) == expected_side
 
 
-def test_labeled_knowledge_equality_covers_every_array_and_the_teams():
-    a = labeling([dependent(0, 1)], (0, 1, 2))
-    keys, dep, prior = a.keys, a.dep, a.from_prior
-    assert a == LabeledKnowledge.from_arrays(keys.copy(), dep.copy(), prior.copy(), (0, 1, 2))
-    assert a != LabeledKnowledge.from_arrays(keys, dep, prior, (0, 1, 3))
-    assert a != LabeledKnowledge.from_arrays(keys, ~dep, prior, (0, 1, 2))
-    assert a != LabeledKnowledge.from_arrays(keys, dep, ~prior, (0, 1, 2))
-    assert a != LabeledKnowledge.from_arrays(keys + 1, dep, prior, (0, 1, 2))
-    assert a != labeling([], (0, 1, 2))
-    assert a != "LabeledKnowledge"
-    assert not a.keys.flags.writeable and not a.dep.flags.writeable and not a.from_prior.flags.writeable
+def _column_values(cls):
+    """Freshly allocated columns, then fields, of a two-row ``cls``."""
+    keys = pair_keys([(0, 1), (2, 3)])
+    return {
+        KnowledgeBase: (keys, np.array([True, False]), np.array([0.75, 1.0])),
+        PatternTable: (keys, np.array([0.5, -0.25]), np.array([2, 0], dtype=np.uint8), 100),
+        LabeledKnowledge: (keys, np.array([True, False]), np.array([False, True]), (0, 1, 2)),
+    }[cls]
+
+
+def _changed(value):
+    """``value`` with one entry changed: an array's first, a tuple's last, or a number plus one."""
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value[0] = not value[0] if value.dtype == bool else value[0] + 1
+        return value
+    return value[:-1] + (value[-1] + 1,) if isinstance(value, tuple) else value + 1
+
+
+COLUMN_CLASSES = (KnowledgeBase, PatternTable, LabeledKnowledge)
+
+
+@pytest.mark.parametrize("cls", COLUMN_CLASSES, ids=lambda cls: cls.__name__)
+def test_pair_columns_equality_covers_every_column_and_field(cls):
+    a = cls.from_arrays(*_column_values(cls))
+    assert a == cls.from_arrays(*_column_values(cls))
+    for at, name in enumerate(cls.COLUMNS + cls.FIELDS):
+        values = list(_column_values(cls))
+        values[at] = _changed(values[at])
+        assert a != cls.from_arrays(*values), name
+    assert a != cls.from_arrays(*(v[:1] if isinstance(v, np.ndarray) else v for v in _column_values(cls)))
+    assert all(not getattr(a, name).flags.writeable for name in cls.COLUMNS)
+    for other in COLUMN_CLASSES:
+        if other is not cls:
+            assert a != other.from_arrays(a.keys, *_column_values(other)[1:])
+    assert a != cls.__name__
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 @SETTINGS
@@ -406,18 +433,6 @@ def test_pattern_table_json_matches_per_pattern_records(data, m):
         "support": support,
     }
     assert refs(table(found, support)) == found
-
-
-def test_pattern_table_equality_covers_every_column_and_the_support():
-    a = table([Ref((0, 1), 0.5, frozenset({TAG_DISPUTED}))])
-    assert a == PatternTable(a.keys.copy(), a.phi.copy(), a.tags.copy(), 100)
-    assert a != PatternTable(a.keys + 1, a.phi, a.tags, 100)
-    assert a != PatternTable(a.keys, -a.phi, a.tags, 100)
-    assert a != PatternTable(a.keys, a.phi, a.tags | TAG_BITS[TAG_DEGENERATE], 100)
-    assert a != PatternTable(a.keys, a.phi, a.tags, 99)
-    assert a != table([])
-    assert a != "PatternTable"
-    assert not a.keys.flags.writeable and not a.phi.flags.writeable and not a.tags.flags.writeable
 
 
 def test_mined_phi_is_exact_over_several_row_blocks():

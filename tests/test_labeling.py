@@ -39,7 +39,7 @@ def _info(patterns, datasheet=None, corrections=()):
         corrections_applied=frozenset(corrections),
         upstream_datasheet=datasheet,
     )
-    table = PatternTable(
+    table = PatternTable.from_arrays(
         pair_keys([(u, v) for u, v, _, _ in patterns]),
         np.array([phi for _, _, phi, _ in patterns], dtype=np.float64),
         np.array([sum(int(TAG_BITS[t]) for t in tags) for _, _, _, tags in patterns], dtype=np.uint8),
