@@ -151,7 +151,7 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
         forest_table_work(cfg.m, cfg.tree_count) <= FOREST_WORK_LIMIT,
         "tree_count",
         f"counting the forests of m={cfg.m} variables in {cfg.tree_count} trees needs more than "
-        f"{FOREST_WORK_LIMIT:.0e} units of big-integer work (about 10 s); lower m, or move tree_count "
+        f"{FOREST_WORK_LIMIT:.0e} units of big-integer work; lower m, or move tree_count "
         "toward 1 or toward m",
     )
     check(0.5 < cfg.p_stay < 1.0, "p_stay", f"must lie in (0.5, 1), got {cfg.p_stay}")

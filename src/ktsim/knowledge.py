@@ -296,65 +296,55 @@ class AgentPool:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _tree_count_on(n: int) -> int:
-    # Cayley: n^(n-2) labeled trees on n >= 2 vertices, one on a single vertex.
-    return 1 if n <= 2 else n ** (n - 2)
+def _forest_count(n: int, k: int) -> int:
+    """Labeled forests on n vertices in k trees, 1 <= k <= n, by Renyi's
+    formula (J. W. Moon, *Counting Labelled Trees*, 1970): C(n, k) times the
+    sum over i <= min(k, n - k) of (-1)^i 2^(k-i) C(k, i) (k + i) perm(n - k,
+    i) n^(n-k-i), divided exactly by n 2^k. At k = 1 it is Cayley's n^(n-2)."""
+    spare, top = n - k, min(k, n - k)
+    total = 0  # the sum divided by n ** (spare - top), by Horner's rule in n
+    for i in range(top + 1):
+        total = total * n + (-1) ** i * 2 ** (k - i) * math.comb(k, i) * (k + i) * math.perm(spare, i)
+    return math.comb(n, k) * total * n ** (spare - top) // (n * 2**k)
 
 
-def _first_tree_weights(n: int, k: int, fewer: dict[int, int]) -> Iterator[int]:
+def _first_tree_weights(n: int, k: int) -> Iterator[int]:
     """For s = 1 .. n-k+1, the number of labeled forests on n vertices with k
-    trees whose tree through the lowest vertex has s vertices: its other s-1
-    vertices, a tree on them, and one of ``fewer[n - s]`` (k-1)-tree forests
-    on the rest."""
+    >= 2 trees whose tree through the lowest vertex has s vertices: its other
+    s-1 vertices, a tree on them, and a (k-1)-tree forest on the rest."""
     for s in range(1, n - k + 2):
-        yield math.comb(n - 1, s - 1) * _tree_count_on(s) * fewer[n - s]
+        yield math.comb(n - 1, s - 1) * _forest_count(s, 1) * _forest_count(n - s, k - 1)
 
 
-@lru_cache(maxsize=None)
-def _forest_table(m: int, tree_count: int) -> tuple[dict[int, int], ...]:
-    """``table[k][n]``: labeled forests on n vertices with exactly k trees, for
-    every (n, k) that sampling a ``tree_count``-tree forest on m vertices
-    reaches. Built bottom-up, one tree count at a time; n - k never exceeds
-    m - tree_count, and the top count only needs n = m."""
-    spare = m - tree_count
-    table = [{n: int(n == 0) for n in range(spare + 1)}]
-    for k in range(1, tree_count + 1):
-        sizes = range(m if k == tree_count else k, k + spare + 1)
-        if k == 1:
-            table.append({n: _tree_count_on(n) for n in sizes})
-        else:
-            table.append({n: sum(_first_tree_weights(n, k, table[k - 1])) for n in sizes})
-    return tuple(table)
-
-
-#: Largest ``forest_table_work`` a config may ask for. The work tracks the
-#: time to build the table and draw one forest at about 3 s per 10**9 on one
-#: core of a 2-core x86-64 machine (Python 3.11), so the limit keeps it to
-#: about 10 s.
+#: Largest ``forest_table_work`` a config may ask for: about 10 s for the
+#: big-integer table that once held the forest counts to be built and drawn
+#: from, on one core of a 2-core x86-64 machine (Python 3.11).
 FOREST_WORK_LIMIT = 3 * 10**9
 
 #: Bit length past which a product of two forest counts costs more than its
 #: length (CPython multiplies them by Karatsuba); charging b * b / 2**14 per
-#: b-bit product there came within about 20% of the measured two-tree times.
+#: b-bit product there came within about 20% of the table's two-tree times.
 _WIDE_COUNT_BITS = 2**14
 
 
 def forest_table_work(m: int, tree_count: int) -> int:
-    """Closed-form estimate of the work of ``_forest_table(m, tree_count)``
-    and of one forest draw from it, O(1). It counts the table's big-integer
-    products (one per first-tree size s of each (n, k) it fills, none when
-    there is one tree), the one-tree row's ``n ** (n - 2)`` for n up to
-    ``m - tree_count + 1``, and m first-tree weights for one draw. Each
-    costs the bit length b of the forest counts, which grows like
-    ``(m - tree_count) * log2(m)``, times ``b / _WIDE_COUNT_BITS`` once b
-    passes it.
+    """Closed-form charge for drawing one forest of m vertices in
+    ``tree_count`` trees, O(1). It counts the big-integer products of the
+    table that once held the forest counts (one per first-tree size s of
+    each (n, k) it filled, none when there is one tree), the powers
+    ``n ** (n - 2)`` for n up to ``m - tree_count + 1``, and m first-tree
+    weights. Each costs the bit length b of the forest counts, which grows
+    like ``(m - tree_count) * log2(m)``, times ``b / _WIDE_COUNT_BITS`` once
+    b passes it.
 
-    The powers and weights are an upper bound: a draw takes no weight for
-    its last tree, and with one tree the table holds the single power
-    ``m ** (m - 2)``, so a one-tree draw takes milliseconds. The charge is
-    kept because it alone stops one-tree configs at m = 5258; beyond that
-    the C(m, 2)-long knowledge arrays can exhaust memory, and an
-    out-of-memory kill has no documented exit code."""
+    With ``_forest_count`` the charge is a conservative upper bound: a draw
+    computes each count it reads once, and one first-tree weight per vertex
+    of every tree but the last. At (843, 3), the largest three-tree config,
+    a draw takes 0.06 s where the table took 7.6 s. The charge stays as it
+    is until validation bounds the memory of the C(m, 2)-long knowledge
+    arrays: it alone stops one-tree configs at m = 5258, beyond which those
+    arrays can exhaust memory, and an out-of-memory kill has no documented
+    exit code."""
     spare = m - tree_count
     products = 0 if tree_count == 1 else max(tree_count - 2, 0) * (spare + 1) * (spare + 2) // 2 + spare + 1
     bits = (spare + 1) * m.bit_length()
@@ -415,17 +405,16 @@ def _sample_forest_parents(m: int, tree_count: int, rng: np.random.Generator) ->
     ``_random_rooted_tree``. The last tree takes every remaining vertex, so
     its size is not looked up, though its ``r`` is still drawn.
     """
-    table = _forest_table(m, tree_count)
     remaining = list(range(m))
     parents: list[Optional[int]] = [None] * m
     for k in range(tree_count, 0, -1):
         n = len(remaining)
         anchor = remaining[0]
-        r = _rand_below(rng, table[k][n])
+        r = _rand_below(rng, _forest_count(n, k))
         size = n - k + 1
         if k > 1:
             acc = 0
-            for s, weight in enumerate(_first_tree_weights(n, k, table[k - 1]), start=1):
+            for s, weight in enumerate(_first_tree_weights(n, k), start=1):
                 acc += weight
                 if r < acc:
                     size = s

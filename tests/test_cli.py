@@ -467,10 +467,10 @@ def _rewrite(config_path, **fields):
     ("m", "tree_count"), [(845, 3), (1200, 3), (2000, 3), (1200, 600), (1200, 1122), (844, 3), (5000, 2)]
 )
 def test_forests_too_costly_to_count_fail_validation(config_path, tmp_path, capsys, command, m, tree_count):
-    # Counting these forests took 10 s, 45 s, over a minute, over a minute,
-    # 9 s and 9 s on a 2-core x86-64 machine, and counting them and drawing
-    # one forest took 13 s for (5000, 2); (1200, 1122) and (844, 3) sit just
-    # past the limit.
+    # The table that once held the forest counts took 10 s, 45 s, over a
+    # minute, over a minute, 9 s and 9 s to build for these shapes on a 2-core
+    # x86-64 machine, and 13 s with one draw for (5000, 2); (1200, 1122) and
+    # (844, 3) sit just past the limit, a conservative charge for the closed form.
     _rewrite(config_path, m=m, tree_count=tree_count)
     out = tmp_path / "out"
     argv = [*command, "--config", str(config_path)] + (["--out", str(out)] if command == ["run"] else [])

@@ -1,7 +1,11 @@
 """Tests for the knowledge universe: claims, forests, priors, rectification."""
 
+import hashlib
 import json
+import math
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from ktsim.knowledge import (
     FOREST_WORK_LIMIT,
     GroundTruth,
     KnowledgeBase,
-    _forest_table,
+    _forest_count,
     build_ground_truth,
     forest_table_work,
     rectify,
@@ -264,8 +268,8 @@ def test_true_knowledge_matches_union_find_on_100_random_forests():
 
 def test_forest_counts_match_brute_force_enumeration():
     # Independent oracle: enumerate every acyclic edge subset on n labeled
-    # vertices and bucket by component count, then compare with the counting
-    # recursion the sampler draws from.
+    # vertices and bucket by component count, then compare with the closed
+    # form the sampler draws from.
     from itertools import combinations as combos
 
     for n in (2, 3, 4, 5):
@@ -286,7 +290,56 @@ def test_forest_counts_match_brute_force_enumeration():
                 comps = n - edges
                 by_components[comps] = by_components.get(comps, 0) + 1
         for k in range(1, n + 1):
-            assert _forest_table(n, k)[k][n] == by_components.get(k, 0)
+            assert _forest_count(n, k) == by_components.get(k, 0)
+
+
+# The forest counts as they were built before the closed form, by a
+# bottom-up big-integer recursion over the size of the tree through the
+# lowest vertex: the reference the closed form and its draws must reproduce.
+
+
+@lru_cache(maxsize=None)
+def _ref_tree_count_on(n: int) -> int:
+    # Cayley: n^(n-2) labeled trees on n >= 2 vertices, one on a single vertex.
+    return 1 if n <= 2 else n ** (n - 2)
+
+
+def _ref_first_tree_weights(n: int, k: int, fewer: dict[int, int]) -> Iterator[int]:
+    """For s = 1 .. n-k+1, the number of labeled forests on n vertices with k
+    trees whose tree through the lowest vertex has s vertices: its other s-1
+    vertices, a tree on them, and one of ``fewer[n - s]`` (k-1)-tree forests
+    on the rest."""
+    for s in range(1, n - k + 2):
+        yield math.comb(n - 1, s - 1) * _ref_tree_count_on(s) * fewer[n - s]
+
+
+@lru_cache(maxsize=None)
+def _ref_forest_table(m: int, tree_count: int) -> tuple[dict[int, int], ...]:
+    """``table[k][n]``: labeled forests on n vertices with exactly k trees, for
+    every (n, k) that sampling a ``tree_count``-tree forest on m vertices
+    reaches. Built bottom-up, one tree count at a time; n - k never exceeds
+    m - tree_count, and the top count only needs n = m."""
+    spare = m - tree_count
+    table = [{n: int(n == 0) for n in range(spare + 1)}]
+    for k in range(1, tree_count + 1):
+        sizes = range(m if k == tree_count else k, k + spare + 1)
+        if k == 1:
+            table.append({n: _ref_tree_count_on(n) for n in sizes})
+        else:
+            table.append({n: sum(_ref_first_tree_weights(n, k, table[k - 1])) for n in sizes})
+    return tuple(table)
+
+
+forest_shapes = st.integers(1, 60).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_shapes)
+def test_closed_form_forest_counts_match_the_recursion(shape):
+    table = _ref_forest_table(*shape)
+    for k in range(1, len(table)):
+        for n, count in table[k].items():
+            assert _forest_count(n, k) == count
 
 
 # The forest sampler as it was written with edge lists and one global
@@ -323,7 +376,7 @@ def _ref_random_tree_edges(labels, rng):
 
 
 def _ref_sample_forest_parents(m, tree_count, rng):
-    table = _forest_table(m, tree_count)
+    table = _ref_forest_table(m, tree_count)
     remaining = list(range(m))
     k = tree_count
     adjacency = [[] for _ in range(m)]
@@ -333,7 +386,7 @@ def _ref_sample_forest_parents(m, tree_count, rng):
         r = knowledge._rand_below(rng, table[k][n])
         acc = 0
         size = n - k + 1
-        for s, weight in enumerate(knowledge._first_tree_weights(n, k, table[k - 1]), start=1):
+        for s, weight in enumerate(_ref_first_tree_weights(n, k, table[k - 1]), start=1):
             acc += weight
             if r < acc:
                 size = s
@@ -405,6 +458,24 @@ def test_rooted_sampler_draws_the_edge_list_forest(shape, seed):
     gt = GroundTruth(m, parents, 0.9)
     assert (gt.topo_order, gt.tree_ids, gt.tree_count) == _ref_walks(gt)
     assert gt.tree_count == tree_count
+
+
+# sha256 of ``repr(_sample_forest_parents(m, k, default_rng(0)))`` as the
+# recursion drew it, at shapes beyond the property above; pinned, since the
+# recursion takes up to 8 s per shape.
+LARGE_FOREST_SHA256 = {
+    (300, 3): "03fc49e47d58fb60af64a1df02c228174502cfa415d991c2ae021829df9a340a",
+    (300, 10): "72d3662664ab4fe74c0d6f8be6ce45094db53e1d8507d23b53a1ee91669fa9f4",
+    (320, 160): "ccfd53c0575423b35e07476cbe06b9949b9953c4dfe23f3beb5f2984a05bc356",
+    (843, 3): "1d920bced748813b4b01e5f4073cb3c217836477d515c22770b8913688e1687b",
+    (1200, 1123): "43a36c2cabc58c38376b9d98f31f8684fb85b38eeb89e6fd1878fa6a397d8624",
+}
+
+
+@pytest.mark.parametrize("m,k", list(LARGE_FOREST_SHA256))
+def test_large_forests_are_the_recursion_draws(m, k):
+    parents = knowledge._sample_forest_parents(m, k, np.random.default_rng(0))
+    assert hashlib.sha256(repr(parents).encode()).hexdigest() == LARGE_FOREST_SHA256[m, k]
 
 
 @st.composite
@@ -545,13 +616,27 @@ def test_rectify_never_emits_both_polarities():
     assert len(pairs) == len(set(pairs))
 
 
-@pytest.mark.parametrize("m,k", [(2, 2), (6, 2), (12, 5), (30, 3), (40, 40), (60, 17), (30, 1), (50, 2)])
-def test_forest_table_work_counts_the_products_of_the_table(m, k, monkeypatch):
-    # Row j >= 2 of the table takes one product per first-tree size, n - j + 1 of them per entry n.
-    # A draw then takes one first-tree weight per vertex of every tree but the last. The
-    # one-tree row computes n ** (n - 2) for every n <= m - k + 1, or only m ** (m - 2) when
-    # k = 1; the draw computes no other power. The estimate charges m weights and m - k + 1
-    # powers, an upper bound of the work measured.
+CHARGED_SHAPES = [(2, 2), (6, 2), (12, 5), (30, 3), (40, 40), (60, 17), (30, 1), (50, 2)]
+
+
+def _charged_units(m, k):
+    # The table's products (row j >= 2 took one per first-tree size, n - j + 1 of them per
+    # entry n), m - k + 1 powers n ** (n - 2) and m first-tree weights.
+    products = sum(n - j + 1 for j in range(2, k + 1) for n in _ref_forest_table(m, k)[j])
+    return products + (m - k + 1) + m
+
+
+@pytest.mark.parametrize("m,k", CHARGED_SHAPES)
+def test_forest_table_work_counts_the_products_of_the_table(m, k):
+    bits = (m - k + 1) * m.bit_length()
+    wide = knowledge._WIDE_COUNT_BITS
+    assert forest_table_work(m, k) == _charged_units(m, k) * bits * max(bits, wide) // wide
+
+
+@pytest.mark.parametrize("m,k", CHARGED_SHAPES)
+def test_forest_work_charge_covers_the_counts_and_weights_of_a_draw(m, k, monkeypatch):
+    # A draw takes one first-tree weight per vertex of every tree but the last and computes
+    # each forest count it reads once, so the charge bounds both together.
     taken = []
     first_tree_weights = knowledge._first_tree_weights
 
@@ -561,26 +646,19 @@ def test_forest_table_work_counts_the_products_of_the_table(m, k, monkeypatch):
             yield weight
 
     monkeypatch.setattr(knowledge, "_first_tree_weights", counted)
-    _forest_table.cache_clear()
-    knowledge._tree_count_on.cache_clear()
-    table = _forest_table(m, k)
-    products = sum(n - j + 1 for j in range(2, k + 1) for n in table[j])
-    assert len(taken) == products
+    _forest_count.cache_clear()
     gt = GroundTruth(m, knowledge._sample_forest_parents(m, k, np.random.default_rng(0)), 0.9)
     last = gt.tree_ids.count(k - 1)
-    assert len(taken) == products + m - last
-    powers = knowledge._tree_count_on.cache_info().misses
-    assert powers == (m - k + 1 if k > 1 else 1)
-    bits = (m - k + 1) * m.bit_length()
-    wide = knowledge._WIDE_COUNT_BITS
-    charged = products + (m - k + 1) + m
-    assert forest_table_work(m, k) == charged * bits * max(bits, wide) // wide
-    assert len(taken) + powers <= charged
+    assert len(taken) == m - last
+    assert _forest_count.cache_info().misses + len(taken) <= _charged_units(m, k)
 
 
 def test_forest_work_limit_sits_between_accepted_and_rejected_configs():
-    # Building the table and drawing one forest took 9.3 s at (843, 3), 5.0 s at
-    # (5000, 1) and 13.1 s at (5000, 2) on a 2-core x86-64 machine.
+    # The charge was fitted to the table that once held the forest counts, which took 7.6 s to
+    # build and draw from at (843, 3) and 8.4 s at (4594, 2) on a 2-core x86-64 machine. The
+    # closed form draws one forest in 0.06 s at (843, 3), 4.6 s at (4594, 2), 0.17 s at
+    # (1200, 1123), 0.07 s at (320, 160) and 0.03 s at (5258, 1): a conservative bound, kept
+    # until validation bounds the memory of the knowledge arrays.
     assert forest_table_work(1200, 1200) < forest_table_work(843, 3) <= FOREST_WORK_LIMIT
     assert FOREST_WORK_LIMIT < forest_table_work(844, 3) < forest_table_work(1200, 1122)
     assert forest_table_work(1200, 1123) <= FOREST_WORK_LIMIT
