@@ -142,9 +142,10 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
         if not cond:
             raise ConfigError(f"{path}: {msg}")
 
-    # The name is the sweep's directory under --out: one plain path component.
+    # The name is a directory under --out and a sweep.csv field: one plain path component in UTF-8.
     plain = cfg.name not in ("", ".", "..") and "\0" not in cfg.name and PurePath(cfg.name).name == cfg.name
-    check(plain, "name", f"must be one plain path component, got {cfg.name!r}")
+    utf8 = not any("\ud800" <= c <= "\udfff" for c in cfg.name)
+    check(plain and utf8, "name", f"must be one plain path component in UTF-8, got {cfg.name!r}")
     check(cfg.m >= 2, "m", f"must be >= 2, got {cfg.m}")
     check(1 <= cfg.tree_count <= cfg.m, "tree_count", f"must lie in [1, {cfg.m}], got {cfg.tree_count}")
     check(

@@ -295,7 +295,8 @@ class AgentPool:
 # Forest construction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# Bounded, as counts are big: 1024 entries hold all a draw reads to m ~ 500 (597 at (300, 3)).
+@lru_cache(maxsize=1024)
 def _forest_count(n: int, k: int) -> int:
     """Labeled forests on n vertices in k trees, 1 <= k <= n, by Renyi's
     formula (J. W. Moon, *Counting Labelled Trees*, 1970): C(n, k) times the

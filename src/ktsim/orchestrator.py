@@ -11,12 +11,15 @@ A sweep exploits that: for each replicate one data-stage seed is derived from
 the master seed, and all eight channel combinations are run against it. Any
 difference inside a replicate is therefore attributable to the channels
 alone. For the same reason a sweep writes each replicate's upstream (forest,
-teams, datasets) once, and each combination's file holds only the rest.
+teams, datasets) once, and each combination's file holds only the rest. A
+task is one replicate: its eight masks run in one process, in mask order, on
+channel configs validated once per sweep.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 import secrets
@@ -337,32 +340,39 @@ class SweepResult:
         }
 
 
-def _run_cell(cfg: ScenarioConfig, mask: int, rep: int, out_dir: Optional[str]) -> SweepRow:
-    seed = replicate_seed(cfg.master_seed, rep)
-    result = run(cfg.with_channels(ChannelPolicy.from_mask(mask)), seed)
-    if out_dir is not None:
-        # The upstream is the same under all eight masks, so mask 0 writes it
-        # once per replicate and every cell names it by its dataset sha256s.
-        if mask == 0:
-            rep_dir = Path(out_dir) / f"rep{rep}"
-            rep_dir.mkdir(parents=True, exist_ok=True)
-            _write_json_line(rep_dir / "upstream.json", result.upstream_doc())
-        cell = {**result.downstream_doc(), "dataset_sha256": [d.sha256 for d in result.datasets]}
-        target = Path(out_dir) / f"combo{mask}"
-        target.mkdir(parents=True, exist_ok=True)
-        _write_json_line(target / f"rep{rep}.json", cell)
-    rep_report = result.openness
-    return SweepRow(
-        scenario=cfg.name,
-        combo_mask=mask,
-        replicate=rep,
-        seed=seed,
-        union_size=rep_report.union_size,
-        true_count=rep_report.true_count,
-        false_count=rep_report.false_count,
-        openness=rep_report.openness,
-        normalized=rep_report.normalized,
-    )
+def _run_replicate(configs: Sequence[ScenarioConfig], rep: int, out_dir: Optional[Path | str]) -> list[SweepRow]:
+    """Run replicate ``rep``'s one data seed under ``configs``, the scenario
+    under each channel mask in mask order, and return one row per mask."""
+    seed = replicate_seed(configs[0].master_seed, rep)
+    rows = []
+    for mask, cfg in enumerate(configs):
+        result = run(cfg, seed)
+        if out_dir is not None:
+            # The upstream is the same under all eight masks, so mask 0 writes
+            # it once and every mask's file names it by its dataset sha256s.
+            if mask == 0:
+                rep_dir = Path(out_dir) / f"rep{rep}"
+                rep_dir.mkdir(parents=True, exist_ok=True)
+                _write_json_line(rep_dir / "upstream.json", result.upstream_doc())
+            cell = {**result.downstream_doc(), "dataset_sha256": [d.sha256 for d in result.datasets]}
+            target = Path(out_dir) / f"combo{mask}"
+            target.mkdir(parents=True, exist_ok=True)
+            _write_json_line(target / f"rep{rep}.json", cell)
+        report = result.openness
+        rows.append(
+            SweepRow(
+                scenario=cfg.name,
+                combo_mask=mask,
+                replicate=rep,
+                seed=seed,
+                union_size=report.union_size,
+                true_count=report.true_count,
+                false_count=report.false_count,
+                openness=report.openness,
+                normalized=report.normalized,
+            )
+        )
+    return rows
 
 
 def sweep(
@@ -376,48 +386,34 @@ def sweep(
         raise ConfigError(f"replicates must be >= 1, got {replicates}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    out_str = str(out_dir) if out_dir is not None else None
-    cells = [(mask, rep) for mask in ALL_CHANNEL_MASKS for rep in range(replicates)]
+    configs = [cfg.with_channels(ChannelPolicy.from_mask(mask)) for mask in ALL_CHANNEL_MASKS]
+    task = functools.partial(_run_replicate, configs, out_dir=out_dir)
     # ``jobs`` is an upper bound: a forking pool starts all its workers at the
-    # first submit, so ask for no more than there are cells or CPUs.
-    workers = min(jobs, len(cells), os.cpu_count() or 1)
+    # first submit, so ask for no more than there are replicates or CPUs.
+    workers = min(jobs, replicates, os.cpu_count() or 1)
     if workers == 1:
-        rows = [_run_cell(cfg, mask, rep, out_str) for mask, rep in cells]
+        per_replicate = list(map(task, range(replicates)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(
-                pool.map(
-                    _run_cell,
-                    [cfg] * len(cells),
-                    [m for m, _ in cells],
-                    [r for _, r in cells],
-                    [out_str] * len(cells),
-                    chunksize=max(1, len(cells) // (4 * workers)),
-                )
-            )
-
-    per_combo = []
-    by_mask = {mask: [r for r in rows if r.combo_mask == mask] for mask in ALL_CHANNEL_MASKS}
-    for mask, group in by_mask.items():
-        vals = [r.openness for r in group]
-        per_combo.append(
-            ComboSummary(
-                combo_mask=mask,
-                mean_openness=statistics.fmean(vals),
-                stddev_openness=statistics.stdev(vals) if len(vals) > 1 else 0.0,
-                mean_normalized=statistics.fmean(r.normalized for r in group),
-                mean_union_size=statistics.fmean(r.union_size for r in group),
-            )
+            per_replicate = list(pool.map(task, range(replicates)))
+    by_mask = list(zip(*per_replicate))
+    per_combo = tuple(
+        ComboSummary(
+            combo_mask=mask,
+            mean_openness=statistics.fmean(r.openness for r in group),
+            stddev_openness=statistics.stdev(r.openness for r in group) if len(group) > 1 else 0.0,
+            mean_normalized=statistics.fmean(r.normalized for r in group),
+            mean_union_size=statistics.fmean(r.union_size for r in group),
         )
-    all_on = [r.openness for r in by_mask[7]]
-    all_off = [r.openness for r in by_mask[0]]
+        for mask, group in enumerate(by_mask)
+    )
     return SweepResult(
         scenario=cfg.name,
         replicates=replicates,
         master_seed=cfg.master_seed,
-        rows=tuple(rows),
-        per_combo=tuple(per_combo),
-        sign_test_all_vs_none=paired_sign_test(all_on, all_off),
+        rows=tuple(row for group in by_mask for row in group),
+        per_combo=per_combo,
+        sign_test_all_vs_none=paired_sign_test([r.openness for r in by_mask[7]], [r.openness for r in by_mask[0]]),
     )
 
 

@@ -118,7 +118,7 @@ EXTREME_VALUES = st.one_of(
     st.just("9" * 5001),
     st.just("9" * 400),
     st.integers(-(2**80), -1).map(str),
-    st.sampled_from(["NaN", "Infinity", "-Infinity", "-0.0", '"\\u0000"']),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "-0.0", '"\\u0000"', '"\\ud800"']),
     st.integers(1, 100_000).map(lambda depth: "[" * depth + "]" * depth),
 )
 
@@ -266,7 +266,8 @@ def test_oracle_without_seed_prints_the_chosen_seed(capsys):
     assert str(payload["seed"]) in captured.err
 
 
-@pytest.mark.parametrize("argv", [["run"], ["sweep", "--jobs", "2", "--replicates", "1"]], ids=["run", "sweep-jobs-2"])
+# Two replicates, so the sweep's MemoryError is raised in a pool worker.
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--jobs", "2", "--replicates", "2"]], ids=["run", "sweep-jobs-2"])
 def test_a_run_too_large_for_memory_exits_1(config_path, tmp_path, capsys, argv):
     # 10**17 rows of 12 variables ask for about 1 EiB, more than any address
     # space, so numpy refuses the request before allocating anything.
@@ -398,6 +399,22 @@ def test_sweep_name_that_is_not_one_path_component_exits_1(config_path, tmp_path
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["config.json", "other_scenario", "results", "sweep.csv"]
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--replicates", "1"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("name", ["\ud800x", "\udcffx"], ids=["ud800x", "udcffx"])
+def test_a_name_that_utf8_cannot_encode_exits_1_with_one_error_line(config_path, tmp_path, capsys, command, name):
+    # A lone surrogate is valid JSON, but no directory name or sweep.csv field.
+    data = json.loads(config_path.read_text())
+    data["name"] = name
+    config_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(config_path), "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: name: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(("section", "key", "entries"), [
     ("wiring", "mining", [[0, 0], [0, 1], [0, 0]]),
     ("wiring", "labeling", [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
@@ -522,7 +539,7 @@ def test_a_sweep_worker_that_dies_exits_1_with_one_error_line(config_path, tmp_p
     monkeypatch.setattr(orchestrator, "run", die)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     out = tmp_path / "out"
-    argv = ["sweep", "--jobs", "2", "--replicates", "1", "--config", str(config_path), "--out", str(out)]
+    argv = ["sweep", "--jobs", "2", "--replicates", "2", "--config", str(config_path), "--out", str(out)]
     assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""

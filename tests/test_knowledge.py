@@ -653,6 +653,20 @@ def test_forest_work_charge_covers_the_counts_and_weights_of_a_draw(m, k, monkey
     assert _forest_count.cache_info().misses + len(taken) <= _charged_units(m, k)
 
 
+def test_forest_count_cache_is_bounded_and_holds_a_benchmark_draw():
+    # A (2500, 2) draw reads 2500 one-tree counts of up to 28,000 bits each.
+    _forest_count.cache_clear()
+    knowledge._sample_forest_parents(2500, 2, np.random.default_rng(0))
+    info = _forest_count.cache_info()
+    assert info.currsize <= info.maxsize
+    # Every count a (300, 3) draw reads stays cached for the next one.
+    _forest_count.cache_clear()
+    knowledge._sample_forest_parents(300, 3, np.random.default_rng(0))
+    misses = _forest_count.cache_info().misses
+    knowledge._sample_forest_parents(300, 3, np.random.default_rng(0))
+    assert _forest_count.cache_info().misses == misses
+
+
 def test_forest_work_limit_sits_between_accepted_and_rejected_configs():
     # The charge was fitted to the table that once held the forest counts, which took 7.6 s to
     # build and draw from at (843, 3) and 8.4 s at (4594, 2) on a 2-core x86-64 machine. The

@@ -7,11 +7,12 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import ktsim
-from ktsim import orchestrator
+from ktsim import config, orchestrator
 from ktsim.config import ChannelPolicy, Wiring, default_scenario, scenario_from_dict
 from ktsim.errors import ConfigError
 from ktsim.knowledge import Role, rectify
@@ -196,9 +197,10 @@ def test_sweep_rejects_bad_arguments():
 
 def test_parallel_sweep_matches_sequential():
     cfg = small_scenario()
-    seq = sweep(cfg, 2, jobs=1)
-    par = sweep(cfg, 2, jobs=2)
-    assert seq.rows == par.rows
+    for replicates in (2, 3):  # 3 replicates split unevenly over 2 workers
+        seq = sweep(cfg, replicates, jobs=1)
+        par = sweep(cfg, replicates, jobs=2)
+        assert seq.rows == par.rows
 
 
 def _tree(root: Path) -> dict[str, bytes]:
@@ -207,13 +209,14 @@ def _tree(root: Path) -> dict[str, bytes]:
 
 def test_sweep_writes_each_upstream_once_and_cells_reassemble_into_runs(tmp_path):
     cfg = ktsim.default_scenario()
-    sweep(cfg, 2, out_dir=tmp_path / "seq", jobs=1)
-    sweep(cfg, 2, out_dir=tmp_path / "par", jobs=2)
-    tree = _tree(tmp_path / "seq")
-    assert _tree(tmp_path / "par") == tree
-    cells = [f"combo{mask}/rep{rep}.json" for mask in range(8) for rep in range(2)]
-    assert sorted(tree) == sorted(cells + ["rep0/upstream.json", "rep1/upstream.json"])
-    for rep in range(2):
+    for replicates in (2, 3):  # 3 replicates split unevenly over 2 workers
+        sweep(cfg, replicates, out_dir=tmp_path / f"seq{replicates}", jobs=1)
+        sweep(cfg, replicates, out_dir=tmp_path / f"par{replicates}", jobs=2)
+        tree = _tree(tmp_path / f"seq{replicates}")
+        assert _tree(tmp_path / f"par{replicates}") == tree
+        cells = [f"combo{mask}/rep{rep}.json" for mask in range(8) for rep in range(replicates)]
+        assert sorted(tree) == sorted(cells + [f"rep{rep}/upstream.json" for rep in range(replicates)])
+    for rep in range(replicates):
         upstream = json.loads(tree[f"rep{rep}/upstream.json"])
         seed = replicate_seed(cfg.master_seed, rep)
         for mask in range(8):
@@ -223,14 +226,15 @@ def test_sweep_writes_each_upstream_once_and_cells_reassemble_into_runs(tmp_path
             assert json.dumps({**cell, **upstream}, sort_keys=True, separators=(",", ":")) + "\n" == expected
 
 
-def test_sweep_pool_never_exceeds_cells_or_cpus(monkeypatch):
-    requested = []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Put in the sweep's process pool a fake that records the pool size
+    asked for and what each task returns, and maps in this process."""
+    log = SimpleNamespace(sizes=[], tasks=[])
 
     class SerialPool:
-        """Records the pool size asked for and maps in this process."""
-
         def __init__(self, max_workers):
-            requested.append(max_workers)
+            log.sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -239,19 +243,43 @@ def test_sweep_pool_never_exceeds_cells_or_cpus(monkeypatch):
             return False
 
         def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+            for args in zip(*iterables):
+                log.tasks.append(fn(*args))
+                yield log.tasks[-1]
 
     monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", SerialPool)
+    return log
+
+
+def test_sweep_pool_never_exceeds_replicates_or_cpus(serial_pool, monkeypatch):
     cfg = small_scenario()
     monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 64)
-    pooled = sweep(cfg, 1, jobs=64)  # 8 cells
+    pooled = sweep(cfg, 4, jobs=64)
+    sweep(cfg, 1, jobs=64)  # one replicate: no pool
     monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 3)
-    sweep(cfg, 1, jobs=64)
-    sweep(cfg, 2, jobs=2)
+    sweep(cfg, 4, jobs=64)
+    sweep(cfg, 4, jobs=2)
     monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: None)
-    serial = sweep(cfg, 1, jobs=64)  # CPU count unknown: no pool
-    assert requested == [8, 3, 2]
-    assert pooled == serial == sweep(cfg, 1)
+    serial = sweep(cfg, 4, jobs=64)  # CPU count unknown: no pool
+    assert serial_pool.sizes == [4, 3, 2]
+    assert pooled == serial == sweep(cfg, 4)
+
+
+def test_a_sweep_task_is_one_replicate_with_its_eight_masks(serial_pool, monkeypatch):
+    cfg = small_scenario()
+    validated = []
+    validate = config._validate_scenario
+    monkeypatch.setattr(config, "_validate_scenario", lambda cfg: validated.append(cfg) or validate(cfg))
+    monkeypatch.setattr(orchestrator.os, "cpu_count", lambda: 2)
+    result = sweep(cfg, 2, jobs=2)
+    assert serial_pool.sizes == [2]
+    assert len(serial_pool.tasks) == 2
+    for rep, rows in enumerate(serial_pool.tasks):
+        assert [row.combo_mask for row in rows] == list(range(8))
+        assert {(row.replicate, row.seed) for row in rows} == {(rep, replicate_seed(cfg.master_seed, rep))}
+    assert result.rows == tuple(rows[mask] for mask in range(8) for rows in serial_pool.tasks)
+    # The scenario is validated once per channel mask, not once per (mask, replicate).
+    assert [c.channels.mask for c in validated] == list(range(8))
 
 
 def test_run_outputs_include_datasets_and_result(tmp_path):
