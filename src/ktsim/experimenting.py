@@ -100,14 +100,11 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class Datasheet(Record):
-    """Provenance record of the design as actually executed."""
+class Datasheet(ExperimentDesign):
+    """Provenance record of the design as actually executed: the design, the
+    team that executed it and a fingerprint of the generator that drew it."""
 
     team_id: int
-    measured: tuple[int, ...]
-    selection: Optional[Selection]
-    noise_rate: float
-    samples: int
     seed_fingerprint: str
 
 
@@ -256,16 +253,8 @@ def sample_dataset(
         for start in range(0, rows.shape[0], step):
             block = rows[start:start + step]
             block ^= (rng.random((block.shape[0], gt.m)) < design.noise_rate)[:, measured]
-    dataset = Dataset(design.measured, rows)
-    sheet = Datasheet(
-        team_id=team_id,
-        measured=design.measured,
-        selection=design.selection,
-        noise_rate=design.noise_rate,
-        samples=design.samples,
-        seed_fingerprint=fingerprint,
-    )
-    return dataset, sheet
+    sheet = Datasheet.extend(design, team_id=team_id, seed_fingerprint=fingerprint)
+    return Dataset(design.measured, rows), sheet
 
 
 def _csv_lines(rows: np.ndarray) -> np.ndarray:

@@ -13,8 +13,11 @@ through into the output and take precedence over pattern-derived labels on
 the same pair; ambiguous, degenerate, disputed, or selection-compromised
 patterns yield no claim at all.
 
-A labeling is a ``LabeledKnowledge`` (see ``knowledge.PairColumns``); its
-``entries`` are what a result file holds under ``claims``.
+Both steps read polarity through ``mining.implied_polarity``, whose params
+are a ``MiningParams``, or a ``LabelingParams``, which extends it with the
+pass-through trust confidence. A labeling is a ``LabeledKnowledge`` (see
+``knowledge.PairColumns``); its ``entries`` are what a result file holds
+under ``claims``.
 """
 
 from __future__ import annotations
@@ -27,33 +30,30 @@ import numpy as np
 from .experimenting import Datasheet
 from .knowledge import KnowledgeBase, PairColumns, check_confidence, split_keys
 from .mining import (
-    DEFAULT_DEP_THRESHOLD,
-    DEFAULT_IND_THRESHOLD,
     TAG_DISPUTED,
     TAG_NOISE_CORRECTED,
     TAG_SELECTION_CONDITIONED,
     Information,
+    MiningParams,
     PatternTable,
-    check_params,
     contradicted_patterns,
     datasheet_corrections,
     implied_polarity,
 )
-from .records import Record
 
 ORIGIN_PATTERN = "pattern"
 ORIGIN_PRIOR = "prior_passthrough"
 
 
 @dataclass(frozen=True)
-class LabelingParams(Record):
-    dep_threshold: float = DEFAULT_DEP_THRESHOLD
-    ind_threshold: float = DEFAULT_IND_THRESHOLD
-    veto_confidence: float = 0.9
+class LabelingParams(MiningParams):
+    """The mining thresholds, plus the confidence at which a prior claim
+    passes through."""
+
     trust_confidence: float = 0.9
 
     def __post_init__(self) -> None:
-        check_params(self)
+        super().__post_init__()
         check_confidence("trust_confidence", self.trust_confidence)
 
 

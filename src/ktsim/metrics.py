@@ -16,6 +16,7 @@ noise attenuation laws.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,8 +40,10 @@ from .records import Record
 
 
 @dataclass(frozen=True)
-class TripleReport(Record):
-    teams: tuple[int, int, int]
+class Score(Record):
+    """The openness of a set of distinct claims: how many there are, how many
+    of them are true and false, true minus false, and that per claim."""
+
     union_size: int
     true_count: int
     false_count: int
@@ -49,12 +52,12 @@ class TripleReport(Record):
 
 
 @dataclass(frozen=True)
-class OpennessReport(Record):
-    union_size: int
-    true_count: int
-    false_count: int
-    openness: int
-    normalized: float
+class TripleReport(Score):
+    teams: tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class OpennessReport(Score):
     per_triple: tuple[TripleReport, ...]
 
 
@@ -73,7 +76,7 @@ def _distinct(codes: np.ndarray) -> np.ndarray:
 
 
 def _counts(codes: np.ndarray, gt: GroundTruth) -> dict:
-    """The five count fields of a report on distinct claim codes."""
+    """The ``Score`` fields of distinct claim codes, by name."""
     true_count = int(np.count_nonzero(gt.same_tree_keys(codes >> 1) == (codes & 1).astype(bool)))
     false_count = len(codes) - true_count
     return {
@@ -274,6 +277,9 @@ def correlation_oracle(
         raise ConfigError(f"delta must lie in [0, 0.5), got {delta}")
     if samples < 2:
         raise ConfigError(f"samples must be >= 2, got {samples}")
+    # numpy cannot even describe an array of more than sys.maxsize elements.
+    if samples > sys.maxsize:
+        raise ConfigError(f"samples must be <= {sys.maxsize}, got {samples}")
     start = rng.integers(0, 2, size=samples, dtype=np.uint8)
     end = start.copy()
     for _ in range(dist):

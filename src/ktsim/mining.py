@@ -33,9 +33,6 @@ TAG_SELECTION_CONDITIONED = "selection_conditioned"
 TAG_DEGENERATE = "degenerate"
 TAG_DISPUTED = "disputed"
 
-DEFAULT_DEP_THRESHOLD = 0.3
-DEFAULT_IND_THRESHOLD = 0.05
-
 #: Rows per block of the Gram matrix in ``mine``; bounds the float copy of
 #: the dataset and keeps every block's counts exact in float64.
 _GRAM_BLOCK_ROWS = 8192
@@ -43,23 +40,21 @@ _GRAM_BLOCK_ROWS = 8192
 
 @dataclass(frozen=True)
 class MiningParams(Record):
+    """The polarity thresholds and the veto confidence; ``LabelingParams``
+    extends them."""
+
     veto_confidence: float = 0.9
-    dep_threshold: float = DEFAULT_DEP_THRESHOLD
-    ind_threshold: float = DEFAULT_IND_THRESHOLD
+    dep_threshold: float = 0.3
+    ind_threshold: float = 0.05
 
     def __post_init__(self) -> None:
-        check_params(self)
-
-
-def check_params(params) -> None:
-    """Range checks shared by MiningParams and LabelingParams: the veto
-    confidence lies in (0, 1] and 0 <= ind_threshold < dep_threshold <= 1."""
-    check_confidence("veto_confidence", params.veto_confidence)
-    if not (0.0 <= params.ind_threshold < params.dep_threshold <= 1.0):
-        raise ConfigError(
-            "thresholds must satisfy 0 <= ind_threshold < dep_threshold <= 1, "
-            f"got ind={params.ind_threshold} dep={params.dep_threshold}"
-        )
+        """The veto confidence lies in (0, 1] and 0 <= ind_threshold < dep_threshold <= 1."""
+        check_confidence("veto_confidence", self.veto_confidence)
+        if not (0.0 <= self.ind_threshold < self.dep_threshold <= 1.0):
+            raise ConfigError(
+                "thresholds must satisfy 0 <= ind_threshold < dep_threshold <= 1, "
+                f"got ind={self.ind_threshold} dep={self.dep_threshold}"
+            )
 
 
 #: Tag ``TAG_NAMES[i]`` is bit ``1 << i`` of ``PatternTable.tags``, names in sorted order.
@@ -145,18 +140,19 @@ def datasheet_corrections(patterns: PatternTable, datasheet: Datasheet, correct_
     return PatternTable.from_arrays(patterns.keys, phi, tags, patterns.support)
 
 
-def implied_polarity(patterns: PatternTable, params) -> tuple[np.ndarray, np.ndarray]:
+def implied_polarity(patterns: PatternTable, params: MiningParams) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the patterns that imply a polarity and of those that imply
-    Dependent under ``params``' thresholds (a MiningParams or LabelingParams):
-    a degenerate pattern implies none, |phi| >= dep_threshold Dependent,
-    |phi| <= ind_threshold Independent and the band between them none."""
+    Dependent under ``params``' thresholds (a ``MiningParams``, or a
+    ``LabelingParams``, which extends it): a degenerate pattern implies none,
+    |phi| >= dep_threshold Dependent, |phi| <= ind_threshold Independent and
+    the band between them none."""
     strength = np.abs(patterns.phi)
     dep = strength >= params.dep_threshold
     implied = ~patterns.has(TAG_DEGENERATE) & (dep | (strength <= params.ind_threshold))
     return implied, dep
 
 
-def contradicted_patterns(patterns: PatternTable, bases: Sequence[KnowledgeBase], params) -> np.ndarray:
+def contradicted_patterns(patterns: PatternTable, bases: Sequence[KnowledgeBase], params: MiningParams) -> np.ndarray:
     """Mask of the patterns for which some base holds a claim on their pair
     with at least ``params.veto_confidence`` and the polarity opposite to the
     one the pattern implies (a pattern that implies none is never contradicted)."""

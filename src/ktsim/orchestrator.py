@@ -46,7 +46,7 @@ from .knowledge import (
     sample_agent_pool,
 )
 from .labeling import LabeledKnowledge, build_effective_prior, label, reinterpret
-from .metrics import OpennessReport, SignTestResult, openness, paired_sign_test
+from .metrics import OpennessReport, Score, SignTestResult, openness, paired_sign_test
 from .mining import Information, mine
 from .records import Record
 
@@ -61,14 +61,13 @@ def replicate_seed(master_seed: int, replicate: int) -> int:
 
 @dataclass(frozen=True)
 class DatasetRecord:
-    team_id: int
     dataset: Dataset
     datasheet: Datasheet
     sha256: str
 
     def to_json(self) -> dict:
         return {
-            "team_id": self.team_id,
+            "team_id": self.datasheet.team_id,
             "rows": self.dataset.n,
             "sha256": self.sha256,
             "datasheet": self.datasheet.to_json(),
@@ -240,7 +239,7 @@ def run(cfg: ScenarioConfig, seed: int) -> RunResult:
         dataset, datasheet = sample_dataset(
             gt, design, np.random.default_rng(sample_ss), team_id=team.id
         )
-        records.append(DatasetRecord(team.id, dataset, datasheet, dataset.sha256()))
+        records.append(DatasetRecord(dataset, datasheet, dataset.sha256()))
 
     channels = cfg.channels
     miner_peers: dict[int, list] = {j: [] for j in range(len(mine_teams))}
@@ -294,22 +293,19 @@ def run(cfg: ScenarioConfig, seed: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Score):
     scenario: str
     combo_mask: int
     replicate: int
     seed: int
-    union_size: int
-    true_count: int
-    false_count: int
-    openness: int
-    normalized: float
 
     def as_csv(self) -> list:
         return [getattr(self, name) for name in SWEEP_CSV_COLUMNS]
 
 
-SWEEP_CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
+#: The sweep.csv header: the row's own fields first, then its score's (the
+#: reverse of the dataclass field order, where the inherited score comes first).
+SWEEP_CSV_COLUMNS = ("scenario", "combo_mask", "replicate", "seed", *(f.name for f in fields(Score)))
 
 
 @dataclass(frozen=True)
@@ -358,20 +354,7 @@ def _run_replicate(configs: Sequence[ScenarioConfig], rep: int, out_dir: Optiona
             target = Path(out_dir) / f"combo{mask}"
             target.mkdir(parents=True, exist_ok=True)
             _write_json_line(target / f"rep{rep}.json", cell)
-        report = result.openness
-        rows.append(
-            SweepRow(
-                scenario=cfg.name,
-                combo_mask=mask,
-                replicate=rep,
-                seed=seed,
-                union_size=report.union_size,
-                true_count=report.true_count,
-                false_count=report.false_count,
-                openness=report.openness,
-                normalized=report.normalized,
-            )
-        )
+        rows.append(SweepRow.extend(result.openness, scenario=cfg.name, combo_mask=mask, replicate=rep, seed=seed))
     return rows
 
 
@@ -440,7 +423,7 @@ def write_run_outputs(result: RunResult, out_dir: Path | str) -> Path:
 
     def export_all(data_dir: Path) -> None:
         for record in result.datasets:
-            export_dataset(record.dataset, record.datasheet, data_dir / f"team{record.team_id}.csv")
+            export_dataset(record.dataset, record.datasheet, data_dir / f"team{record.datasheet.team_id}.csv")
 
     replace_directory(out / "datasets", export_all)
     result_path = out / "result.json"

@@ -34,3 +34,9 @@ class Record:
 
     def to_json(self) -> dict:
         return {f.name: jsonable(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def extend(cls, base: Record, **extra: Any):
+        """A ``cls`` with the ``extra`` fields and, for every other field,
+        the value ``base`` holds: a record built from the record it extends."""
+        return cls(**{f.name: getattr(base, f.name) for f in fields(cls) if f.name not in extra}, **extra)

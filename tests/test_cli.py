@@ -257,6 +257,14 @@ def test_oracle_with_a_constant_endpoint_exits_1_without_printing_nan(capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_oracle_with_more_samples_than_numpy_can_describe_exits_1(capsys):
+    # sys.maxsize + 1: numpy cannot shape an array that long.
+    assert main(["oracle", "--p-stay", "0.9", "--dist", "1", "--samples", str(2**63), "--seed", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: samples must be <= {2**63 - 1}, got {2**63}\n"
+
+
 def test_oracle_without_seed_prints_the_chosen_seed(capsys):
     code = main(["oracle", "--p-stay", "0.8", "--dist", "1", "--samples", "2000"])
     assert code == EXIT_OK

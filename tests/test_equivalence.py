@@ -227,7 +227,7 @@ def datasheets(draw, variables):
     ``variables``, or both."""
     selection = draw(st.none() | st.builds(Selection, st.sampled_from(variables), st.integers(0, 1)))
     noise = draw(NOISE if selection is not None else NOISE.filter(lambda rate: rate > 0.0))
-    return Datasheet(0, tuple(variables), selection, noise, 1, "ref")
+    return Datasheet(tuple(variables), selection, noise, 1, team_id=0, seed_fingerprint="ref")
 
 
 @st.composite

@@ -45,6 +45,18 @@ def test_design_validation():
         ExperimentDesign((1, 2), None, 0.5, 10)
 
 
+@pytest.mark.parametrize(
+    "design",
+    [((3,), None, 0.0, 10), ((1, 2), Selection(5, 1), 0.0, 10), ((1, 2), None, 0.5, 10), ((1, 2), None, 0.0, 0)],
+    ids=["one-variable", "selection-outside", "noise-half", "no-samples"],
+)
+def test_a_datasheet_passes_the_design_checks(design):
+    # A datasheet is the design as executed, so it cannot record one that
+    # could not have been executed.
+    with pytest.raises(ConfigError):
+        Datasheet(*design, team_id=0, seed_fingerprint="0" * 16)
+
+
 def test_empty_kb_design_falls_back_to_uniform_variables():
     design = design_experiment(EMPTY, 30, 5, 0.0, 0.0, 100, np.random.default_rng(0))
     assert len(design.measured) == 5
@@ -278,7 +290,7 @@ def test_export_writes_rows_in_blocks_and_the_same_bytes(tmp_path):
     # peaks near 9x rows.nbytes; the reference below writes that way.
     rows = np.random.default_rng(4).integers(0, 2, size=(20_000, 48), dtype=np.uint8)
     ds = Dataset(range(48), rows)
-    sheet = Datasheet(0, ds.columns, None, 0.0, ds.n, "0" * 16)
+    sheet = Datasheet(ds.columns, None, 0.0, ds.n, team_id=0, seed_fingerprint="0" * 16)
     _, peak = _peak_bytes(lambda: export_dataset(ds, sheet, tmp_path / "team0.csv"))
     assert peak < 2 * rows.nbytes
     expected = io.StringIO(newline="")
@@ -362,7 +374,7 @@ def reference_sample(gt, design, rng):
         for start in range(0, accepted.shape[0], 8192):
             block = accepted[start:start + 8192]
             block ^= rng.random(block.shape) < design.noise_rate
-    sheet = Datasheet(0, design.measured, selection, design.noise_rate, design.samples, fingerprint)
+    sheet = Datasheet(design.measured, selection, design.noise_rate, design.samples, 0, fingerprint)
     return accepted[:, list(design.measured)], sheet
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from ktsim.errors import ConfigError
 from ktsim.experimenting import Dataset, Datasheet, ExperimentDesign, Selection, sample_dataset
 from ktsim.knowledge import GroundTruth, split_keys
+from ktsim.labeling import LabelingParams
 from ktsim.mining import (
     TAG_DEGENERATE,
     TAG_DISPUTED,
@@ -40,6 +42,42 @@ def sheet(noise_rate=0.0, selection=None, measured=(0, 1)):
         samples=4,
         seed_fingerprint="test",
     )
+
+
+# ---------------------------------------------------------------------------
+# Params
+# ---------------------------------------------------------------------------
+
+THRESHOLDS = r"thresholds must satisfy 0 <= ind_threshold < dep_threshold <= 1, got ind=.* dep=.*"
+
+
+@pytest.mark.parametrize("cls", [MiningParams, LabelingParams])
+@pytest.mark.parametrize(
+    ("fields", "message"),
+    [
+        ({"veto_confidence": 0.0}, r"veto_confidence must lie in \(0, 1\], got 0.0"),
+        ({"veto_confidence": 1.5}, r"veto_confidence must lie in \(0, 1\], got 1.5"),
+        ({"ind_threshold": 0.3, "dep_threshold": 0.3}, THRESHOLDS),
+        ({"ind_threshold": 0.4, "dep_threshold": 0.3}, THRESHOLDS),
+        ({"dep_threshold": 1.1}, THRESHOLDS),
+        ({"ind_threshold": -0.1}, THRESHOLDS),
+    ],
+)
+def test_params_reject_thresholds_out_of_range(cls, fields, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        cls(**fields)
+
+
+@pytest.mark.parametrize("trust", [0.0, 1.5])
+def test_labeling_params_reject_a_trust_confidence_outside_the_unit_interval(trust):
+    with pytest.raises(ConfigError, match=rf"^trust_confidence must lie in \(0, 1\], got {trust}$"):
+        LabelingParams(trust_confidence=trust)
+
+
+def test_the_extreme_thresholds_are_accepted():
+    for cls in (MiningParams, LabelingParams):
+        cls(veto_confidence=1.0, ind_threshold=0.0, dep_threshold=1.0)
+    LabelingParams(trust_confidence=1.0)
 
 
 # ---------------------------------------------------------------------------

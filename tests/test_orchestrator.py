@@ -292,8 +292,8 @@ def test_run_outputs_include_datasets_and_result(tmp_path):
     assert len(payload["datasets"]) == 2
     assert payload["openness"]["true_count"] - payload["openness"]["false_count"] == payload["openness"]["openness"]
     for rec in result.datasets:
-        assert (tmp_path / "datasets" / f"team{rec.team_id}.csv").is_file()
-        assert (tmp_path / "datasets" / f"team{rec.team_id}.datasheet.json").is_file()
+        assert (tmp_path / "datasets" / f"team{rec.datasheet.team_id}.csv").is_file()
+        assert (tmp_path / "datasets" / f"team{rec.datasheet.team_id}.datasheet.json").is_file()
 
 
 def _peak_bytes(call):

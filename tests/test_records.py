@@ -52,6 +52,18 @@ def test_record_json_is_its_fields_by_name():
     }
 
 
+@dataclass(frozen=True)
+class Labeled(Inner):
+    label: str
+
+
+def test_an_extended_record_takes_its_base_fields_from_the_base():
+    inner = Inner(frozenset("ab"), Color.RED)
+    labeled = Labeled.extend(inner, label="x")
+    assert labeled == Labeled(frozenset("ab"), Color.RED, "x")
+    assert Labeled.extend(labeled, color=None) == Labeled(frozenset("ab"), None, "x")
+
+
 def test_shipped_default_config_is_the_default_scenario():
     assert json.loads(DEFAULT_CONFIG.read_text()) == default_scenario().to_json()
 
