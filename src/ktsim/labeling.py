@@ -16,8 +16,10 @@ patterns yield no claim at all.
 Both steps read polarity through ``mining.implied_polarity``, whose params
 are a ``MiningParams``, or a ``LabelingParams``, which extends it with the
 pass-through trust confidence. A labeling is a ``LabeledKnowledge`` (see
-``knowledge.PairColumns``); its ``entries`` are what a result file holds
-under ``claims``.
+``knowledge.PairColumns``). A result file holds its claims under ``claims``,
+one ``{origin, polarity, u, v}`` record per claim, rendered straight from the
+columns; ``entries`` is the same records as dicts, which tests and the
+benchmark's tracer read.
 """
 
 from __future__ import annotations
@@ -40,9 +42,18 @@ from .mining import (
     datasheet_corrections,
     implied_polarity,
 )
+from .records import JSONFragment
 
 ORIGIN_PATTERN = "pattern"
 ORIGIN_PRIOR = "prior_passthrough"
+
+#: One claim record per code ``2 * from_prior + dep``, keys in sorted order as
+#: the result encoder writes them, with ``%d`` in place of ``u`` and ``v``.
+_CLAIM_TEMPLATES = tuple(
+    f'{{"origin":"{origin}","polarity":"{polarity}","u":%d,"v":%d}}'
+    for origin in (ORIGIN_PATTERN, ORIGIN_PRIOR)
+    for polarity in ("indep", "dep")
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,8 @@ class LabeledKnowledge(PairColumns):
     order, ``dep`` (True for a Dependent claim) and ``from_prior`` (True for
     a prior pass-through, False for a pattern label), plus the (experimenter,
     miner, labeler) ``teams`` that produced it. ``entries`` is the record
-    view of the same claims that ``to_json`` writes.
+    view of the same claims, which tests and the benchmark's tracer read;
+    ``to_json`` writes those records without building them.
     """
 
     COLUMNS = ("keys", "dep", "from_prior")
@@ -89,8 +101,13 @@ class LabeledKnowledge(PairColumns):
         return f"LabeledKnowledge({len(self)} claims, teams={self.teams})"
 
     def to_json(self) -> dict:
-        """``teams`` and ``entries``, the latter under ``claims``."""
-        return {"teams": list(self.teams), "claims": self.entries}
+        """``teams``, and under ``claims`` the JSON text of ``entries``: each
+        claim fills its code's template with its ids, so no record is built."""
+        us, vs = split_keys(self.keys)
+        codes = 2 * self.from_prior + self.dep
+        records = ",".join(map(_CLAIM_TEMPLATES.__getitem__, codes.tolist()))
+        ids = tuple(np.column_stack((us, vs)).ravel().tolist())
+        return {"teams": list(self.teams), "claims": JSONFragment(f"[{records % ids}]")}
 
 
 def build_effective_prior(

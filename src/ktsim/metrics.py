@@ -256,6 +256,13 @@ class OracleReport(Record):
     abs_diff: float
 
 
+#: Work limits of the oracle's walk, which takes ``dist`` steps over all
+#: ``samples`` at once. A step measured about 5 us plus 5 ns per sample on
+#: one x86 core, so each limit stands for at most a few seconds of walking.
+ORACLE_MAX_DIST = 10**6
+ORACLE_MAX_STEPS = 10**9
+
+
 def correlation_oracle(
     p_stay: float,
     dist: int,
@@ -280,6 +287,10 @@ def correlation_oracle(
     # numpy cannot even describe an array of more than sys.maxsize elements.
     if samples > sys.maxsize:
         raise ConfigError(f"samples must be <= {sys.maxsize}, got {samples}")
+    if dist > ORACLE_MAX_DIST:
+        raise ConfigError(f"dist must be <= {ORACLE_MAX_DIST}, got {dist}")
+    if dist * samples > ORACLE_MAX_STEPS:
+        raise ConfigError(f"dist * samples must be <= {ORACLE_MAX_STEPS}, got {dist} * {samples} = {dist * samples}")
     start = rng.integers(0, 2, size=samples, dtype=np.uint8)
     end = start.copy()
     for _ in range(dist):

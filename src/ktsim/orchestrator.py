@@ -48,7 +48,7 @@ from .knowledge import (
 from .labeling import LabeledKnowledge, build_effective_prior, label, reinterpret
 from .metrics import OpennessReport, Score, SignTestResult, openness, paired_sign_test
 from .mining import Information, mine
-from .records import Record
+from .records import JSONFragment, Record
 
 ALL_CHANNEL_MASKS = tuple(range(8))
 
@@ -127,22 +127,28 @@ _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _streamed(value: Any) -> bool:
-    """Whether ``_json_pieces`` writes ``value`` in more than one piece: an
-    iterator, a list longer than ``_LIST_CHUNK`` or a dict that holds one."""
+    """Whether ``_json_pieces`` writes ``value`` itself rather than handing it
+    to ``_encode``: an iterator, a ``JSONFragment``, a list longer than
+    ``_LIST_CHUNK`` or a dict that holds one."""
     if isinstance(value, dict):
         return any(map(_streamed, value.values()))
-    return isinstance(value, Iterator) or (isinstance(value, list) and len(value) > _LIST_CHUNK)
+    return isinstance(value, (Iterator, JSONFragment)) or (isinstance(value, list) and len(value) > _LIST_CHUNK)
 
 
 def _json_pieces(value: Any) -> Iterator[str]:
     """``value`` as compact, sorted-key JSON text in pieces whose join is
-    ``_encode(value)``, with an iterator taken as the list of its elements.
+    ``_encode(value)``, with an iterator taken as the list of its elements
+    and a ``JSONFragment`` as the value its text encodes.
 
-    An iterator is written element by element, a long list in chunks of
-    ``_LIST_CHUNK`` elements and a dict holding either key by key (its keys
-    are strings), so only one element of an iterator is built at a time and
-    no piece encodes more than one chunk of a list."""
-    if isinstance(value, Iterator):
+    A fragment is written as its text, an iterator element by element, a
+    long list in chunks of ``_LIST_CHUNK`` elements and a dict holding any
+    of these key by key (its keys are strings), so only one element of an
+    iterator is built at a time and no piece encodes more than one chunk of
+    a list. A fragment anywhere else, as in a short list, makes ``_encode``
+    raise ``TypeError``."""
+    if isinstance(value, JSONFragment):
+        yield value.text
+    elif isinstance(value, Iterator):
         yield "["
         # No name holds an element, so it is freed before the next is built.
         for n, pieces in enumerate(map(_json_pieces, value)):

@@ -3,7 +3,8 @@
 Provenance travels as records (datasheets, info sheets, the config, the
 reports), and a record's JSON form is exactly what gets communicated. Writing
 that rule once means a field added to a record cannot silently drop out of
-the artifacts.
+the artifacts. A ``JSONFragment`` is a value whose JSON text was written
+ahead, for a column too long to hand the encoder record by record.
 """
 
 from __future__ import annotations
@@ -24,6 +25,17 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, (tuple, list)):
         return [jsonable(item) for item in value]
     return value
+
+
+class JSONFragment:
+    """Text that is already compact, sorted-key JSON, which the result writer
+    copies verbatim. It is no ``str``, so ``json.dumps`` raises ``TypeError``
+    on it instead of writing the text as one quoted string."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
 
 
 class Record:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from ktsim import orchestrator
 from ktsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from ktsim.config import default_scenario
+from ktsim.metrics import ORACLE_MAX_DIST, ORACLE_MAX_STEPS
 
 
 @pytest.fixture
@@ -263,6 +264,19 @@ def test_oracle_with_more_samples_than_numpy_can_describe_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: samples must be <= {2**63 - 1}, got {2**63}\n"
+
+
+@pytest.mark.parametrize(("dist", "samples", "message"), [
+    # 10**12 steps: months of walking, for an analytic value that is 0.
+    (10**12, 2, f"dist must be <= {ORACLE_MAX_DIST}, got {10**12}"),
+    (10, ORACLE_MAX_STEPS // 10 + 1, f"dist * samples must be <= {ORACLE_MAX_STEPS}, got 10 * {ORACLE_MAX_STEPS // 10 + 1}"),
+], ids=["dist", "dist-times-samples"])
+def test_oracle_past_a_work_limit_exits_1(capsys, dist, samples, message):
+    assert main(["oracle", "--p-stay", "0.9", "--dist", str(dist), "--samples", str(samples), "--seed", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 def test_oracle_without_seed_prints_the_chosen_seed(capsys):

@@ -7,13 +7,14 @@ ties included) and every result must match the reference exactly, floats
 bit for bit.
 """
 
+import json
 import math
 from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktsim.errors import ConfigError
@@ -45,6 +46,7 @@ from ktsim.mining import (
     mine,
     phi_coefficient,
 )
+from ktsim.orchestrator import _encode, _json_pieces
 
 from claimref import _kb, claim, claims_of, labeling, negate, pair_keys, truth, weighted_claims
 
@@ -297,7 +299,8 @@ def test_labeling_arrays_match_per_entry_references(data, m):
     teams = data.draw(st.tuples(*[st.integers(0, 3)] * 3))
     out = label(_info(found), EffectivePrior(_kb(*prior)), params, teams=teams)
     expected = ref_label(found, prior, params)
-    assert out.to_json() == {"teams": list(teams), "claims": [_record(c, o) for c, o in expected]}
+    written = json.loads("".join(_json_pieces(out.to_json())))
+    assert written == {"teams": list(teams), "claims": [_record(c, o) for c, o in expected]}
     negated = [(negate(c) if o == ORIGIN_PRIOR else c, o) for c, o in expected]
     assert negate_passthrough(out).entries == [_record(c, o) for c, o in negated]
     assert negate_passthrough(negate_passthrough(out)) == out
@@ -309,6 +312,35 @@ def test_labeling_arrays_match_per_entry_references(data, m):
     for true_side in (True, False):
         expected_side = sum(1 for c in claims_of(out) if (c == truth(gt, c.u, c.v)) == true_side)
         assert metrics._count_side(out, gt, true_side) == expected_side
+
+
+#: Variable ids: small ones, so pairs collide, and any up to the largest a key holds.
+_IDS = st.integers(0, 6) | st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def labelings(draw):
+    """A labeling of up to 20 claims on distinct pairs, each claim's
+    polarity and origin drawn."""
+    pairs = draw(st.lists(
+        st.tuples(_IDS, _IDS).filter(lambda p: p[0] != p[1]), unique_by=lambda p: (min(p), max(p)), max_size=20
+    ))
+    claims = [claim(u, v, draw(st.booleans())) for u, v in pairs]
+    from_prior = draw(st.lists(st.booleans(), min_size=len(claims), max_size=len(claims)))
+    return labeling(claims, draw(st.tuples(*[st.integers(0, 3)] * 3)), from_prior)
+
+
+@SETTINGS
+@given(labelings())
+@example(labeling([]))
+@example(labeling(
+    [claim(0, 2**32 - 1, True), claim(1, 2, False), claim(2**32 - 2, 2**32 - 1, True), claim(3, 4, False)],
+    (3, 0, 2),
+    [True, True, False, False],
+))
+def test_labeling_json_text_is_the_encoding_of_its_records(lk):
+    expected = _encode({"teams": list(lk.teams), "claims": lk.entries})
+    assert "".join(_json_pieces(lk.to_json())) == expected
 
 
 def _column_values(cls):

@@ -16,14 +16,17 @@ from ktsim import config, orchestrator
 from ktsim.config import ChannelPolicy, Wiring, default_scenario, scenario_from_dict
 from ktsim.errors import ConfigError
 from ktsim.knowledge import Role, rectify
+from ktsim.labeling import LabeledKnowledge
 from ktsim.mining import phi_coefficient
 from ktsim.orchestrator import (
+    _json_pieces,
     replicate_seed,
     run,
     sweep,
     write_run_outputs,
     write_sweep_outputs,
 )
+from ktsim.records import JSONFragment
 
 
 def small_scenario(**overrides):
@@ -314,6 +317,48 @@ def test_run_outputs_write_one_team_and_one_labeling_at_a_time(tmp_path):
     whole = _peak_bytes(result.to_json_text)
     assert written < whole / 3
     assert (tmp_path / "result.json").read_text() == result.to_json_text()
+
+
+def test_writers_build_no_per_claim_record(tmp_path, monkeypatch):
+    # Claims are written straight from a labeling's columns; the record view
+    # ``entries`` is for readers only.
+    def no_records(lk):
+        raise AssertionError("a writer built the per-claim records")
+
+    monkeypatch.setattr(LabeledKnowledge, "entries", property(no_records))
+    cfg = small_scenario()
+    result = run(cfg, 11)
+    assert write_run_outputs(result, tmp_path / "run").read_text() == result.to_json_text()
+    sweep(cfg, 1, out_dir=tmp_path / "sweep")
+    assert len(list((tmp_path / "sweep").glob("combo*/rep0.json"))) == 8
+
+
+def _pieces(value):
+    return "".join(_json_pieces(value))
+
+
+def test_a_json_fragment_is_written_verbatim_wherever_the_writer_streams():
+    fragment = JSONFragment('[{"a":1}]')
+    assert _pieces(fragment) == '[{"a":1}]'
+    assert _pieces({"z": fragment, "b": [2]}) == '{"b":[2],"z":[{"a":1}]}'
+    assert _pieces({"outer": {"inner": fragment}}) == '{"outer":{"inner":[{"a":1}]}}'
+    assert _pieces(iter([fragment, 3, {"f": fragment}])) == '[[{"a":1}],3,{"f":[{"a":1}]}]'
+
+
+@pytest.mark.parametrize("value", [
+    [JSONFragment("[]")],
+    [{"claims": JSONFragment("[]")}],
+    {"rows": [JSONFragment("[]")]},
+], ids=["in-a-list", "in-a-dict-in-a-list", "in-a-list-in-a-dict"])
+def test_a_json_fragment_the_writer_hands_to_the_encoder_fails_loudly(value):
+    with pytest.raises(TypeError, match="JSONFragment is not JSON serializable"):
+        _pieces(value)
+
+
+def test_a_labeling_is_never_written_as_a_quoted_string():
+    lk = run(small_scenario(), 11).labelings[0]
+    with pytest.raises(TypeError, match="JSONFragment is not JSON serializable"):
+        json.dumps(lk.to_json())
 
 
 #: Runs the CLI's run, a one-replicate sweep and 5 validator trials on the
