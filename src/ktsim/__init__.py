@@ -8,9 +8,7 @@ computable, and the effect of each channel can be measured on paired seeds.
 """
 
 from .config import (
-    AgentSpec,
     ChannelPolicy,
-    ExperimentSpec,
     PeerAccess,
     ScenarioConfig,
     TeamSpec,
@@ -24,6 +22,7 @@ from .experimenting import (
     Dataset,
     Datasheet,
     ExperimentDesign,
+    ExperimentSpec,
     Selection,
     design_experiment,
     export_dataset,
@@ -31,6 +30,7 @@ from .experimenting import (
 )
 from .knowledge import (
     AgentPool,
+    AgentSpec,
     GroundTruth,
     KnowledgeBase,
     Role,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import ScenarioConfig, default_scenario, scenario_from_dict
 from .errors import ConfigError
-from .metrics import correlation_oracle, validate_monotonicity
+from .metrics import Score, correlation_oracle, validate_monotonicity
 from .orchestrator import replace_directory, run, sweep, write_run_outputs, write_sweep_outputs
 
 EXIT_OK = 0
@@ -84,18 +84,16 @@ def _cmd_run(args) -> int:
     _say(args, "")
     _say(args, f"{'triple':>12}  {'claims':>6}  {'true':>5}  {'false':>5}  {'openness':>8}  {'normalized':>10}")
     for t in report.per_triple:
-        name = ",".join(str(x) for x in t.teams)
-        _say(
-            args,
-            f"{name:>12}  {t.union_size:>6}  {t.true_count:>5}  {t.false_count:>5}"
-            f"  {t.openness:>8}  {t.normalized:>10.3f}",
-        )
-    _say(
-        args,
-        f"{'union':>12}  {report.union_size:>6}  {report.true_count:>5}  {report.false_count:>5}"
-        f"  {report.openness:>8}  {report.normalized:>10.3f}",
-    )
+        _say(args, _score_row(",".join(str(x) for x in t.teams), t))
+    _say(args, _score_row("union", report))
     return EXIT_OK
+
+
+def _score_row(name: str, score: Score) -> str:
+    return (
+        f"{name:>12}  {score.union_size:>6}  {score.true_count:>5}  {score.false_count:>5}"
+        f"  {score.openness:>8}  {score.normalized:>10.3f}"
+    )
 
 
 def _cmd_sweep(args) -> int:

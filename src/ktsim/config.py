@@ -3,7 +3,10 @@
 The document's keys are the field names of the config records, and one
 parser walks those fields. Validation is strict (unknown keys are rejected,
 every error names the field path) so that a typo in a sweep config fails fast
-instead of silently running the default value.
+instead of silently running the default value. Every record checks its own
+fields when built, beside the stage that reads it, and the parser puts the
+record's path before the message; the root checks its own fields and the
+rules that span records, after its sub-records are built and checked.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from pathlib import PurePath
 from typing import Any, Mapping, Optional, get_args, get_type_hints
 
 from .errors import ConfigError
-from .experimenting import largest_array_bytes
-from .knowledge import FOREST_WORK_LIMIT, forest_table_work
+from .experimenting import ExperimentSpec, largest_array_bytes
+from .knowledge import FOREST_WORK_LIMIT, AgentSpec, check_positive, forest_table_work
 from .labeling import LabelingParams
 from .mining import MiningParams
 from .records import Record
@@ -50,16 +53,13 @@ class ChannelPolicy(Record):
 
 
 @dataclass(frozen=True)
-class AgentSpec(Record):
-    count: int = 12
-    coverage: float = 0.2
-    accuracy: float = 0.85
-
-
-@dataclass(frozen=True)
 class TeamSpec(Record):
     count: int = 2
     size: int = 3
+
+    def __post_init__(self) -> None:
+        check_positive("count", self.count)
+        check_positive("size", self.size)
 
 
 @dataclass(frozen=True)
@@ -67,14 +67,6 @@ class TeamsSpec(Record):
     experimenting: TeamSpec = field(default_factory=TeamSpec)
     mining: TeamSpec = field(default_factory=TeamSpec)
     labeling: TeamSpec = field(default_factory=TeamSpec)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec(Record):
-    target_width: int = 8
-    selection_prob: float = 0.5
-    noise_rate: float = 0.1
-    samples: int = 5000
 
 
 @dataclass(frozen=True)
@@ -138,6 +130,9 @@ def mining_wiring(cfg: ScenarioConfig) -> tuple[tuple[int, int], ...]:
 
 
 def _validate_scenario(cfg: ScenarioConfig) -> None:
+    """The root's own fields and the rules that span records: team sizes,
+    the design width and samples against m, and wiring and peer indices."""
+
     def check(cond: bool, path: str, msg: str) -> None:
         if not cond:
             raise ConfigError(f"{path}: {msg}")
@@ -156,23 +151,12 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
         "toward 1 or toward m",
     )
     check(0.5 < cfg.p_stay < 1.0, "p_stay", f"must lie in (0.5, 1), got {cfg.p_stay}")
-    check(cfg.agents.count >= 1, "agents.count", f"must be >= 1, got {cfg.agents.count}")
-    check(0.0 <= cfg.agents.coverage <= 1.0, "agents.coverage", f"must lie in [0, 1], got {cfg.agents.coverage}")
-    check(0.0 <= cfg.agents.accuracy <= 1.0, "agents.accuracy", f"must lie in [0, 1], got {cfg.agents.accuracy}")
+    n_agents = cfg.agents.count
     for role in ("experimenting", "mining", "labeling"):
-        spec: TeamSpec = getattr(cfg.teams, role)
-        check(spec.count >= 1, f"teams.{role}.count", f"must be >= 1, got {spec.count}")
-        check(spec.size >= 1, f"teams.{role}.size", f"must be >= 1, got {spec.size}")
-        check(
-            spec.size <= cfg.agents.count,
-            f"teams.{role}.size",
-            f"must not exceed agents.count={cfg.agents.count}, got {spec.size}",
-        )
+        size = getattr(cfg.teams, role).size
+        check(size <= n_agents, f"teams.{role}.size", f"must not exceed agents.count={n_agents}, got {size}")
     exp = cfg.experiment
     check(2 <= exp.target_width <= cfg.m, "experiment.target_width", f"must lie in [2, {cfg.m}], got {exp.target_width}")
-    check(0.0 <= exp.selection_prob <= 1.0, "experiment.selection_prob", f"must lie in [0, 1], got {exp.selection_prob}")
-    check(0.0 <= exp.noise_rate < 0.5, "experiment.noise_rate", f"must lie in [0, 0.5), got {exp.noise_rate}")
-    check(exp.samples >= 1, "experiment.samples", f"must be >= 1, got {exp.samples}")
     # numpy cannot even describe an array of more than sys.maxsize bytes.
     check(
         exp.samples <= sys.maxsize and largest_array_bytes(cfg.m, exp.samples) <= sys.maxsize,

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .knowledge import GroundTruth, KnowledgeBase, split_keys
+from .knowledge import GroundTruth, KnowledgeBase, check_probability, split_keys
 from .records import Record
 
 #: Bytes of float64 draws per block of noise flips in ``sample_dataset``.
@@ -27,6 +27,30 @@ _NOISE_BLOCK_BYTES = 2**20
 
 #: Dataset cells per block of rows in ``export_dataset``.
 _EXPORT_BLOCK_CELLS = 2**14
+
+
+def check_noise_and_samples(noise_rate: float, samples: int) -> None:
+    """The rule an ``ExperimentSpec`` and every ``ExperimentDesign`` obey:
+    bits flip at a rate in [0, 0.5), and at least one row is sampled."""
+    if not (0.0 <= noise_rate < 0.5):
+        raise ConfigError(f"noise_rate must lie in [0, 0.5), got {noise_rate}")
+    if samples < 1:
+        raise ConfigError(f"sample count must be >= 1, got {samples}")
+
+
+@dataclass(frozen=True)
+class ExperimentSpec(Record):
+    """What each experimenting team is asked to collect. The scenario
+    checks ``target_width`` against m."""
+
+    target_width: int = 8
+    selection_prob: float = 0.5
+    noise_rate: float = 0.1
+    samples: int = 5000
+
+    def __post_init__(self) -> None:
+        check_probability("selection_prob", self.selection_prob)
+        check_noise_and_samples(self.noise_rate, self.samples)
 
 
 @dataclass(frozen=True)
@@ -56,10 +80,7 @@ class ExperimentDesign(Record):
             raise ConfigError(
                 f"selection variable {self.selection.variable} is not among the measured set"
             )
-        if not (0.0 <= self.noise_rate < 0.5):
-            raise ConfigError(f"noise_rate must lie in [0, 0.5), got {self.noise_rate}")
-        if self.samples < 1:
-            raise ConfigError(f"sample count must be >= 1, got {self.samples}")
+        check_noise_and_samples(self.noise_rate, self.samples)
 
 
 class Dataset:
@@ -109,26 +130,20 @@ class Datasheet(ExperimentDesign):
 
 
 def design_experiment(
-    team_kb: KnowledgeBase,
-    m: int,
-    target_width: int,
-    selection_prob: float,
-    noise_rate: float,
-    samples: int,
-    rng: np.random.Generator,
+    team_kb: KnowledgeBase, m: int, experiment: ExperimentSpec, rng: np.random.Generator
 ) -> ExperimentDesign:
-    """Pick a measured set of exactly ``target_width`` variables.
+    """Pick a measured set of exactly ``experiment.target_width`` variables.
 
     Variables appearing in the team's Dependent claims come first, grown as
     connected clusters of the claim graph (measure what you believe belongs
     together); any shortfall is padded with uniformly random other variables.
-    With probability ``selection_prob`` a selection condition (value 1) is
-    attached to a uniformly chosen measured variable.
+    With probability ``experiment.selection_prob`` a selection condition
+    (value 1) is attached to a uniformly chosen measured variable. The spec
+    has checked its fields; only the width, which depends on m, is checked.
     """
+    target_width = experiment.target_width
     if not (2 <= target_width <= m):
         raise ConfigError(f"target_width must lie in [2, m={m}], got {target_width}")
-    if not (0.0 <= selection_prob <= 1.0):
-        raise ConfigError(f"selection_prob must lie in [0, 1], got {selection_prob}")
 
     # Both ends of every Dependent claim, sorted by end and then by partner,
     # so the partners of ``x`` are one ascending run from ``start[x]``.
@@ -165,9 +180,9 @@ def design_experiment(
 
     measured_t = tuple(sorted(measured))
     selection = None
-    if float(rng.random()) < selection_prob:
+    if float(rng.random()) < experiment.selection_prob:
         selection = Selection(measured_t[int(rng.integers(len(measured_t)))], 1)
-    return ExperimentDesign(measured_t, selection, noise_rate, samples)
+    return ExperimentDesign(measured_t, selection, experiment.noise_rate, experiment.samples)
 
 
 def _rng_fingerprint(rng: np.random.Generator) -> str:

@@ -32,6 +32,16 @@ def check_confidence(name: str, value: float) -> None:
         raise ConfigError(f"{name} must lie in (0, 1], got {value}")
 
 
+def check_probability(name: str, value: float) -> None:
+    if not (0.0 <= value <= 1.0):
+        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+
+
+def check_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 #: Bits a variable id occupies in a pair key ``u << 32 | v``.
 _KEY_SHIFT = 32
 _KEY_MASK = (1 << _KEY_SHIFT) - 1
@@ -279,6 +289,21 @@ class Team(Record):
 
 
 @dataclass(frozen=True)
+class AgentSpec(Record):
+    """How many agents there are, and the chances that a prior covers a
+    pair and that a covered claim is true."""
+
+    count: int = 12
+    coverage: float = 0.2
+    accuracy: float = 0.85
+
+    def __post_init__(self) -> None:
+        check_positive("count", self.count)
+        check_probability("coverage", self.coverage)
+        check_probability("accuracy", self.accuracy)
+
+
+@dataclass(frozen=True)
 class AgentPool:
     priors: tuple[KnowledgeBase, ...]
 
@@ -439,13 +464,10 @@ def _sample_forest_parents(m: int, tree_count: int, rng: np.random.Generator) ->
 # ---------------------------------------------------------------------------
 
 def build_ground_truth(m: int, tree_count: int, p_stay: float, rng: np.random.Generator) -> GroundTruth:
-    """Sample a uniformly random labeled forest spanning all m variables."""
-    if m < 1:
-        raise ConfigError(f"variable count must be >= 1, got {m}")
+    """Sample a uniformly random labeled forest spanning all m variables;
+    ``GroundTruth`` checks m and ``p_stay``."""
     if not (1 <= tree_count <= m):
         raise ConfigError(f"tree_count must lie in [1, m={m}], got {tree_count}")
-    if not (0.5 < p_stay < 1.0):
-        raise ConfigError(f"p_stay must lie in (0.5, 1), got {p_stay}")
     return GroundTruth(m, _sample_forest_parents(m, tree_count, rng), p_stay)
 
 
@@ -456,37 +478,22 @@ def all_pair_keys(m: int) -> np.ndarray:
     return _frozen(us.astype(np.int64) << _KEY_SHIFT | vs)
 
 
-def sample_agent_prior(
-    gt: GroundTruth,
-    coverage: float,
-    accuracy: float,
-    rng: np.random.Generator,
-) -> KnowledgeBase:
-    """Random prior: each pair independently covered, each covered claim true
-    with probability ``accuracy`` (else negated), confidence uniform [0.5, 1].
+def sample_agent_prior(gt: GroundTruth, agents: AgentSpec, rng: np.random.Generator) -> KnowledgeBase:
+    """Random prior of one of ``agents``: each pair independently covered
+    with probability ``agents.coverage``, each covered claim true with
+    probability ``agents.accuracy`` (else negated), confidence uniform
+    [0.5, 1]. ``AgentSpec`` has checked both probabilities.
     """
-    if not (0.0 <= coverage <= 1.0):
-        raise ConfigError(f"coverage must lie in [0, 1], got {coverage}")
-    if not (0.0 <= accuracy <= 1.0):
-        raise ConfigError(f"accuracy must lie in [0, 1], got {accuracy}")
     keys = all_pair_keys(gt.m)
-    include = rng.random(keys.size) < coverage
-    truthful = rng.random(keys.size) < accuracy
+    include = rng.random(keys.size) < agents.coverage
+    truthful = rng.random(keys.size) < agents.accuracy
     confidence = rng.uniform(0.5, 1.0, keys.size)
     dep = gt.same_tree_keys(keys) == truthful
     return KnowledgeBase.from_arrays(keys[include], dep[include], confidence[include])
 
 
-def sample_agent_pool(
-    gt: GroundTruth,
-    count: int,
-    coverage: float,
-    accuracy: float,
-    rng: np.random.Generator,
-) -> AgentPool:
-    if count < 1:
-        raise ConfigError(f"agent count must be >= 1, got {count}")
-    return AgentPool(tuple(sample_agent_prior(gt, coverage, accuracy, rng) for _ in range(count)))
+def sample_agent_pool(gt: GroundTruth, agents: AgentSpec, rng: np.random.Generator) -> AgentPool:
+    return AgentPool(tuple(sample_agent_prior(gt, agents, rng) for _ in range(agents.count)))
 
 
 def rectify(member_priors: Sequence[KnowledgeBase]) -> KnowledgeBase:

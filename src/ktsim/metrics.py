@@ -178,10 +178,10 @@ def validate_monotonicity(
         raise ConfigError(f"trials must be >= 1, got {trials}")
     params = scenario.labeling
     floor = max(params.veto_confidence, params.trust_confidence)
-    agents, teams = scenario.agents, scenario.teams
+    teams = scenario.teams
 
     def team_base(gt: GroundTruth, size: int, trial_rng: np.random.Generator) -> KnowledgeBase:
-        return rectify([sample_agent_prior(gt, agents.coverage, agents.accuracy, trial_rng) for _ in range(size)])
+        return rectify([sample_agent_prior(gt, scenario.agents, trial_rng) for _ in range(size)])
 
     violations = 0
     transcripts = []
@@ -191,15 +191,7 @@ def validate_monotonicity(
         exp_kb = team_base(gt, teams.experimenting.size, trial_rng)
         miner_kb = team_base(gt, teams.mining.size, trial_rng)
         own_kb = team_base(gt, teams.labeling.size, trial_rng)
-        design = design_experiment(
-            exp_kb,
-            scenario.m,
-            scenario.experiment.target_width,
-            scenario.experiment.selection_prob,
-            scenario.experiment.noise_rate,
-            scenario.experiment.samples,
-            trial_rng,
-        )
+        design = design_experiment(exp_kb, scenario.m, scenario.experiment, trial_rng)
         dataset, datasheet = sample_dataset(gt, design, trial_rng)
         ch1, ch2, ch3 = (bool(trial_rng.integers(2)) for _ in range(3))
         peers = [team_base(gt, teams.mining.size, trial_rng) for _ in range(int(trial_rng.integers(3)))]

@@ -221,9 +221,7 @@ def run(cfg: ScenarioConfig, seed: int) -> RunResult:
     ss_gt, ss_pool, ss_teams, ss_exp = root.spawn(4)
 
     gt = build_ground_truth(cfg.m, cfg.tree_count, cfg.p_stay, np.random.default_rng(ss_gt))
-    pool = sample_agent_pool(
-        gt, cfg.agents.count, cfg.agents.coverage, cfg.agents.accuracy, np.random.default_rng(ss_pool)
-    )
+    pool = sample_agent_pool(gt, cfg.agents, np.random.default_rng(ss_pool))
     teams = _form_teams(cfg, pool, np.random.default_rng(ss_teams))
     exp_teams = teams[Role.EXPERIMENTING]
     mine_teams = teams[Role.MINING]
@@ -233,15 +231,7 @@ def run(cfg: ScenarioConfig, seed: int) -> RunResult:
     exp_children = ss_exp.spawn(len(exp_teams))
     for team, child in zip(exp_teams, exp_children):
         design_ss, sample_ss = child.spawn(2)
-        design = design_experiment(
-            team.knowledge,
-            cfg.m,
-            cfg.experiment.target_width,
-            cfg.experiment.selection_prob,
-            cfg.experiment.noise_rate,
-            cfg.experiment.samples,
-            np.random.default_rng(design_ss),
-        )
+        design = design_experiment(team.knowledge, cfg.m, cfg.experiment, np.random.default_rng(design_ss))
         dataset, datasheet = sample_dataset(
             gt, design, np.random.default_rng(sample_ss), team_id=team.id
         )
@@ -423,25 +413,32 @@ def write_sweep_outputs(result: SweepResult, out_dir: Path | str) -> tuple[Path,
 
 def write_run_outputs(result: RunResult, out_dir: Path | str) -> Path:
     """Write dataset CSVs with datasheet sidecars, then result.json, one
-    team and one labeling at a time. The ``datasets`` directory holds this
-    run's files only, never an earlier run's."""
+    team and one labeling at a time. Every byte is written before anything
+    is replaced: the datasets go to a hidden staging directory and
+    result.json to a hidden sibling file, which then replace ``datasets``
+    and result.json. A failed write leaves an earlier run's files as they
+    were, and the ``datasets`` directory never holds an earlier run's."""
     out = Path(out_dir)
+    result_path = out / "result.json"
+    pending = _hidden_sibling(result_path, "partial")
 
-    def export_all(data_dir: Path) -> None:
+    def write_all(data_dir: Path) -> None:
         for record in result.datasets:
             export_dataset(record.dataset, record.datasheet, data_dir / f"team{record.datasheet.team_id}.csv")
+        _write_json_line(pending, result.doc())
 
-    replace_directory(out / "datasets", export_all)
-    result_path = out / "result.json"
-    _write_json_line(result_path, result.doc())
+    try:
+        replace_directory(out / "datasets", write_all)
+        os.replace(pending, result_path)
+    except BaseException:
+        pending.unlink(missing_ok=True)
+        raise
     return result_path
 
 
-def _fresh_sibling(target: Path, tag: str) -> Path:
-    """Create and return a new, empty hidden directory next to ``target``."""
-    path = target.with_name(f".{target.name}.{tag}-{secrets.token_hex(6)}")
-    path.mkdir(parents=True)
-    return path
+def _hidden_sibling(target: Path, tag: str) -> Path:
+    """A new hidden path next to ``target``."""
+    return target.with_name(f".{target.name}.{tag}-{secrets.token_hex(6)}")
 
 
 T = TypeVar("T")
@@ -452,12 +449,13 @@ def replace_directory(target: Path, build: Callable[[Path], T]) -> T:
     sibling in for ``target`` only once ``build`` returns, so ``target``
     never mixes files of two builds. If ``build`` fails, the sibling is
     deleted and ``target`` is left as it was. Returns what ``build`` returns."""
-    staging = _fresh_sibling(target, "partial")
+    staging = _hidden_sibling(target, "partial")
+    staging.mkdir(parents=True)
     try:
         built = build(staging)
         if target.exists():
-            retired = _fresh_sibling(target, "retired")
-            target.rename(retired / target.name)
+            retired = _hidden_sibling(target, "retired")
+            target.rename(retired)
             staging.rename(target)
             shutil.rmtree(retired)
         else:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import functools
 import io
 import json
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from ktsim import orchestrator
 from ktsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from ktsim.config import default_scenario
+from ktsim.labeling import LabeledKnowledge
 from ktsim.metrics import ORACLE_MAX_DIST, ORACLE_MAX_STEPS
 
 
@@ -454,15 +456,26 @@ def test_repeated_wiring_or_peer_entry_exits_1(config_path, tmp_path, capsys, se
 
 
 @pytest.mark.parametrize(("section", "key", "value"), [
+    ("agents", "count", 0),
+    ("agents", "coverage", 1.5),
+    ("agents", "accuracy", -0.1),
+    ("teams.experimenting", "count", 0),
+    ("teams.mining", "size", 0),
+    ("teams.labeling", "count", 0),
+    ("experiment", "selection_prob", 1.5),
+    ("experiment", "noise_rate", 0.5),
     ("mining", "veto_confidence", 2.0),
     ("mining", "dep_threshold", 0.01),
     ("labeling", "veto_confidence", 0.0),
     ("labeling", "trust_confidence", 1.5),
     ("labeling", "ind_threshold", 0.5),
 ])
-def test_range_error_in_mining_or_labeling_names_its_record(config_path, tmp_path, capsys, section, key, value):
+def test_range_error_in_a_config_record_names_its_record(config_path, tmp_path, capsys, section, key, value):
     data = json.loads(config_path.read_text())
-    data[section][key] = value
+    record = data
+    for part in section.split("."):
+        record = record[part]
+    record[key] = value
     config_path.write_text(json.dumps(data))
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -544,6 +557,35 @@ def test_a_run_replaces_the_datasets_of_an_earlier_run(config_path, tmp_path, ca
     written = [d["team_id"] for d in json.loads((out / "result.json").read_text())["datasets"]]
     assert written == [0]
     assert sorted(p.name for p in (out / "datasets").iterdir()) == ["team0.csv", "team0.datasheet.json"]
+    assert sorted(p.name for p in out.iterdir()) == ["datasets", "result.json"]
+
+
+def test_a_failed_run_write_keeps_the_earlier_run(tmp_path, monkeypatch, capsys):
+    # The disk fills while the third labeling is written: every file of the
+    # first run stays as it was, and no hidden staging entry is left behind.
+    config = tmp_path / "default.json"
+    config.write_text(json.dumps(DEFAULT_CONFIG))
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--out", str(out), "--quiet"]
+    assert main(argv + ["--seed", "1"]) == EXIT_OK
+
+    def files():
+        return {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+
+    before = files()
+    written = []
+    to_json = LabeledKnowledge.to_json
+
+    def fill_disk_at_the_third(lk):
+        written.append(lk)
+        if len(written) == 3:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return to_json(lk)
+
+    monkeypatch.setattr(LabeledKnowledge, "to_json", fill_disk_at_the_third)
+    assert main(argv + ["--seed", "2"]) == EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert files() == before
     assert sorted(p.name for p in out.iterdir()) == ["datasets", "result.json"]
 
 

@@ -1,5 +1,6 @@
 """Tests for config parsing, validation, and channel policy encoding."""
 
+import re
 import sys
 import time
 
@@ -8,10 +9,15 @@ import pytest
 from ktsim.config import (
     ChannelPolicy,
     ScenarioConfig,
+    TeamSpec,
     default_scenario,
     scenario_from_dict,
 )
 from ktsim.errors import ConfigError
+from ktsim.experimenting import ExperimentSpec
+from ktsim.knowledge import AgentSpec
+from ktsim.labeling import LabelingParams
+from ktsim.mining import MiningParams
 
 
 def test_channel_mask_round_trip():
@@ -48,7 +54,7 @@ def test_unknown_keys_are_rejected_with_a_path():
 def test_out_of_range_values_name_their_field():
     data = default_scenario().to_json()
     data["experiment"]["noise_rate"] = 0.5
-    with pytest.raises(ConfigError, match="experiment.noise_rate"):
+    with pytest.raises(ConfigError, match=r"^experiment: noise_rate must lie in \[0, 0\.5\), got 0\.5$"):
         scenario_from_dict(data)
 
     data = default_scenario().to_json()
@@ -59,6 +65,86 @@ def test_out_of_range_values_name_their_field():
     data = default_scenario().to_json()
     data["teams"]["mining"]["size"] = 99
     with pytest.raises(ConfigError, match="teams.mining.size"):
+        scenario_from_dict(data)
+
+
+THRESHOLDS = "thresholds must satisfy 0 <= ind_threshold < dep_threshold <= 1, "
+
+#: (record, its path in a config, field, out-of-range value, the record's message).
+RECORD_RANGE_ERRORS = [
+    (AgentSpec, "agents", "count", 0, "count must be >= 1, got 0"),
+    (AgentSpec, "agents", "coverage", -0.1, "coverage must lie in [0, 1], got -0.1"),
+    (AgentSpec, "agents", "coverage", 1.5, "coverage must lie in [0, 1], got 1.5"),
+    (AgentSpec, "agents", "accuracy", 1.5, "accuracy must lie in [0, 1], got 1.5"),
+    *(
+        row
+        for role in ("experimenting", "mining", "labeling")
+        for row in (
+            (TeamSpec, f"teams.{role}", "count", 0, "count must be >= 1, got 0"),
+            (TeamSpec, f"teams.{role}", "size", 0, "size must be >= 1, got 0"),
+        )
+    ),
+    (ExperimentSpec, "experiment", "selection_prob", 1.5, "selection_prob must lie in [0, 1], got 1.5"),
+    (ExperimentSpec, "experiment", "noise_rate", -0.1, "noise_rate must lie in [0, 0.5), got -0.1"),
+    (ExperimentSpec, "experiment", "noise_rate", 0.5, "noise_rate must lie in [0, 0.5), got 0.5"),
+    (ExperimentSpec, "experiment", "samples", 0, "sample count must be >= 1, got 0"),
+    *(
+        row
+        for cls, path in ((MiningParams, "mining"), (LabelingParams, "labeling"))
+        for row in (
+            (cls, path, "veto_confidence", 0.0, "veto_confidence must lie in (0, 1], got 0.0"),
+            (cls, path, "dep_threshold", 1.5, THRESHOLDS + "got ind=0.05 dep=1.5"),
+            (cls, path, "dep_threshold", 0.05, THRESHOLDS + "got ind=0.05 dep=0.05"),
+            (cls, path, "ind_threshold", -0.1, THRESHOLDS + "got ind=-0.1 dep=0.3"),
+        )
+    ),
+    (LabelingParams, "labeling", "trust_confidence", 1.5, "trust_confidence must lie in (0, 1], got 1.5"),
+]
+
+
+@pytest.mark.parametrize(
+    ("cls", "path", "name", "value", "message"),
+    RECORD_RANGE_ERRORS,
+    ids=[f"{path}.{name}={value}" for _, path, name, value, _ in RECORD_RANGE_ERRORS],
+)
+def test_every_record_checks_its_own_fields(cls, path, name, value, message):
+    # Every numeric field of a sub-record is checked when the record is
+    # built, and the parser names the record's path before the message.
+    # target_width and the upper bound on samples depend on m, so the
+    # scenario checks them (test_cross_record_rules_are_the_scenarios).
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cls(**{name: value})
+    data = default_scenario().to_json()
+    record = data
+    for part in path.split("."):
+        record = record[part]
+    record[name] = value
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        scenario_from_dict(data)
+
+
+def test_cross_record_rules_are_the_scenarios():
+    assert ExperimentSpec(target_width=31).target_width == 31
+    assert TeamSpec(size=13).size == 13
+    data = default_scenario().to_json()
+    data["experiment"]["target_width"] = 31
+    with pytest.raises(ConfigError, match=r"^experiment\.target_width: must lie in \[2, 30\], got 31$"):
+        scenario_from_dict(data)
+    data = default_scenario().to_json()
+    data["teams"]["labeling"]["size"] = 13
+    with pytest.raises(ConfigError, match=r"^teams\.labeling\.size: must not exceed agents\.count=12, got 13$"):
+        scenario_from_dict(data)
+
+
+def test_a_sub_record_error_comes_before_the_roots():
+    # Sub-records are built, and so checked, before the scenario itself.
+    data = default_scenario().to_json()
+    data["m"] = 1
+    data["agents"]["coverage"] = 2
+    with pytest.raises(ConfigError, match=r"^agents: coverage must lie in \[0, 1\], got 2\.0$"):
+        scenario_from_dict(data)
+    data["agents"]["coverage"] = 0.5
+    with pytest.raises(ConfigError, match=r"^m: must be >= 2, got 1$"):
         scenario_from_dict(data)
 
 

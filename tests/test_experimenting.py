@@ -15,6 +15,7 @@ from ktsim.errors import ConfigError
 from ktsim.experimenting import (
     Dataset,
     ExperimentDesign,
+    ExperimentSpec,
     Datasheet,
     Selection,
     design_experiment,
@@ -58,7 +59,7 @@ def test_a_datasheet_passes_the_design_checks(design):
 
 
 def test_empty_kb_design_falls_back_to_uniform_variables():
-    design = design_experiment(EMPTY, 30, 5, 0.0, 0.0, 100, np.random.default_rng(0))
+    design = design_experiment(EMPTY, 30, ExperimentSpec(5, 0.0, 0.0, 100), np.random.default_rng(0))
     assert len(design.measured) == 5
     assert len(set(design.measured)) == 5
     assert design.selection is None
@@ -66,13 +67,13 @@ def test_empty_kb_design_falls_back_to_uniform_variables():
 
 def test_design_measures_the_variables_of_dependent_claims():
     kb = _kb((dependent(2, 7), 0.9))
-    design = design_experiment(kb, 10, 2, 0.0, 0.0, 100, np.random.default_rng(1))
+    design = design_experiment(kb, 10, ExperimentSpec(2, 0.0, 0.0, 100), np.random.default_rng(1))
     assert design.measured == (2, 7)
 
 
 def test_selection_prob_one_always_attaches_a_condition():
     for seed in range(10):
-        design = design_experiment(EMPTY, 12, 4, 1.0, 0.0, 50, np.random.default_rng(seed))
+        design = design_experiment(EMPTY, 12, ExperimentSpec(4, 1.0, 0.0, 50), np.random.default_rng(seed))
         assert design.selection is not None
         assert design.selection.variable in design.measured
         assert design.selection.value == 1
@@ -83,15 +84,15 @@ def test_design_grows_dependence_clusters_before_padding():
     # set must be exactly that cluster, whatever the seed.
     kb = _kb((dependent(0, 1), 0.8), (dependent(1, 2), 0.8), (dependent(2, 3), 0.8))
     for seed in range(8):
-        design = design_experiment(kb, 20, 4, 0.0, 0.0, 50, np.random.default_rng(seed))
+        design = design_experiment(kb, 20, ExperimentSpec(4, 0.0, 0.0, 50), np.random.default_rng(seed))
         assert design.measured == (0, 1, 2, 3)
 
 
 def test_design_width_bounds():
     with pytest.raises(ConfigError):
-        design_experiment(EMPTY, 10, 11, 0.0, 0.0, 50, np.random.default_rng(0))
+        design_experiment(EMPTY, 10, ExperimentSpec(11, 0.0, 0.0, 50), np.random.default_rng(0))
     with pytest.raises(ConfigError):
-        design_experiment(EMPTY, 10, 1, 0.0, 0.0, 50, np.random.default_rng(0))
+        design_experiment(EMPTY, 10, ExperimentSpec(1, 0.0, 0.0, 50), np.random.default_rng(0))
 
 
 def reference_design(team_kb, m, target_width, selection_prob, noise_rate, samples, rng):
@@ -147,7 +148,7 @@ def design_cases(draw):
 def test_design_matches_the_neighbour_set_reference(case):
     kb, m, width, selection_prob, seed = case
     fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    assert design_experiment(kb, m, width, selection_prob, 0.1, 100, fast) == reference_design(
+    assert design_experiment(kb, m, ExperimentSpec(width, selection_prob, 0.1, 100), fast) == reference_design(
         kb, m, width, selection_prob, 0.1, 100, slow
     )
     assert fast.bit_generator.state == slow.bit_generator.state

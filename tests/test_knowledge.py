@@ -16,6 +16,7 @@ from ktsim import knowledge
 from ktsim.errors import ConfigError
 from ktsim.knowledge import (
     FOREST_WORK_LIMIT,
+    AgentSpec,
     GroundTruth,
     KnowledgeBase,
     _forest_count,
@@ -521,7 +522,7 @@ def test_membership_agrees_with_materialized_set():
     # full-coverage, full-accuracy prior materializes.
     rng = np.random.default_rng(4)
     gt = build_ground_truth(12, 4, 0.9, rng)
-    K = set(claims_of(sample_agent_prior(gt, 1.0, 1.0, rng)))
+    K = set(claims_of(sample_agent_prior(gt, AgentSpec(coverage=1.0, accuracy=1.0), rng)))
     assert len(K) == 66
     for u in range(gt.m):
         for v in range(u + 1, gt.m):
@@ -542,13 +543,13 @@ def test_membership_range_check():
 
 def test_zero_coverage_gives_empty_prior():
     gt = build_ground_truth(8, 2, 0.9, np.random.default_rng(5))
-    kb = sample_agent_prior(gt, 0.0, 0.9, np.random.default_rng(6))
+    kb = sample_agent_prior(gt, AgentSpec(coverage=0.0, accuracy=0.9), np.random.default_rng(6))
     assert len(kb) == 0
 
 
 def test_full_coverage_full_accuracy_reproduces_k():
     gt = build_ground_truth(8, 2, 0.9, np.random.default_rng(5))
-    kb = sample_agent_prior(gt, 1.0, 1.0, np.random.default_rng(6))
+    kb = sample_agent_prior(gt, AgentSpec(coverage=1.0, accuracy=1.0), np.random.default_rng(6))
     assert claims_of(kb) == true_claims(gt)
     assert all(0.5 <= conf <= 1.0 for conf in kb.conf.tolist())
 
@@ -558,7 +559,7 @@ def test_prior_accuracy_fraction_matches_binomial_expectation():
     # true fraction should sit within 0.8 +/- 0.02 (binomial tolerance).
     rng = np.random.default_rng(99)
     gt = build_ground_truth(142, 3, 0.9, rng)
-    kb = sample_agent_prior(gt, 0.5, 0.8, rng)
+    kb = sample_agent_prior(gt, AgentSpec(coverage=0.5, accuracy=0.8), rng)
     truths = [in_k(c, gt) for c in claims_of(kb)]
     frac = sum(truths) / len(truths)
     assert abs(frac - 0.8) < 0.02
@@ -610,7 +611,7 @@ def test_rectify_is_permutation_invariant(order):
 def test_rectify_never_emits_both_polarities():
     rng = np.random.default_rng(11)
     gt = build_ground_truth(10, 2, 0.9, rng)
-    bases = [sample_agent_prior(gt, 0.6, 0.7, rng) for _ in range(5)]
+    bases = [sample_agent_prior(gt, AgentSpec(coverage=0.6, accuracy=0.7), rng) for _ in range(5)]
     merged = rectify(bases)
     pairs = [(c.u, c.v) for c in claims_of(merged)]
     assert len(pairs) == len(set(pairs))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ktsim.experimenting import ExperimentDesign, Selection, sample_dataset
-from ktsim.knowledge import GroundTruth, build_ground_truth, sample_agent_prior, split_keys
+from ktsim.knowledge import AgentSpec, GroundTruth, build_ground_truth, sample_agent_prior, split_keys
 from ktsim.labeling import (
     ORIGIN_PATTERN,
     ORIGIN_PRIOR,
@@ -225,7 +225,7 @@ def test_self_driving_reinterpret_is_identity_on_corrected_information():
     # implies, so re-reading it under the same knowledge changes nothing.
     rng = np.random.default_rng(2)
     gt = build_ground_truth(8, 2, 0.9, rng)
-    kb = sample_agent_prior(gt, 0.5, 0.8, rng)
+    kb = sample_agent_prior(gt, AgentSpec(coverage=0.5, accuracy=0.8), rng)
     design = ExperimentDesign(tuple(range(8)), Selection(3, 1), 0.1, 5000)
     ds, datasheet = sample_dataset(gt, design, rng)
     info = mine(ds, kb, datasheet, [], MiningParams())
@@ -248,7 +248,7 @@ def test_adding_a_conflict_free_claim_never_shrinks_its_own_side(want_true):
     floor = max(PARAMS.veto_confidence, PARAMS.trust_confidence)
     for _ in range(80):
         gt = build_ground_truth(10, 2, 0.9, rng)
-        kb = sample_agent_prior(gt, 0.3, 0.8, rng)
+        kb = sample_agent_prior(gt, AgentSpec(coverage=0.3, accuracy=0.8), rng)
         design = ExperimentDesign(
             tuple(range(10)),
             Selection(int(rng.integers(10)), 1) if rng.random() < 0.5 else None,
@@ -257,7 +257,7 @@ def test_adding_a_conflict_free_claim_never_shrinks_its_own_side(want_true):
         )
         ds, datasheet = sample_dataset(gt, design, rng)
         delivered = datasheet if rng.random() < 0.5 else None
-        info = mine(ds, sample_agent_prior(gt, 0.2, 0.8, rng), delivered, [], MiningParams())
+        info = mine(ds, sample_agent_prior(gt, AgentSpec(coverage=0.2, accuracy=0.8), rng), delivered, [], MiningParams())
         prior = build_effective_prior(kb, None, None)
         covered = set(_pairs(prior.claims.keys))
         free = [p for p in combinations(range(gt.m), 2) if p not in covered]
