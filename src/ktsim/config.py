@@ -18,8 +18,8 @@ from pathlib import PurePath
 from typing import Any, Mapping, Optional, get_args, get_type_hints
 
 from .errors import ConfigError
-from .experimenting import ExperimentSpec, largest_array_bytes
-from .knowledge import FOREST_WORK_LIMIT, AgentSpec, check_positive, forest_table_work
+from .experimenting import Datasheet, ExperimentSpec, largest_array_bytes
+from .knowledge import FOREST_WORK_LIMIT, AgentSpec, KnowledgeBase, check_positive, forest_table_work
 from .labeling import LabelingParams
 from .mining import MiningParams
 from .records import Record
@@ -29,12 +29,13 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ChannelPolicy(Record):
-    """Which provenance channels are open.
+    """Which provenance channels are open, and what each one delivers.
 
-    ch1 ships the datasheet from experimenter to miner, ch2 ships the miner's
-    knowledge to the labeler, ch3 ships the experimenter's datasheet and
-    knowledge to the labeler; delivered knowledge is a layer of the labeler's
-    effective prior. The fully open state is simply all three at once.
+    ch1 ships the experimenter's datasheet to the miner (``to_miner``); ch2
+    ships the miner's knowledge to the labeler, and ch3 the experimenter's
+    knowledge and datasheet (``to_labeler``). What a closed channel would
+    carry arrives as None, and delivered knowledge is a layer of the
+    labeler's effective prior. The fully open state is all three at once.
     """
 
     ch1: bool = False
@@ -50,6 +51,14 @@ class ChannelPolicy(Record):
         if not (0 <= mask <= 7):
             raise ConfigError(f"channel mask must lie in [0, 7], got {mask}")
         return ChannelPolicy(bool(mask & 1), bool(mask & 2), bool(mask & 4))
+
+    def to_miner(self, datasheet: Datasheet) -> Optional[Datasheet]:
+        """The datasheet the miner receives."""
+        return datasheet if self.ch1 else None
+
+    def to_labeler(self, miner_kb: KnowledgeBase, exp_kb: KnowledgeBase, datasheet: Datasheet) -> tuple:
+        """The miner's knowledge, the experimenter's knowledge and the datasheet, as the labeler receives them."""
+        return (miner_kb if self.ch2 else None, exp_kb if self.ch3 else None, datasheet if self.ch3 else None)
 
 
 @dataclass(frozen=True)
@@ -129,9 +138,21 @@ def mining_wiring(cfg: ScenarioConfig) -> tuple[tuple[int, int], ...]:
     )
 
 
+def labeling_wiring(cfg: ScenarioConfig) -> tuple[tuple[int, int, int], ...]:
+    """Every (labeler, experimenter, miner) triple that labels: the
+    configured wiring, sorted, or else each labeler on each mined product."""
+    if cfg.wiring.labeling is not None:
+        return tuple(sorted(cfg.wiring.labeling))
+    return tuple((l, i, j) for l in range(cfg.teams.labeling.count) for (j, i) in mining_wiring(cfg))
+
+
 def _validate_scenario(cfg: ScenarioConfig) -> None:
     """The root's own fields and the rules that span records: team sizes,
-    the design width and samples against m, and wiring and peer indices."""
+    the design width and samples against m, and the four index lists of
+    ``peer_access`` and ``wiring``, each walked once: a wiring list is not
+    empty, and each entry in turn keeps its indices' bounds, its own rule
+    (no mining team is its own peer, a labeling triple names a mined
+    product) and repeats no earlier entry."""
 
     def check(cond: bool, path: str, msg: str) -> None:
         if not cond:
@@ -166,44 +187,43 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
     check(cfg.replicates >= 1, "replicates", f"must be >= 1, got {cfg.replicates}")
     check(cfg.master_seed >= 0, "master_seed", f"must be a non-negative integer, got {cfg.master_seed}")
 
-    n_mine = cfg.teams.mining.count
-    n_exp = cfg.teams.experimenting.count
-    n_lab = cfg.teams.labeling.count
-    for idx, (consumer, source) in enumerate(cfg.peer_access.mining):
-        path = f"peer_access.mining[{idx}]"
-        check(0 <= consumer < n_mine, path, f"consumer index {consumer} out of range [0, {n_mine})")
-        check(0 <= source < n_mine, path, f"source index {source} out of range [0, {n_mine})")
-        check(consumer != source, path, "a mining team cannot be its own peer")
-    for idx, (consumer, source) in enumerate(cfg.peer_access.labeling):
-        path = f"peer_access.labeling[{idx}]"
-        check(0 <= consumer < n_lab, path, f"consumer index {consumer} out of range [0, {n_lab})")
-        check(0 <= source < n_mine, path, f"source index {source} out of range [0, {n_mine})")
-
-    mining_pairs = cfg.wiring.mining
-    if mining_pairs is not None:
-        check(len(mining_pairs) >= 1, "wiring.mining", "must list at least one (miner, experimenter) pair")
-        for idx, (j, i) in enumerate(mining_pairs):
-            path = f"wiring.mining[{idx}]"
-            check(0 <= j < n_mine, path, f"miner index {j} out of range [0, {n_mine})")
-            check(0 <= i < n_exp, path, f"experimenter index {i} out of range [0, {n_exp})")
-    if cfg.wiring.labeling is not None:
-        check(len(cfg.wiring.labeling) >= 1, "wiring.labeling", "must list at least one (labeler, experimenter, miner) triple")
-        mined = set(mining_wiring(cfg))
-        for idx, (l, i, j) in enumerate(cfg.wiring.labeling):
-            path = f"wiring.labeling[{idx}]"
-            check(0 <= l < n_lab, path, f"labeler index {l} out of range [0, {n_lab})")
-            check((j, i) in mined, path, f"no mining product exists for miner {j} on dataset {i}")
-
-    for path, entries in (
-        ("peer_access.mining", cfg.peer_access.mining),
-        ("peer_access.labeling", cfg.peer_access.labeling),
-        ("wiring.mining", cfg.wiring.mining or ()),
-        ("wiring.labeling", cfg.wiring.labeling or ()),
-    ):
+    def walk(path: str, entries, bounds, rule=lambda *entry: None) -> set:
+        """Check one index list entry by entry: each bound that ``bounds``
+        names, the entry's own ``rule`` (a message when broken, else None)
+        and no repeat. Returns the set of entries."""
         seen = set()
         for idx, entry in enumerate(entries):
-            check(entry not in seen, f"{path}[{idx}]", "repeats an earlier entry")
+            at = f"{path}[{idx}]"
+            for (name, count), index in zip(bounds, entry):
+                check(0 <= index < count, at, f"{name} index {index} out of range [0, {count})")
+            broken = rule(*entry)
+            check(broken is None, at, broken)
+            check(entry not in seen, at, "repeats an earlier entry")
             seen.add(entry)
+        return seen
+
+    n_exp, n_mine, n_lab = (getattr(cfg.teams, role).count for role in ("experimenting", "mining", "labeling"))
+    walk(
+        "peer_access.mining",
+        cfg.peer_access.mining,
+        (("consumer", n_mine), ("source", n_mine)),
+        lambda consumer, source: "a mining team cannot be its own peer" if consumer == source else None,
+    )
+    walk("peer_access.labeling", cfg.peer_access.labeling, (("consumer", n_lab), ("source", n_mine)))
+    wiring = cfg.wiring
+    if wiring.mining is not None:
+        check(len(wiring.mining) >= 1, "wiring.mining", "must list at least one (miner, experimenter) pair")
+        mined = walk("wiring.mining", wiring.mining, (("miner", n_mine), ("experimenter", n_exp)))
+    if wiring.labeling is not None:
+        check(len(wiring.labeling) >= 1, "wiring.labeling", "must list at least one (labeler, experimenter, miner) triple")
+        if wiring.mining is None:
+            mined = set(mining_wiring(cfg))
+        walk(
+            "wiring.labeling",
+            wiring.labeling,
+            (("labeler", n_lab),),
+            lambda l, i, j: None if (j, i) in mined else f"no mining product exists for miner {j} on dataset {i}",
+        )
 
     if cfg.self_driving:
         same = cfg.teams.experimenting == cfg.teams.mining == cfg.teams.labeling

@@ -45,6 +45,8 @@ def check_positive(name: str, value: int) -> None:
 #: Bits a variable id occupies in a pair key ``u << 32 | v``.
 _KEY_SHIFT = 32
 _KEY_MASK = (1 << _KEY_SHIFT) - 1
+#: Ids lie below 2**31, so the smaller id of a pair, shifted, stays clear of the int64 sign bit.
+_ID_BITS = 31
 
 
 def split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,26 +55,26 @@ def split_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def join_keys(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Pair key ``u << 32 | v`` of every pair {us[i], vs[i]} of int64 ids,
-    smaller id in the high bits, so ascending keys give the ``combinations``
-    order of pairs."""
+    """Pair key ``u << 32 | v`` of every pair {us[i], vs[i]} of int64 ids
+    below 2**31, smaller id in the high bits, so ascending keys give the
+    ``combinations`` order of pairs."""
     return np.minimum(us, vs) << _KEY_SHIFT | np.maximum(us, vs)
 
 
 def sorted_pair_keys(us: Sequence[int], vs: Sequence[int], holder: str) -> tuple[np.ndarray, np.ndarray]:
     """Keys of the pairs {us[i], vs[i]} in ascending order, and the stable
     argsort that orders them. Ids that are not integers, a pair of equal ids,
-    an id below 0 or of 2**32 or more, and a pair given twice raise
+    an id below 0 or of 2**31 or more, and a pair given twice raise
     ConfigError naming ``holder``."""
     us, vs = np.asarray(us), np.asarray(vs)
     for ids in (us, vs):
         if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-            raise ConfigError(f"{holder} variable ids must be integers in [0, 2**{_KEY_SHIFT})")
-    bad = np.flatnonzero((us == vs) | (np.minimum(us, vs) < 0) | (np.maximum(us, vs) > _KEY_MASK))
+            raise ConfigError(f"{holder} variable ids must be integers in [0, 2**{_ID_BITS})")
+    bad = np.flatnonzero((us == vs) | (np.minimum(us, vs) < 0) | (np.maximum(us, vs) >= 1 << _ID_BITS))
     if bad.size:
         pair = (int(us[bad[0]]), int(vs[bad[0]]))
         raise ConfigError(
-            f"{holder} pair {pair}: variable ids must lie below 2**{_KEY_SHIFT}, be non-negative and differ"
+            f"{holder} pair {pair}: variable ids must lie below 2**{_ID_BITS}, be non-negative and differ"
         )
     keys = join_keys(us.astype(np.int64), vs.astype(np.int64))
     order = np.argsort(keys, kind="stable")

@@ -33,7 +33,6 @@ from .experimenting import Datasheet
 from .knowledge import KnowledgeBase, PairColumns, check_confidence, split_keys
 from .mining import (
     TAG_DISPUTED,
-    TAG_NOISE_CORRECTED,
     TAG_SELECTION_CONDITIONED,
     Information,
     MiningParams,
@@ -135,28 +134,21 @@ def reinterpret(
 ) -> Information:
     """Re-read information with everything the labeler knows.
 
-    If a datasheet is visible at this stage (delivered directly, or embedded
-    in the info sheet because the miner had it) and the noise correction has
-    not been applied yet, apply it here; the algebra is shared with the mining
-    stage, so both routes produce identical values. Patterns whose implied
-    polarity contradicts a prior claim held with confidence at or above the
-    veto threshold are removed, except patterns the miner already marked
-    disputed (that conflict is recorded; stripping the pattern as well would
-    erase the audit trail and, when one team plays every role, make the
-    reinterpretation diverge from the information it already produced).
-    Selection tags are propagated when the datasheet reveals a condition the
-    miner did not know about.
+    The datasheet is the one delivered directly, or else the one the info
+    sheet embeds because the miner had it. ``datasheet_corrections`` applies
+    whatever it proves that the info sheet's ``corrections_applied`` lacks
+    (the algebra is the miner's, so both routes give identical values) and
+    propagates selection tags for a condition the miner did not know about.
+    Patterns whose implied polarity contradicts a prior claim held with
+    confidence at or above the veto threshold are removed, except patterns
+    the miner already marked disputed (that conflict is recorded; stripping
+    the pattern as well would erase the audit trail and, when one team plays
+    every role, make the reinterpretation diverge from the information it
+    already produced).
     """
     sheet = info.info_sheet
     datasheet = delivered_exp_datasheet if delivered_exp_datasheet is not None else sheet.upstream_datasheet
-    patterns = info.patterns
-    corrections = sheet.corrections_applied
-
-    if datasheet is not None:
-        correct_noise = datasheet.noise_rate > 0.0 and TAG_NOISE_CORRECTED not in corrections
-        patterns = datasheet_corrections(patterns, datasheet, correct_noise)
-        if correct_noise:
-            corrections = corrections | {TAG_NOISE_CORRECTED}
+    patterns, corrections = datasheet_corrections(info.patterns, datasheet, sheet.corrections_applied)
 
     kept = patterns.has(TAG_DISPUTED) | ~contradicted_patterns(patterns, [prior.claims], params)
     patterns = PatternTable.from_arrays(patterns.keys[kept], patterns.phi[kept], patterns.tags[kept], patterns.support)

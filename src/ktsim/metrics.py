@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ChannelPolicy, ScenarioConfig
 from .errors import ConfigError
 from .experimenting import design_experiment, sample_dataset
 from .knowledge import (
@@ -193,11 +193,11 @@ def validate_monotonicity(
         own_kb = team_base(gt, teams.labeling.size, trial_rng)
         design = design_experiment(exp_kb, scenario.m, scenario.experiment, trial_rng)
         dataset, datasheet = sample_dataset(gt, design, trial_rng)
-        ch1, ch2, ch3 = (bool(trial_rng.integers(2)) for _ in range(3))
+        channels = ChannelPolicy(*(bool(trial_rng.integers(2)) for _ in range(3)))
         peers = [team_base(gt, teams.mining.size, trial_rng) for _ in range(int(trial_rng.integers(3)))]
-        info = mine(dataset, miner_kb, datasheet if ch1 else None, [], scenario.mining)
-        prior = build_effective_prior(own_kb, miner_kb if ch2 else None, exp_kb if ch3 else None, peers)
-        exp_sheet = datasheet if ch3 else None
+        info = mine(dataset, miner_kb, channels.to_miner(datasheet), [], scenario.mining)
+        delivered_miner, delivered_exp, exp_sheet = channels.to_labeler(miner_kb, exp_kb, datasheet)
+        prior = build_effective_prior(own_kb, delivered_miner, delivered_exp, peers)
 
         # Pattern pairs in mined order and free pairs in key order, each
         # without the pairs the effective prior already holds.

@@ -120,24 +120,32 @@ def correct_attenuation(phi, noise_rate: float):
     return np.clip(phi / factor, -1.0, 1.0)
 
 
-def datasheet_corrections(patterns: PatternTable, datasheet: Datasheet, correct_noise: bool) -> PatternTable:
-    """The patterns after the corrections a datasheet proves: with
-    ``correct_noise``, every non-degenerate phi is divided by the recorded
-    attenuation and tagged; a recorded selection tags every pair without the
-    selected variable as conditioned. Shared by the miner and by the labeler's
-    reinterpretation, so both routes give identical patterns.
+def datasheet_corrections(
+    patterns: PatternTable, datasheet: Optional[Datasheet], applied: frozenset[str] = frozenset()
+) -> tuple[PatternTable, frozenset[str]]:
+    """The patterns after the corrections a datasheet proves, and the
+    corrections ``applied`` to them so far, this call's included. Without a
+    datasheet nothing is proven. Noise is corrected when the datasheet
+    records a rate above 0 and ``applied`` does not hold it yet: every
+    non-degenerate phi is divided by the recorded attenuation and tagged. A
+    recorded selection tags every pair without the selected variable as
+    conditioned. The miner and the labeler's reinterpretation both call
+    this, so both routes give identical patterns.
     """
+    if datasheet is None:
+        return patterns, applied
     phi, tags = patterns.phi, patterns.tags
-    if correct_noise:
+    if datasheet.noise_rate > 0.0 and TAG_NOISE_CORRECTED not in applied:
         live = ~patterns.has(TAG_DEGENERATE)
         phi = np.where(live, correct_attenuation(phi, datasheet.noise_rate), phi)
         tags = tags | live * TAG_BITS[TAG_NOISE_CORRECTED]
+        applied = applied | {TAG_NOISE_CORRECTED}
     selection = datasheet.selection
     if selection is not None:
         us, vs = split_keys(patterns.keys)
         outside = (us != selection.variable) & (vs != selection.variable)
         tags = tags | outside * TAG_BITS[TAG_SELECTION_CONDITIONED]
-    return PatternTable.from_arrays(patterns.keys, phi, tags, patterns.support)
+    return PatternTable.from_arrays(patterns.keys, phi, tags, patterns.support), applied
 
 
 def implied_polarity(patterns: PatternTable, params: MiningParams) -> tuple[np.ndarray, np.ndarray]:
@@ -183,11 +191,10 @@ def mine(
     team_id: int = 0,
 ) -> Information:
     """Extract one pattern per measured pair, correcting only what the
-    delivered datasheet proves: noise inversion when delta > 0 was recorded,
-    selection tags when a selection condition was recorded. Without the
+    delivered datasheet proves (``datasheet_corrections``), and tag the
+    patterns that the miner's or a peer's knowledge disputes. Without the
     datasheet the raw statistics pass through untouched.
     """
-    apply_noise = delivered is not None and delivered.noise_rate > 0.0
     counts = _gram(ds.rows)
     first, second = np.triu_indices(len(ds.columns), 1)
     raw = [_phi(ds.n, counts[i][j], counts[i][i], counts[j][j]) for i, j in zip(first.tolist(), second.tolist())]
@@ -198,15 +205,9 @@ def mine(
         np.array([r is None for r in raw], dtype=bool) * TAG_BITS[TAG_DEGENERATE],
         ds.n,
     )
-    if delivered is not None:
-        patterns = datasheet_corrections(patterns, delivered, apply_noise)
+    patterns, applied = datasheet_corrections(patterns, delivered)
     disputed = contradicted_patterns(patterns, [miner_kb, *peer_kbs], params)
     tags = patterns.tags | disputed * TAG_BITS[TAG_DISPUTED]
     patterns = PatternTable.from_arrays(patterns.keys, patterns.phi, tags, ds.n)
-    sheet = InfoSheet(
-        team_id=team_id,
-        params=params,
-        corrections_applied=frozenset({TAG_NOISE_CORRECTED} if apply_noise else ()),
-        upstream_datasheet=delivered,
-    )
+    sheet = InfoSheet(team_id=team_id, params=params, corrections_applied=applied, upstream_datasheet=delivered)
     return Information(patterns, sheet)

@@ -33,7 +33,7 @@ from typing import Any, Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from .config import ChannelPolicy, ScenarioConfig, mining_wiring
+from .config import ChannelPolicy, ScenarioConfig, labeling_wiring, mining_wiring
 from .errors import ConfigError
 from .experimenting import Dataset, Datasheet, design_experiment, export_dataset, sample_dataset
 from .knowledge import (
@@ -205,16 +205,6 @@ def _form_teams(cfg: ScenarioConfig, pool: AgentPool, rng: np.random.Generator) 
     }
 
 
-def _labeling_wiring(cfg: ScenarioConfig, mining_pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int, int], ...]:
-    if cfg.wiring.labeling is not None:
-        return tuple(sorted(cfg.wiring.labeling))
-    return tuple(
-        (l, i, j)
-        for l in range(cfg.teams.labeling.count)
-        for (j, i) in mining_pairs
-    )
-
-
 def run(cfg: ScenarioConfig, seed: int) -> RunResult:
     """Execute one full translation pass under the configured channel policy."""
     root = np.random.SeedSequence(int(seed))
@@ -237,7 +227,6 @@ def run(cfg: ScenarioConfig, seed: int) -> RunResult:
         )
         records.append(DatasetRecord(dataset, datasheet, dataset.sha256()))
 
-    channels = cfg.channels
     miner_peers: dict[int, list] = {j: [] for j in range(len(mine_teams))}
     for consumer, source in cfg.peer_access.mining:
         miner_peers[consumer].append(mine_teams[source].knowledge)
@@ -245,29 +234,24 @@ def run(cfg: ScenarioConfig, seed: int) -> RunResult:
     for consumer, source in cfg.peer_access.labeling:
         labeler_peers[consumer].append(mine_teams[source].knowledge)
 
-    mining_pairs = mining_wiring(cfg)
     infos: dict[tuple[int, int], Information] = {}
-    for j, i in mining_pairs:
-        delivered = records[i].datasheet if channels.ch1 else None
+    for j, i in mining_wiring(cfg):
         infos[(j, i)] = mine(
             records[i].dataset,
             mine_teams[j].knowledge,
-            delivered,
+            cfg.channels.to_miner(records[i].datasheet),
             miner_peers[j],
             cfg.mining,
             team_id=j,
         )
 
     labelings = []
-    for l, i, j in _labeling_wiring(cfg, mining_pairs):
-        prior = build_effective_prior(
-            label_teams[l].knowledge,
-            mine_teams[j].knowledge if channels.ch2 else None,
-            exp_teams[i].knowledge if channels.ch3 else None,
-            labeler_peers[l],
+    for l, i, j in labeling_wiring(cfg):
+        miner_kb, exp_kb, datasheet = cfg.channels.to_labeler(
+            mine_teams[j].knowledge, exp_teams[i].knowledge, records[i].datasheet
         )
-        exp_datasheet = records[i].datasheet if channels.ch3 else None
-        reread = reinterpret(infos[(j, i)], prior, exp_datasheet, cfg.labeling)
+        prior = build_effective_prior(label_teams[l].knowledge, miner_kb, exp_kb, labeler_peers[l])
+        reread = reinterpret(infos[(j, i)], prior, datasheet, cfg.labeling)
         labelings.append(label(reread, prior, cfg.labeling, teams=(i, j, l)))
 
     report = openness(labelings, gt)

@@ -28,6 +28,18 @@ def test_channel_mask_round_trip():
         ChannelPolicy.from_mask(8)
 
 
+@pytest.mark.parametrize("mask", range(8))
+def test_each_channel_delivers_exactly_what_it_carries(mask):
+    # ch1: datasheet to miner; ch2: miner knowledge to labeler; ch3:
+    # experimenter knowledge and datasheet to labeler; a closed channel gives None.
+    channels = ChannelPolicy.from_mask(mask)
+    datasheet, miner_kb, exp_kb = object(), object(), object()
+    assert channels.to_miner(datasheet) is (datasheet if mask & 1 else None)
+    delivered = channels.to_labeler(miner_kb, exp_kb, datasheet)
+    expected = (miner_kb if mask & 2 else None, exp_kb if mask & 4 else None, datasheet if mask & 4 else None)
+    assert len(delivered) == 3 and all(got is want for got, want in zip(delivered, expected))
+
+
 def test_default_config_round_trips_through_json():
     cfg = default_scenario()
     parsed = scenario_from_dict(cfg.to_json())
@@ -200,6 +212,41 @@ def test_labeling_wiring_must_reference_mined_products():
     data["wiring"]["mining"] = [[0, 0]]
     data["wiring"]["labeling"] = [[0, 1, 0]]  # dataset 1 is never mined by miner 0
     with pytest.raises(ConfigError, match="wiring.labeling"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(("section", "entries", "message"), [
+    ("peer_access.mining", [[0, 1], [2, 0]], "peer_access.mining[1]: consumer index 2 out of range [0, 2)"),
+    ("peer_access.mining", [[0, 1], [1, 2]], "peer_access.mining[1]: source index 2 out of range [0, 2)"),
+    ("peer_access.mining", [[0, 1], [1, 1]], "peer_access.mining[1]: a mining team cannot be its own peer"),
+    ("peer_access.mining", [[0, 1], [0, 1]], "peer_access.mining[1]: repeats an earlier entry"),
+    ("peer_access.labeling", [[0, 0], [2, 0]], "peer_access.labeling[1]: consumer index 2 out of range [0, 2)"),
+    ("peer_access.labeling", [[0, 0], [1, 2]], "peer_access.labeling[1]: source index 2 out of range [0, 2)"),
+    ("peer_access.labeling", [[1, 1], [1, 1]], "peer_access.labeling[1]: repeats an earlier entry"),
+    ("wiring.mining", [], "wiring.mining: must list at least one (miner, experimenter) pair"),
+    ("wiring.mining", [[0, 0], [2, 0]], "wiring.mining[1]: miner index 2 out of range [0, 2)"),
+    ("wiring.mining", [[0, 0], [0, 2]], "wiring.mining[1]: experimenter index 2 out of range [0, 2)"),
+    ("wiring.mining", [[0, 1], [0, 1]], "wiring.mining[1]: repeats an earlier entry"),
+    ("wiring.labeling", [], "wiring.labeling: must list at least one (labeler, experimenter, miner) triple"),
+    ("wiring.labeling", [[0, 0, 0], [2, 0, 0]], "wiring.labeling[1]: labeler index 2 out of range [0, 2)"),
+    ("wiring.labeling", [[0, 0, 0], [0, 2, 0]], "wiring.labeling[1]: no mining product exists for miner 0 on dataset 2"),
+    ("wiring.labeling", [[1, 1, 1], [1, 1, 1]], "wiring.labeling[1]: repeats an earlier entry"),
+])
+def test_each_index_list_error_names_its_entry(section, entries, message):
+    data = default_scenario().to_json()
+    key, field = section.split(".")
+    data[key][field] = entries
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(data)
+
+
+def test_index_lists_report_their_first_broken_entry_in_list_order():
+    # Each list is walked once, entry by entry: an entry's repeat comes before
+    # a later entry's range error, and a peer list comes before the wiring.
+    data = default_scenario().to_json()
+    data["peer_access"]["mining"] = [[0, 1], [0, 1], [0, 9]]
+    data["wiring"]["mining"] = [[9, 0]]
+    with pytest.raises(ConfigError, match=r"^peer_access\.mining\[1\]: repeats an earlier entry$"):
         scenario_from_dict(data)
 
 

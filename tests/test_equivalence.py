@@ -43,6 +43,7 @@ from ktsim.mining import (
     InfoSheet,
     MiningParams,
     PatternTable,
+    datasheet_corrections,
     mine,
     phi_coefficient,
 )
@@ -315,7 +316,7 @@ def test_labeling_arrays_match_per_entry_references(data, m):
 
 
 #: Variable ids: small ones, so pairs collide, and any up to the largest a key holds.
-_IDS = st.integers(0, 6) | st.integers(0, 2**32 - 1)
+_IDS = st.integers(0, 6) | st.integers(0, 2**31 - 1)
 
 
 @st.composite
@@ -334,7 +335,7 @@ def labelings(draw):
 @given(labelings())
 @example(labeling([]))
 @example(labeling(
-    [claim(0, 2**32 - 1, True), claim(1, 2, False), claim(2**32 - 2, 2**32 - 1, True), claim(3, 4, False)],
+    [claim(0, 2**31 - 1, True), claim(1, 2, False), claim(2**31 - 2, 2**31 - 1, True), claim(3, 4, False)],
     (3, 0, 2),
     [True, True, False, False],
 ))
@@ -405,6 +406,10 @@ def test_veto_matches_the_reference(data, m):
     datasheet = delivered if delivered is not None else upstream
     correct_noise = datasheet is not None and datasheet.noise_rate > 0.0 and TAG_NOISE_CORRECTED not in corrections
     fixed = found if datasheet is None else [ref_corrections(p, datasheet, correct_noise) for p in found]
+    # The corrections alone, and again with the set they return: the second pass changes nothing.
+    corrected, applied = datasheet_corrections(table(found), datasheet, corrections)
+    assert refs(corrected) == fixed
+    assert datasheet_corrections(corrected, datasheet, applied) == (corrected, applied)
     base = _as_dict(prior)
     assert refs(out.patterns) == [p for p in fixed if TAG_DISPUTED in p.tags or not ref_contradicted(p, base, params)]
     assert out.patterns.support == 100
@@ -512,5 +517,5 @@ def test_extended_inserts_one_claim_like_the_checked_constructor(data, m):
 
 
 def test_extended_rejects_a_variable_id_the_keys_cannot_hold():
-    with pytest.raises(ConfigError, match=r"variable ids must lie below 2\*\*32"):
-        _kb().extended(0, 2**32, True, 0.9)
+    with pytest.raises(ConfigError, match=r"variable ids must lie below 2\*\*31"):
+        _kb().extended(0, 2**31, True, 0.9)

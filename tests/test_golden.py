@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ktsim import default_scenario, scenario_from_dict, sweep, validate_monotonicity, write_sweep_outputs
+from ktsim import default_scenario, run, scenario_from_dict, sweep, validate_monotonicity, write_sweep_outputs
 from ktsim.cli import EXIT_OK, EXIT_VALIDATION, main
 from ktsim.mining import TAG_NAMES
 
@@ -86,6 +86,24 @@ SWEEP_REP0_SHA256 = (
     "c15214a15e4f8792aa8af71d21eb48fe414898bc296adec92c9dd026cddca525",
     "b51229331bb98afb54e021e4bd195784d1ee0aa0537e43b881ea406567344d5b",
 )
+#: ``run(...).to_json_text()`` of ``READ_GRAPH_CONFIG`` at seed 3. The
+#: digest was taken before the read graph and the channel deliveries moved
+#: into ``config``, so it shows that the move kept every byte of a run with
+#: explicit wiring and peer grants, which no other golden run has.
+READ_GRAPH_RUN_SHA256 = "9a8a27335c0f2767f62282226354fb3b33193d3eb63d842c372ac1f57b7cd817"
+#: Three teams per role but two labelers; neither wiring list is the
+#: complete graph, both are given out of order, and each peer list grants twice.
+READ_GRAPH_CONFIG = {
+    "schema": 1,
+    "m": 16,
+    "teams": {"experimenting": {"count": 3}, "mining": {"count": 3}, "labeling": {"count": 2}},
+    "experiment": {"target_width": 6, "samples": 2000},
+    "wiring": {
+        "mining": [[2, 1], [0, 0], [1, 2], [0, 2]],
+        "labeling": [[1, 2, 1], [0, 0, 0], [1, 1, 2], [0, 2, 0]],
+    },
+    "peer_access": {"mining": [[0, 1], [2, 0]], "labeling": [[1, 2], [0, 0]]},
+}
 SWEEP_REP0_RECORD_FORM_SHA256 = (
     "7a871391a02affe2ad2e7e74fbd2d5dd3b073f14c7b837ba0d0d8fa78477b09f",
     "c67025caa569102549a2f77f14171088c1ceebe28ba9c407606ca177422e9550",
@@ -181,6 +199,11 @@ def test_wide_mining_run(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--seed", "7", "--out", str(out), "--quiet"]) == EXIT_OK
     _check_result_file(out / "result.json", WIDE_RUN_SEED_7_SHA256, WIDE_RUN_SEED_7_RECORD_FORM_SHA256)
+
+
+def test_run_with_explicit_wiring_and_peer_grants():
+    text = run(scenario_from_dict(READ_GRAPH_CONFIG), 3).to_json_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == READ_GRAPH_RUN_SHA256
 
 
 @pytest.mark.parametrize(("argv", "digest"), [

@@ -155,9 +155,9 @@ def test_knowledge_base_json_round_trip_is_exact(kb):
     ("conf", [0.5, 0.0], "confidence must lie in"),
     ("conf", [1.5, 0.5], "confidence must lie in"),
     ("conf", None, "missing columns \\['conf'\\]"),
-    ("v", [0, 2], "variable ids must lie below 2\\*\\*32, be non-negative and differ"),
-    ("u", [-1, 0], "variable ids must lie below 2\\*\\*32, be non-negative and differ"),
-    ("v", [1, 2**32], "variable ids must lie below 2\\*\\*32, be non-negative and differ"),
+    ("v", [0, 2], "variable ids must lie below 2\\*\\*31, be non-negative and differ"),
+    ("u", [-1, 0], "variable ids must lie below 2\\*\\*31, be non-negative and differ"),
+    ("v", [1, 2**31], "variable ids must lie below 2\\*\\*31, be non-negative and differ"),
     ("v", [1, 2**64], "must be integers"),
     ("u", [0.0, 0.0], "must be integers"),
     ("u", [[0], [0]], "must be integers"),
@@ -171,6 +171,16 @@ def test_knowledge_base_from_json_rejects_malformed_columns(column, value, messa
         doc[column] = value
     with pytest.raises(ConfigError, match=message):
         KnowledgeBase.from_json(doc)
+
+
+@pytest.mark.parametrize("pair", [(2**31, 2**31 + 1), (2**32 - 2, 2**32 - 1)])
+def test_knowledge_base_from_json_rejects_ids_whose_key_would_reach_the_sign_bit(pair):
+    # The smaller id of each pair, shifted 32 bits, would wrap into the int64 sign bit.
+    doc = {"u": [pair[0], 3], "v": [pair[1], 4], "dep": [True, False], "conf": [0.9, 0.8]}
+    with pytest.raises(ConfigError, match=r"variable ids must lie below 2\*\*31, be non-negative and differ"):
+        KnowledgeBase.from_json(doc)
+    largest = {"u": [2**31 - 2, 3], "v": [2**31 - 1, 4], "dep": [True, False], "conf": [0.9, 0.8]}
+    assert KnowledgeBase.from_json(largest).to_json()["u"] == [3, 2**31 - 2]
 
 
 # ---------------------------------------------------------------------------
