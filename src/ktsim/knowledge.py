@@ -62,8 +62,8 @@ def join_keys(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def sorted_pair_keys(us: Sequence[int], vs: Sequence[int], holder: str) -> tuple[np.ndarray, np.ndarray]:
-    """Keys of the pairs {us[i], vs[i]} in ascending order, and the stable
-    argsort that orders them. Ids that are not integers, a pair of equal ids,
+    """Keys of the pairs {us[i], vs[i]} in ascending order, and the input
+    row of each key. Ids that are not integers, a pair of equal ids,
     an id below 0 or of 2**31 or more, and a pair given twice raise
     ConfigError naming ``holder``."""
     us, vs = np.asarray(us), np.asarray(vs)
@@ -77,11 +77,9 @@ def sorted_pair_keys(us: Sequence[int], vs: Sequence[int], holder: str) -> tuple
             f"{holder} pair {pair}: variable ids must lie below 2**{_ID_BITS}, be non-negative and differ"
         )
     keys = join_keys(us.astype(np.int64), vs.astype(np.int64))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    repeated = np.flatnonzero(keys[1:] == keys[:-1])
-    if repeated.size:
-        u, v = split_keys(keys[repeated[:1]])
+    keys, order, counts = np.unique(keys, return_index=True, return_counts=True)
+    if np.any(counts > 1):
+        u, v = split_keys(keys[counts > 1][:1])
         raise ConfigError(f"{holder} holds more than one claim for pair {(int(u[0]), int(v[0]))}")
     return keys, order
 
@@ -477,7 +475,7 @@ def build_ground_truth(m: int, tree_count: int, p_stay: float, rng: np.random.Ge
 def all_pair_keys(m: int) -> np.ndarray:
     """Key of every pair of ``m`` variables, in ``combinations`` order."""
     us, vs = np.triu_indices(m, 1)
-    return _frozen(us.astype(np.int64) << _KEY_SHIFT | vs)
+    return _frozen(join_keys(us.astype(np.int64), vs.astype(np.int64)))
 
 
 def sample_agent_prior(gt: GroundTruth, agents: AgentSpec, rng: np.random.Generator) -> KnowledgeBase:

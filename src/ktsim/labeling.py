@@ -119,7 +119,7 @@ def build_effective_prior(
     source (labeler, then miner, then experimenter, then peers in list order).
     """
     layers = [kb for kb in (own, delivered_miner, delivered_exp, *peers) if kb is not None]
-    # Strongest first: np.unique keeps the first occurrence of every key.
+    # Strongest first, as in ``label``: np.unique keeps the first claim on each pair.
     keys, first = np.unique(np.concatenate([kb.keys for kb in layers]), return_index=True)
     dep = np.concatenate([kb.dep for kb in layers])[first]
     conf = np.concatenate([kb.conf for kb in layers])[first]
@@ -168,22 +168,18 @@ def label(
     (``implied_polarity``), except that a selection-conditioned pattern never
     labels Independent (apparent independence may be masking) and a disputed
     pattern yields no claim. Prior claims at or above the trust threshold
-    pass through afterwards and overwrite pattern labels on their pair.
+    pass through. As in the effective prior, the strongest claim on a pair is
+    kept: a pass-through over its pair's pattern labels, the last of those
+    over the rest.
     """
     patterns = info.patterns
     implied, dep = implied_polarity(patterns, params)
     emits = implied & ~patterns.has(TAG_DISPUTED) & (dep | ~patterns.has(TAG_SELECTION_CONDITIONED))
     kb = prior.claims
     trusted = kb.conf >= params.trust_confidence
-    # Pattern labels first, pass-throughs after. The stable sort keeps that
-    # order within a pair and the last claim on a pair is kept, so a
-    # pass-through overwrites the pattern label on its pair.
-    all_keys = np.concatenate([patterns.keys[emits], kb.keys[trusted]])
-    all_dep = np.concatenate([dep[emits], kb.dep[trusted]])
-    from_prior = np.arange(all_keys.size) >= np.count_nonzero(emits)
-    order = np.argsort(all_keys, kind="stable")
-    all_keys = all_keys[order]
-    last = np.ones(all_keys.shape, dtype=bool)
-    last[:-1] = all_keys[1:] != all_keys[:-1]
-    kept = order[last]
-    return LabeledKnowledge.from_arrays(all_keys[last], all_dep[kept], from_prior[kept], teams)
+    # Strongest first, as in the effective prior: pass-throughs, then the
+    # pattern labels from last to first.
+    all_keys = np.concatenate([kb.keys[trusted], patterns.keys[emits][::-1]])
+    all_dep = np.concatenate([kb.dep[trusted], dep[emits][::-1]])
+    keys, first = np.unique(all_keys, return_index=True)
+    return LabeledKnowledge.from_arrays(keys, all_dep[first], first < np.count_nonzero(trusted), teams)

@@ -30,6 +30,7 @@ from .knowledge import (
     KnowledgeBase,
     all_pair_keys,
     build_ground_truth,
+    check_positive,
     rectify,
     sample_agent_prior,
     split_keys,
@@ -66,15 +67,6 @@ def _claim_codes(lk: LabeledKnowledge) -> np.ndarray:
     return lk.keys << 1 | lk.dep
 
 
-def _distinct(codes: np.ndarray) -> np.ndarray:
-    # Sort and drop repeats: a plain np.unique call imports numpy.ma, which
-    # adds about 2 MB to every process that scores a run.
-    codes = np.sort(codes)
-    keep = np.ones(codes.shape, dtype=bool)
-    keep[1:] = codes[1:] != codes[:-1]
-    return codes[keep]
-
-
 def _counts(codes: np.ndarray, gt: GroundTruth) -> dict:
     """The ``Score`` fields of distinct claim codes, by name."""
     true_count = int(np.count_nonzero(gt.same_tree_keys(codes >> 1) == (codes & 1).astype(bool)))
@@ -94,7 +86,9 @@ def openness(labelings: Sequence[LabeledKnowledge], gt: GroundTruth) -> Openness
     per_triple = tuple(
         TripleReport(teams=lk.teams, **_counts(codes, gt)) for lk, codes in zip(labelings, per_labeling)
     )
-    union = _distinct(np.concatenate([np.zeros(0, dtype=np.int64), *per_labeling]))
+    # A plain np.unique call imports numpy.ma, which adds about 2 MB to every
+    # process that scores a run; one with a return option does not.
+    union = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *per_labeling]), return_index=True)[0]
     return OpennessReport(**_counts(union, gt), per_triple=per_triple)
 
 
@@ -174,8 +168,7 @@ def validate_monotonicity(
     through ``negate_passthrough`` first, a negative control the check must
     catch; it reports rather than hides what it finds.
     """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    check_positive("trials", trials)
     params = scenario.labeling
     floor = max(params.veto_confidence, params.trust_confidence)
     teams = scenario.teams
@@ -270,8 +263,7 @@ def correlation_oracle(
     """
     if not (0.5 < p_stay < 1.0):
         raise ConfigError(f"p_stay must lie in (0.5, 1), got {p_stay}")
-    if dist < 1:
-        raise ConfigError(f"dist must be >= 1, got {dist}")
+    check_positive("dist", dist)
     if not (0.0 <= delta < 0.5):
         raise ConfigError(f"delta must lie in [0, 0.5), got {delta}")
     if samples < 2:

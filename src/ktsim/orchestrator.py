@@ -34,7 +34,6 @@ from typing import Any, Callable, Optional, Sequence, TypeVar
 import numpy as np
 
 from .config import ChannelPolicy, ScenarioConfig, labeling_wiring, mining_wiring
-from .errors import ConfigError
 from .experimenting import Dataset, Datasheet, design_experiment, export_dataset, sample_dataset
 from .knowledge import (
     AgentPool,
@@ -42,6 +41,7 @@ from .knowledge import (
     Role,
     Team,
     build_ground_truth,
+    check_positive,
     rectify,
     sample_agent_pool,
 )
@@ -345,10 +345,8 @@ def sweep(
     jobs: int = 1,
 ) -> SweepResult:
     """All eight channel combinations, paired over ``replicates`` data seeds."""
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_positive("replicates", replicates)
+    check_positive("jobs", jobs)
     configs = [cfg.with_channels(ChannelPolicy.from_mask(mask)) for mask in ALL_CHANNEL_MASKS]
     task = functools.partial(_run_replicate, configs, out_dir=out_dir)
     # ``jobs`` is an upper bound: a forking pool starts all its workers at the

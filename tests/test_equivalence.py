@@ -289,6 +289,7 @@ def test_label_with_repeated_pattern_pairs_keeps_the_last_label(data, m):
     params = LabelingParams()
     out = label(_info(found), EffectivePrior(_kb(*prior)), params)
     assert out.entries == [_record(c, o) for c, o in ref_label(found, prior, params)]
+    assert (out.keys.dtype, out.dep.dtype, out.from_prior.dtype) == (np.int64, bool, bool)
 
 
 @SETTINGS
@@ -300,6 +301,8 @@ def test_labeling_arrays_match_per_entry_references(data, m):
     teams = data.draw(st.tuples(*[st.integers(0, 3)] * 3))
     out = label(_info(found), EffectivePrior(_kb(*prior)), params, teams=teams)
     expected = ref_label(found, prior, params)
+    # PairColumns equality ignores dtype, so an integer column would pass every other assert.
+    assert (out.keys.dtype, out.dep.dtype, out.from_prior.dtype) == (np.int64, bool, bool)
     written = json.loads("".join(_json_pieces(out.to_json())))
     assert written == {"teams": list(teams), "claims": [_record(c, o) for c, o in expected]}
     negated = [(negate(c) if o == ORIGIN_PRIOR else c, o) for c, o in expected]
@@ -390,6 +393,12 @@ def test_sorted_pair_keys_rejects_a_repeated_pair_in_any_order(data, m):
     pairs = [(wc.claim.u, wc.claim.v) for wc in data.draw(claim_lists(m).filter(bool))]
     u, v = data.draw(st.sampled_from(pairs))
     rows = data.draw(st.permutations(pairs + [(v, u)]))
+    with pytest.raises(ConfigError, match=rf"labeled knowledge holds more than one claim for pair \({u}, {v}\)"):
+        sorted_pair_keys([a for a, _ in rows], [b for _, b in rows], "labeled knowledge")
+    # With a second pair repeated too, the message names the smaller key.
+    x, y = data.draw(st.sampled_from(pairs))
+    rows = data.draw(st.permutations(pairs + [(v, u), (y, x)]))
+    u, v = min((u, v), (x, y))
     with pytest.raises(ConfigError, match=rf"labeled knowledge holds more than one claim for pair \({u}, {v}\)"):
         sorted_pair_keys([a for a, _ in rows], [b for _, b in rows], "labeled knowledge")
 
