@@ -14,8 +14,9 @@ member priors by strict majority vote (rectify).
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
@@ -24,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .records import Record
+from .records import Record, jsonable
 
 
 def check_confidence(name: str, value: float) -> None:
@@ -131,6 +132,10 @@ class PairColumns:
         }
 
 
+#: First line of the bytes ``KnowledgeBase.sha256`` hashes: the column layout.
+_SHA256_HEADER = b"ktsim knowledge base: keys <i8, dep u1, conf <f8\n"
+
+
 class KnowledgeBase(PairColumns):
     """Conflict-free collection of weighted claims, at most one per pair:
     ``keys`` in ascending order, ``dep`` (True for a Dependent claim) and
@@ -144,6 +149,16 @@ class KnowledgeBase(PairColumns):
 
     def __repr__(self) -> str:
         return f"KnowledgeBase({len(self)} claims)"
+
+    def sha256(self) -> str:
+        """Hex sha256 of the header line ``_SHA256_HEADER``, then every key
+        as a little-endian int64, every ``dep`` as one byte (1 for a
+        Dependent claim, else 0) and every ``conf`` as a little-endian
+        float64, each column whole and in pair-key order."""
+        h = hashlib.sha256(_SHA256_HEADER)
+        for column, dtype in zip((self.keys, self.dep, self.conf), ("<i8", "u1", "<f8")):
+            h.update(np.ascontiguousarray(column, dtype=dtype))
+        return h.hexdigest()
 
     def extended(self, u: int, v: int, dep: bool, conf: float) -> "KnowledgeBase":
         """New base with one extra claim; the pair must be free. Makes the
@@ -286,6 +301,13 @@ class Team(Record):
     def __post_init__(self) -> None:
         if not self.members:
             raise ConfigError("a team needs at least one member")
+
+    def to_json(self) -> dict:
+        """The record's fields, with the knowledge named by its claim count
+        and ``sha256`` rather than written out: it is a pure function of the
+        run's config and seed, and running them again rebuilds it."""
+        doc = {f.name: jsonable(getattr(self, f.name)) for f in fields(self) if f.name != "knowledge"}
+        return {**doc, "knowledge": {"claims": len(self.knowledge), "sha256": self.knowledge.sha256()}}
 
 
 @dataclass(frozen=True)

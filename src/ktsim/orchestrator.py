@@ -14,6 +14,12 @@ alone. For the same reason a sweep writes each replicate's upstream (forest,
 teams, datasets) once, and each combination's file holds only the rest. A
 task is one replicate: its eight masks run in one process, in mask order, on
 channel configs validated once per sweep.
+
+The result files name what they do not hold. A dataset is named by sha256,
+and a run writes its rows to a CSV beside ``result.json``. A team's
+knowledge is written nowhere: it is named by its claim count and
+``KnowledgeBase.sha256``, because running the config at the seed again
+rebuilds it, and the digest checks the rebuild.
 """
 
 from __future__ import annotations
@@ -87,7 +93,9 @@ class RunResult:
 
     def upstream_doc(self) -> dict:
         """The part of the run no channel can change: the seed, the forest,
-        the teams and the datasets."""
+        the teams and the datasets. Each team's knowledge is its claim count
+        and sha256 (``Team.to_json``), and each dataset its row count and
+        sha256, with the datasheet."""
         return {
             "seed": self.seed,
             "ground_truth": self.ground_truth.to_json(),

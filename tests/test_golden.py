@@ -35,6 +35,16 @@ code, instead of one ``{u, v, phi, support, tags}`` record per pattern. So
 moved again. ``record_form`` also turns the pattern columns back into those
 records, tag names taken from the ``TAG_NAMES`` bits and sorted, and the
 record-form digests did not move, so no pattern and no number changed.
+Each team's knowledge was then written as its claim count and
+``KnowledgeBase.sha256`` instead of its ``u``/``v``/``dep``/``conf`` columns,
+since running the document's config at its seed rebuilds it. So
+``RUN_SEED_42_SHA256``, ``WIDE_RUN_SEED_7_SHA256`` and
+``SWEEP_REP0_UPSTREAM_SHA256`` moved, and ``READ_GRAPH_RUN_TEXT_SHA256`` was
+added. ``refill_teams`` runs the config again, checks every team's count and
+digest against the rebuilt base and only then writes the columns back in.
+``record_form`` refills first, and the record-form digests did not move; nor
+did ``READ_GRAPH_RUN_SHA256``, which the refilled read-graph run still
+hashes to. So no claim and no number of a team was lost.
 A change that moves any digest must say why in CHANGES.md; never update a
 digest to hide a defect.
 """
@@ -54,9 +64,9 @@ DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.j
 
 SWEEP_CSV_SHA256 = "608b9654c023da13402bf0b91eb24a64e817ac39f2e0baa8725cb458a9e5ea23"
 SWEEP_SUMMARY_SHA256 = "c15903a7420980e79f8e355d278fce832e6311a5ec4a8f1d7922abd8e8b29092"
-RUN_SEED_42_SHA256 = "c7c39f743377c07ff76b453440337c247c20b3592f6f5e9fd426e8e943cd3594"
+RUN_SEED_42_SHA256 = "dc48c9f0be493f06ef1d7ed6db8c23a3dd07aa1524bcc68ccd4d62ea94de5f31"
 RUN_SEED_42_RECORD_FORM_SHA256 = "0096cafa6465588ac096e378d57b773773ea05325ba43ef9df5ad02364273fb0"
-WIDE_RUN_SEED_7_SHA256 = "4283f9eb295621070e30ba309b85c1859733c48bad3727d461e89284406a995b"
+WIDE_RUN_SEED_7_SHA256 = "6dfa24b26cdb9e2cf400951fc29741eaf081a9b214d4ceb8e367327de852f165"
 WIDE_RUN_SEED_7_RECORD_FORM_SHA256 = "7168ae80a5cd3333b76caae0c9660611a5b5dd3d716a6510c556699ef4acab4b"
 
 #: Dataset exports of ``run --seed 42``: CSV and datasheet sidecar per team.
@@ -75,7 +85,7 @@ VALIDATOR_MATRIX_SHA256 = "7d2c3789877f90e82e30bbf5b3dd2c1ac079a1f8009ca2ed1e9ca
 ORACLE_STDOUT_SHA256 = "a0bc874c2255995a79e93b0a0167831790565dd6346c3b709c00056caa082999"
 #: ``rep0/upstream.json`` and ``combo<mask>/rep0.json`` of a one-replicate
 #: CLI sweep of the default config.
-SWEEP_REP0_UPSTREAM_SHA256 = "9f11ce15229777cd011c16de565e6d4075d53a8a9c35481e6cce29e801c6e616"
+SWEEP_REP0_UPSTREAM_SHA256 = "f800816a9b8153a1a4d1898d6e8fd9c8d2f7c69369654c3f37a4113c93c12e08"
 SWEEP_REP0_SHA256 = (
     "2206d47d5e5030e4d30a93d9ee074d2bb2afa14362bf5473dd98e67a4bbd60d4",
     "cd8490de329f16477b739dabad6086015a2d1ff0524088c66ee18cd990c7d6bb",
@@ -86,11 +96,14 @@ SWEEP_REP0_SHA256 = (
     "c15214a15e4f8792aa8af71d21eb48fe414898bc296adec92c9dd026cddca525",
     "b51229331bb98afb54e021e4bd195784d1ee0aa0537e43b881ea406567344d5b",
 )
-#: ``run(...).to_json_text()`` of ``READ_GRAPH_CONFIG`` at seed 3. The
-#: digest was taken before the read graph and the channel deliveries moved
-#: into ``config``, so it shows that the move kept every byte of a run with
-#: explicit wiring and peer grants, which no other golden run has.
+#: ``run(...).to_json_text()`` of ``READ_GRAPH_CONFIG`` at seed 3, with its
+#: teams refilled and encoded compact again. The digest was taken before the
+#: read graph and the channel deliveries moved into ``config``, so it shows
+#: that the move kept every byte of a run with explicit wiring and peer
+#: grants, which no other golden run has.
 READ_GRAPH_RUN_SHA256 = "9a8a27335c0f2767f62282226354fb3b33193d3eb63d842c372ac1f57b7cd817"
+#: The same run's ``to_json_text()`` as written, teams named by digest.
+READ_GRAPH_RUN_TEXT_SHA256 = "c994aafc01dc359929634e09c67ca72c4b356a0607c1a8554802caef542e314e"
 #: Three teams per role but two labelers; neither wiring list is the
 #: complete graph, both are given out of order, and each peer list grants twice.
 READ_GRAPH_CONFIG = {
@@ -135,12 +148,26 @@ def _pattern_records(block: dict) -> list[dict]:
     ]
 
 
-def record_form(doc: dict) -> dict:
-    """``doc`` with each team's knowledge columns turned back into one
-    ``{"u", "v", "polarity", "confidence"}`` record per claim, and each
-    information's pattern columns into one record per pattern."""
+def refill_teams(doc: dict) -> dict:
+    """``doc`` with each team's ``{"claims", "sha256"}`` replaced by its
+    knowledge columns, rebuilt by running ``doc``'s config at its seed.
+    Raises ``ValueError`` unless every team, digest and count included,
+    is the rebuilt team's JSON."""
     teams = []
-    for team in doc["teams"]:
+    for team, again in zip(doc["teams"], run(scenario_from_dict(doc["config"]), doc["seed"]).teams, strict=True):
+        if team != again.to_json():
+            raise ValueError(f"team {team['id']} ({team['role']}) does not match the rebuilt team")
+        teams.append({**team, "knowledge": again.knowledge.to_json()})
+    return {**doc, "teams": teams}
+
+
+def record_form(doc: dict) -> dict:
+    """``doc`` with its teams refilled and each team's knowledge columns
+    turned into one ``{"u", "v", "polarity", "confidence"}`` record per
+    claim, and each information's pattern columns into one record per
+    pattern."""
+    teams = []
+    for team in refill_teams(doc)["teams"]:
         kb = team["knowledge"]
         claims = [
             {"u": u, "v": v, "polarity": "dep" if dep else "indep", "confidence": conf}
@@ -203,7 +230,26 @@ def test_wide_mining_run(tmp_path, capsys):
 
 def test_run_with_explicit_wiring_and_peer_grants():
     text = run(scenario_from_dict(READ_GRAPH_CONFIG), 3).to_json_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == READ_GRAPH_RUN_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == READ_GRAPH_RUN_TEXT_SHA256
+    refilled = json.dumps(refill_teams(json.loads(text)), sort_keys=True, separators=(",", ":")) + "\n"
+    assert hashlib.sha256(refilled.encode()).hexdigest() == READ_GRAPH_RUN_SHA256
+
+
+@pytest.fixture(scope="module")
+def seed_1_doc():
+    return json.loads(run(default_scenario(), 1).to_json_text())
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda kb: {**kb, "sha256": ("0" if kb["sha256"][0] != "0" else "1") + kb["sha256"][1:]},
+    lambda kb: {**kb, "claims": kb["claims"] + 1},
+], ids=["one-sha256-character", "claims-off-by-one"])
+@pytest.mark.parametrize("team", [0, -1], ids=["first-team", "last-team"])
+def test_refill_rejects_a_team_whose_knowledge_does_not_match(seed_1_doc, tamper, team):
+    teams = [dict(t) for t in seed_1_doc["teams"]]
+    teams[team]["knowledge"] = tamper(teams[team]["knowledge"])
+    with pytest.raises(ValueError, match="does not match the rebuilt team"):
+        refill_teams({**seed_1_doc, "teams": teams})
 
 
 @pytest.mark.parametrize(("argv", "digest"), [

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import struct
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import Iterator
@@ -181,6 +182,35 @@ def test_knowledge_base_from_json_rejects_ids_whose_key_would_reach_the_sign_bit
         KnowledgeBase.from_json(doc)
     largest = {"u": [2**31 - 2, 3], "v": [2**31 - 1, 4], "dep": [True, False], "conf": [0.9, 0.8]}
     assert KnowledgeBase.from_json(largest).to_json()["u"] == [3, 2**31 - 2]
+
+
+def test_knowledge_base_sha256_hashes_the_documented_layout():
+    header = b"ktsim knowledge base: keys <i8, dep u1, conf <f8\n"
+    kb = _kb((independent(5, 2), 0.6), (dependent(0, 1), 0.7))
+    data = header + struct.pack("<2q", 0 << 32 | 1, 2 << 32 | 5) + bytes([1, 0]) + struct.pack("<2d", 0.7, 0.6)
+    assert kb.sha256() == hashlib.sha256(data).hexdigest()
+    assert _kb().sha256() == hashlib.sha256(header).hexdigest()
+
+
+@settings(max_examples=50, deadline=None)
+@given(knowledge_bases())
+@example(_kb())
+def test_equal_knowledge_bases_hash_equal(kb):
+    assert KnowledgeBase.from_json(kb.to_json()).sha256() == kb.sha256()
+
+
+@pytest.mark.parametrize(("column", "change"), [
+    ("conf", lambda conf: np.nextafter(conf, 0.0)),
+    ("dep", lambda dep: not dep),
+    ("keys", lambda key: key + 1),
+], ids=["conf-one-ulp", "dep-flipped", "key-changed"])
+def test_any_change_to_a_claim_changes_the_sha256(column, change):
+    kb = _kb((dependent(0, 1), 0.7), (independent(2, 5), 0.6))
+    columns = {name: getattr(kb, name).copy() for name in kb.COLUMNS}
+    columns[column][0] = change(columns[column][0])
+    moved = KnowledgeBase.from_arrays(*columns.values())
+    assert moved != kb
+    assert moved.sha256() != kb.sha256()
 
 
 # ---------------------------------------------------------------------------

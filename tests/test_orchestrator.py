@@ -309,9 +309,10 @@ def _peak_bytes(call):
 
 
 def test_run_outputs_write_one_team_and_one_labeling_at_a_time(tmp_path):
-    # m=90: 4005 pairs, about half of them in each team's base. Holding the
-    # whole text, as to_json_text must, takes four times what writing one
-    # team or one labeling at a time does.
+    # m=90: 4005 pairs. The eight labelings are 97% of the text, about 35 KB
+    # each; a team is named by its digest in about 100 bytes. Holding the
+    # whole text, as to_json_text must, takes over three times what writing
+    # one labeling at a time does.
     result = run(scenario_from_dict({**default_scenario().to_json(), "m": 90}), 3)
     written = _peak_bytes(lambda: write_run_outputs(result, tmp_path))
     whole = _peak_bytes(result.to_json_text)

@@ -150,6 +150,9 @@ def test_every_accepted_config_runs_and_round_trips(doc, seed):
     result = run(cfg, seed)
     text = result.to_json_text()
     assert json.loads(text)["config"] == cfg.to_json()
+    for team, written in zip(result.teams, json.loads(text)["teams"], strict=True):
+        kb = team.knowledge
+        assert written["knowledge"] == {"claims": len(kb), "sha256": kb.sha256()}
     assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
     with tempfile.TemporaryDirectory() as out:
         assert write_run_outputs(result, out).read_bytes() == text.encode()
