@@ -28,6 +28,11 @@ _NOISE_BLOCK_BYTES = 2**20
 #: Dataset cells per block of rows in ``export_dataset``.
 _EXPORT_BLOCK_CELLS = 2**14
 
+#: Rows per block of ``Dataset.pair_counts``. A block's counts are sums of
+#: at most this many 0/1 products, so float32 holds them exactly while it is
+#: at most 2**24; the block also bounds the float copy of the rows.
+_GRAM_BLOCK_ROWS = 8192
+
 
 def check_noise_and_samples(noise_rate: float, samples: int) -> None:
     """The rule an ``ExperimentSpec`` and every ``ExperimentDesign`` obey:
@@ -83,21 +88,38 @@ class ExperimentDesign(Record):
         check_noise_and_samples(self.noise_rate, self.samples)
 
 
+def _pair_counts(rows: np.ndarray) -> np.ndarray:
+    """Exact ``XᵀX`` of a 0/1 matrix: pairwise 11 counts, column sums on the
+    diagonal. Summed in float32 over blocks of ``_GRAM_BLOCK_ROWS`` rows."""
+    counts = np.zeros((rows.shape[1], rows.shape[1]), dtype=np.int64)
+    for start in range(0, rows.shape[0], _GRAM_BLOCK_ROWS):
+        block = rows[start:start + _GRAM_BLOCK_ROWS].astype(np.float32)
+        counts += (block.T @ block).astype(np.int64)
+    counts.setflags(write=False)
+    return counts
+
+
 class Dataset:
     """Rectangular 0/1 measurements; one column per measured variable."""
 
-    __slots__ = ("columns", "rows", "_index")
+    __slots__ = ("columns", "rows", "_index", "_counts")
 
     def __init__(self, columns, rows):
-        rows = np.ascontiguousarray(rows, dtype=np.uint8)
-        if rows.ndim != 2 or rows.shape[1] != len(columns):
+        values = np.asarray(rows)
+        if values.ndim != 2 or values.shape[1] != len(columns):
             raise ConfigError("dataset rows must be rectangular with one column per variable")
-        if rows.size and rows.max() > 1:
+        # Checked before the cast to uint8, which would wrap 256 to 0 and truncate 0.9 to 0;
+        # uint8 rows, the sampler's, need only their max, which makes no temporary array.
+        if values.size and not (
+            values.dtype == np.uint8 and values.max() <= 1 or ((values == 0) | (values == 1)).all()
+        ):
             raise ConfigError("dataset entries must be 0 or 1")
+        rows = np.ascontiguousarray(values, dtype=np.uint8)
         rows.setflags(write=False)
         self.columns: tuple[int, ...] = tuple(int(c) for c in columns)
         self.rows = rows
         self._index = {c: i for i, c in enumerate(self.columns)}
+        self._counts: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -108,6 +130,15 @@ class Dataset:
             return self.rows[:, self._index[variable]]
         except KeyError:
             raise ConfigError(f"variable {variable} is not measured in this dataset") from None
+
+    def pair_counts(self) -> np.ndarray:
+        """The exact ``XᵀX`` of the rows, int64 and read-only: entry (i, j)
+        counts the rows where columns i and j both read 1, and the diagonal
+        holds the column sums. Built on first use and kept, so every miner
+        of this dataset shares one."""
+        if self._counts is None:
+            self._counts = _pair_counts(self.rows)
+        return self._counts
 
     def sha256(self) -> str:
         h = hashlib.sha256(",".join(str(c) for c in self.columns).encode() + b"\n")
@@ -267,7 +298,7 @@ def sample_dataset(
         step = max(1, _NOISE_BLOCK_BYTES // (8 * gt.m))
         for start in range(0, rows.shape[0], step):
             block = rows[start:start + step]
-            block ^= (rng.random((block.shape[0], gt.m)) < design.noise_rate)[:, measured]
+            block ^= (rng.random((block.shape[0], gt.m)) < design.noise_rate).take(measured, axis=1)
     sheet = Datasheet.extend(design, team_id=team_id, seed_fingerprint=fingerprint)
     return Dataset(design.measured, rows), sheet
 

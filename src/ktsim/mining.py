@@ -9,6 +9,11 @@ independence may be an artifact of the selection). Prior knowledge never
 alters a statistic; it only tags patterns as disputed so the conflict stays
 auditable downstream.
 
+``mine`` takes every pair's 2x2 counts from ``Dataset.pair_counts``,
+which each dataset builds once for all its miners, and derives every phi
+from them in one array pass that rounds as ``_phi`` does, so both agree bit
+for bit.
+
 An information's patterns form one ``PatternTable`` (see
 ``knowledge.PairColumns``), and every step works on whole columns.
 ``implied_polarity`` states the polarity a pattern implies once, for the
@@ -32,10 +37,6 @@ TAG_NOISE_CORRECTED = "noise_corrected"
 TAG_SELECTION_CONDITIONED = "selection_conditioned"
 TAG_DEGENERATE = "degenerate"
 TAG_DISPUTED = "disputed"
-
-#: Rows per block of the Gram matrix in ``mine``; bounds the float copy of
-#: the dataset and keeps every block's counts exact in float64.
-_GRAM_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,21 @@ def _phi(n: int, a: int, row1: int, col1: int) -> Optional[float]:
     return (a * d - b * c) / math.sqrt(denom)
 
 
+def _phis(n: int, both: np.ndarray, first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_phi`` of many pairs of an ``n``-row dataset at once, from int64
+    arrays of their 11 counts and of both column sums: the phis, 0.0 where a
+    margin is zero, and the mask of those degenerate pairs. The numerator
+    ``n*a - row1*col1`` equals ``_phi``'s ``ad - bc``, and it and the margin
+    product are exact Python ints in object arrays, so each conversion to
+    float, the square root and the division round once, as in ``_phi``."""
+    a, row1, col1 = (x.astype(object) for x in (both, first, second))
+    numerator = (n * a - row1 * col1).astype(np.float64)
+    denom = (row1 * (n - row1) * col1 * (n - col1)).astype(np.float64)
+    degenerate = denom == 0.0
+    phi = np.divide(numerator, np.sqrt(denom), out=np.zeros(len(denom)), where=~degenerate)
+    return phi, degenerate
+
+
 def correct_attenuation(phi, noise_rate: float):
     """Invert symmetric bit-flip attenuation of a phi or an array; clamped to [-1, 1]."""
     if not (0.0 <= noise_rate < 0.5):
@@ -171,16 +187,6 @@ def contradicted_patterns(patterns: PatternTable, bases: Sequence[KnowledgeBase]
     return hit & implied
 
 
-def _gram(rows: np.ndarray) -> list[list[int]]:
-    """Exact ``XᵀX`` of a 0/1 matrix: pairwise 11 counts, column sums on the
-    diagonal. Summed over row blocks, so no full float copy is made."""
-    gram = np.zeros((rows.shape[1], rows.shape[1]), dtype=np.int64)
-    for start in range(0, rows.shape[0], _GRAM_BLOCK_ROWS):
-        block = rows[start:start + _GRAM_BLOCK_ROWS].astype(np.float64)
-        gram += (block.T @ block).astype(np.int64)
-    return gram.tolist()
-
-
 def mine(
     ds: Dataset,
     miner_kb: KnowledgeBase,
@@ -195,15 +201,12 @@ def mine(
     patterns that the miner's or a peer's knowledge disputes. Without the
     datasheet the raw statistics pass through untouched.
     """
-    counts = _gram(ds.rows)
+    counts = ds.pair_counts()
     first, second = np.triu_indices(len(ds.columns), 1)
-    raw = [_phi(ds.n, counts[i][j], counts[i][i], counts[j][j]) for i, j in zip(first.tolist(), second.tolist())]
+    phi, degenerate = _phis(ds.n, counts[first, second], counts[first, first], counts[second, second])
     cols = np.array(ds.columns, dtype=np.int64)
     patterns = PatternTable.from_arrays(
-        join_keys(cols[first], cols[second]),
-        np.array([0.0 if r is None else r for r in raw], dtype=np.float64),
-        np.array([r is None for r in raw], dtype=bool) * TAG_BITS[TAG_DEGENERATE],
-        ds.n,
+        join_keys(cols[first], cols[second]), phi, degenerate * TAG_BITS[TAG_DEGENERATE], ds.n
     )
     patterns, applied = datasheet_corrections(patterns, delivered)
     disputed = contradicted_patterns(patterns, [miner_kb, *peer_kbs], params)

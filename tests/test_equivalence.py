@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktsim.errors import ConfigError
-from ktsim.experimenting import Dataset, Datasheet, Selection
+from ktsim.experimenting import _GRAM_BLOCK_ROWS, Dataset, Datasheet, Selection
 from ktsim.knowledge import KnowledgeBase, build_ground_truth, rectify, sorted_pair_keys, split_keys
 from ktsim.labeling import (
     ORIGIN_PATTERN,
@@ -482,13 +482,18 @@ def test_pattern_table_json_matches_per_pattern_records(data, m):
 
 
 def test_mined_phi_is_exact_over_several_row_blocks():
+    # float32 block sums are exact up to 2**24; the all-ones column makes one reach the block size.
+    assert _GRAM_BLOCK_ROWS <= 2**24
     rng = np.random.default_rng(5)
-    rows = (rng.random((20_000, 4)) < [0.5, 0.3, 0.02, 0.9]).astype(np.uint8)
+    rows = (rng.random((20_000, 5)) < [0.5, 0.3, 0.02, 0.9, 1.0]).astype(np.uint8)
     rows[:, 1] |= rows[:, 0]
-    ds = Dataset((3, 0, 7, 5), rows)
+    ds = Dataset((3, 0, 7, 5, 9), rows)
+    wide = rows.astype(np.int64)
+    assert np.array_equal(ds.pair_counts(), wide.T @ wide)
     info = mine(ds, _kb(), None, [], MiningParams())
     for pattern in refs(info.patterns):
-        assert pattern.phi == phi_coefficient(ds, *pattern.pair)
+        expected = phi_coefficient(ds, *pattern.pair)
+        assert (pattern.phi, TAG_DEGENERATE in pattern.tags) == (expected or 0.0, expected is None)
 
 
 @SETTINGS

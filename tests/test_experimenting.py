@@ -307,6 +307,30 @@ def test_dataset_column_lookup_errors_on_unmeasured_variable():
         ds.column(1)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.array([[256, 1]]),
+        np.array([[257, 1]]),
+        np.array([[-255, 0]]),
+        np.array([[0.9, 1.0]]),
+        np.array([[2, 0]], dtype=np.uint8),
+        [[256, 1]],
+        [[-1, 0]],
+    ],
+)
+def test_dataset_rejects_every_entry_but_0_and_1(rows):
+    with pytest.raises(ConfigError, match="0 or 1"):
+        Dataset((0, 1), rows)
+
+
+def test_dataset_takes_bools_and_0_1_integers_and_keeps_uint8_rows_uncopied():
+    assert Dataset((0, 1), np.array([[True, False]])).rows.tolist() == [[1, 0]]
+    assert Dataset((0, 1), [[0, 1], [1, 1]]).rows.tolist() == [[0, 1], [1, 1]]
+    rows = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    assert Dataset((0, 1), rows).rows is rows
+
+
 def test_blocked_noise_flips_match_one_whole_array_draw():
     # More noisy rows than one flip block, and not a multiple of it.
     gt = build_ground_truth(12, 3, 0.9, np.random.default_rng(3))

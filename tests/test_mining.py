@@ -13,6 +13,8 @@ from ktsim.mining import (
     TAG_NOISE_CORRECTED,
     TAG_SELECTION_CONDITIONED,
     MiningParams,
+    _phi,
+    _phis,
     correct_attenuation,
     mine,
     phi_coefficient,
@@ -122,6 +124,22 @@ def test_phi_equals_pearson_correlation_on_binary_columns():
         ds = make_dataset((0, 1), np.column_stack([x, y]))
         pearson = float(np.corrcoef(x.astype(float), y.astype(float))[0, 1])
         assert phi_coefficient(ds, 0, 1) == pytest.approx(pearson, abs=1e-12)
+
+
+@pytest.mark.parametrize("top", [2**13, 2**31, 2**40, 2**60])
+def test_phi_pass_matches_the_scalar_phi_bit_for_bit(top):
+    # Margin products taken in float64 round twice and miss this from n near 2**27.
+    rng = np.random.default_rng(top)
+    for n in [2, top, *rng.integers(2, top, size=40).tolist()]:
+        row1 = rng.integers(0, n + 1, size=100)
+        col1 = rng.integers(0, n + 1, size=100)
+        row1[:2] = 0, n
+        col1[2:4] = 0, n
+        both = rng.integers(np.maximum(0, row1 + col1 - n), np.minimum(row1, col1) + 1)
+        phi, degenerate = _phis(n, both, row1, col1)
+        expected = [_phi(n, *counts) for counts in zip(both.tolist(), row1.tolist(), col1.tolist())]
+        assert degenerate.tolist() == [e is None for e in expected]
+        assert phi.tobytes() == np.array([0.0 if e is None else e for e in expected]).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import ktsim
-from ktsim import config, orchestrator
+from ktsim import config, experimenting, orchestrator
 from ktsim.config import ChannelPolicy, Wiring, default_scenario, scenario_from_dict
 from ktsim.errors import ConfigError
 from ktsim.knowledge import Role, rectify
@@ -142,6 +142,21 @@ def test_self_driving_rectifies_each_member_set_once(monkeypatch):
     assert len(calls) == cfg.teams.experimenting.count
     by_role = {role: [t.knowledge for t in result.teams if t.role is role] for role in Role}
     assert by_role[Role.MINING] == by_role[Role.LABELING] == by_role[Role.EXPERIMENTING]
+
+
+def test_each_dataset_builds_its_pair_counts_once(monkeypatch):
+    # Two miners read each dataset; both take its one Gram matrix.
+    built = []
+
+    def counted(rows):
+        built.append(rows.shape)
+        return pair_counts(rows)
+
+    pair_counts = experimenting._pair_counts
+    monkeypatch.setattr(experimenting, "_pair_counts", counted)
+    result = run(default_scenario(), 3)
+    assert (len(result.datasets), len(result.informations)) == (2, 4)
+    assert len(built) == 2
 
 
 def test_explicit_wiring_restricts_products():
