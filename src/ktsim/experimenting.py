@@ -22,7 +22,8 @@ from .errors import ConfigError
 from .knowledge import GroundTruth, KnowledgeBase, check_probability, split_keys
 from .records import Record
 
-#: Bytes of float64 draws per block of noise flips in ``sample_dataset``.
+#: Bytes of float64 draws per block of noise flips in ``sample_dataset``,
+#: which draws them for the measured columns only.
 _NOISE_BLOCK_BYTES = 2**20
 
 #: Dataset cells per block of rows in ``export_dataset``.
@@ -114,7 +115,8 @@ class Dataset:
             values.dtype == np.uint8 and values.max() <= 1 or ((values == 0) | (values == 1)).all()
         ):
             raise ConfigError("dataset entries must be 0 or 1")
-        rows = np.ascontiguousarray(values, dtype=np.uint8)
+        # A read-only view, so the caller's own array stays writable.
+        rows = np.ascontiguousarray(values, dtype=np.uint8).view()
         rows.setflags(write=False)
         self.columns: tuple[int, ...] = tuple(int(c) for c in columns)
         self.rows = rows
@@ -229,43 +231,53 @@ def _draw_rows(need: int, selected: bool) -> int:
 
 def largest_array_bytes(m: int, samples: int) -> int:
     """Bytes of the largest array ``sample_dataset`` may allocate for
-    ``samples`` rows of an m-variable model: the first round's ``(m, rows)``
-    uint8 table or one float64 draw of that many rows. The noise step adds
-    one block of m float64 draws per row, at most 1 MiB unless a single row
-    is more."""
+    ``samples`` rows of an m-variable model, an upper bound: the first
+    round's uint8 table, one row per measured variable or ancestor of one
+    (at most m), or one float64 draw of that many rows. The noise step adds
+    one block of float64 draws for the measured columns, at most 1 MiB
+    unless a single row is more."""
     return max(m, 8) * _draw_rows(samples, selected=True)
 
 
-def _sample_columns(gt: GroundTruth, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` draws of every variable as an ``(m, count)`` table, one
-    contiguous row per variable, filled in topological order."""
-    table = np.empty((gt.m, count), dtype=np.uint8)
-    flip_prob = 1.0 - gt.p_stay
-    for v in gt.topo_order:
-        parent = gt.parents[v]
+def _sample_columns(parents: list[Optional[int]], p_stay: float, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` draws of a forest listed in topological order, as a
+    ``(len(parents), count)`` table with one contiguous row per variable:
+    ``parents[i]`` is the row of variable i's parent, or None for a root."""
+    table = np.empty((len(parents), count), dtype=np.uint8)
+    for i, parent in enumerate(parents):
         if parent is None:
-            table[v] = rng.integers(0, 2, size=count, dtype=np.uint8)
+            table[i] = rng.integers(0, 2, size=count, dtype=np.uint8)
         else:
-            np.less(rng.random(count), flip_prob, out=table[v].view(np.bool_))
-            table[v] ^= table[parent]
+            np.less(rng.random(count), 1.0 - p_stay, out=table[i].view(np.bool_))
+            table[i] ^= table[parent]
     return table
 
 
 def _measured_rows(gt: GroundTruth, design: ExperimentDesign, rng: np.random.Generator) -> np.ndarray:
     """``design.samples`` accepted draws of the measured variables, one row
-    per draw: rounds of ``_sample_columns``, each projected onto the measured
-    columns and then filtered on the selection condition (when present).
-    Each full table dies before the next round draws one."""
+    per draw. Only the measured variables and their ancestors are drawn, in
+    ``gt.topo_order``: no other variable can reach a measured bit, so leaving
+    them out keeps the law of the rows. Rounds of ``_sample_columns`` are
+    each projected onto the measured columns and then filtered on the
+    selection condition (when present); each table dies before the next
+    round draws one."""
+    closure = [False] * gt.m
+    for v in design.measured:
+        while v is not None and not closure[v]:
+            closure[v], v = True, gt.parents[v]
+    order = [v for v in gt.topo_order if closure[v]]
+    row = {v: i for i, v in enumerate(order)}
+    parents = [None if gt.parents[v] is None else row[gt.parents[v]] for v in order]
     selection = design.selection
-    measured = list(design.measured)
+    measured = [row[v] for v in design.measured]
     need = design.samples
     parts: list[np.ndarray] = []
     # Uncapped: p_stay in (0.5, 1) and fair-coin roots make every marginal exactly 1/2, so a round accepts ~half.
     while need > 0:
-        table = _sample_columns(gt, _draw_rows(need, selection is not None), rng)
+        table = _sample_columns(parents, gt.p_stay, _draw_rows(need, selection is not None), rng)
         part = table[measured]
         if selection is not None:
-            part = part[:, np.flatnonzero(table[selection.variable] == selection.value)[:need]]
+            part = part[:, np.flatnonzero(table[row[selection.variable]] == selection.value)[:need]]
         del table
         parts.append(part)
         need -= part.shape[1]
@@ -281,10 +293,10 @@ def sample_dataset(
 ) -> tuple[Dataset, Datasheet]:
     """Draw ``design.samples`` rows from the ground-truth model.
 
-    Full draws are generated tree by tree, rejection-resampled until the
-    selection condition holds (when present) and projected onto the measured
-    columns; then every recorded bit is flipped independently with
-    probability ``noise_rate``.
+    The measured variables and their ancestors are drawn tree by tree,
+    rejection-resampled until the selection condition holds (when present)
+    and projected onto the measured columns; then every recorded bit is
+    flipped independently with probability ``noise_rate``.
     """
     for v in design.measured:
         if not (0 <= v < gt.m):
@@ -292,13 +304,12 @@ def sample_dataset(
     fingerprint = _rng_fingerprint(rng)
     rows = _measured_rows(gt, design, rng)
     if design.noise_rate > 0.0:
-        # Each block draws flips for all m variables, so the stream is the same
-        # as one whole-array draw over full rows; only measured ones are kept.
-        measured = list(design.measured)
-        step = max(1, _NOISE_BLOCK_BYTES // (8 * gt.m))
+        # Flips are drawn for the measured columns only, in design order, so
+        # the blocks draw the same stream as one whole-array draw over the rows.
+        step = max(1, _NOISE_BLOCK_BYTES // (8 * rows.shape[1]))
         for start in range(0, rows.shape[0], step):
             block = rows[start:start + step]
-            block ^= (rng.random((block.shape[0], gt.m)) < design.noise_rate).take(measured, axis=1)
+            block ^= rng.random(block.shape) < design.noise_rate
     sheet = Datasheet.extend(design, team_id=team_id, seed_fingerprint=fingerprint)
     return Dataset(design.measured, rows), sheet
 

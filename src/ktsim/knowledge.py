@@ -504,14 +504,15 @@ def sample_agent_prior(gt: GroundTruth, agents: AgentSpec, rng: np.random.Genera
     """Random prior of one of ``agents``: each pair independently covered
     with probability ``agents.coverage``, each covered claim true with
     probability ``agents.accuracy`` (else negated), confidence uniform
-    [0.5, 1]. ``AgentSpec`` has checked both probabilities.
+    [0.5, 1]. Coverage is drawn for every pair, in key order; truth and then
+    confidence only for the covered ones. ``AgentSpec`` has checked both
+    probabilities.
     """
     keys = all_pair_keys(gt.m)
-    include = rng.random(keys.size) < agents.coverage
-    truthful = rng.random(keys.size) < agents.accuracy
-    confidence = rng.uniform(0.5, 1.0, keys.size)
-    dep = gt.same_tree_keys(keys) == truthful
-    return KnowledgeBase.from_arrays(keys[include], dep[include], confidence[include])
+    covered = keys[rng.random(keys.size) < agents.coverage]
+    truthful = rng.random(covered.size) < agents.accuracy
+    confidence = rng.uniform(0.5, 1.0, covered.size)
+    return KnowledgeBase.from_arrays(covered, gt.same_tree_keys(covered) == truthful, confidence)
 
 
 def sample_agent_pool(gt: GroundTruth, agents: AgentSpec, rng: np.random.Generator) -> AgentPool:

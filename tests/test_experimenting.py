@@ -328,7 +328,12 @@ def test_dataset_takes_bools_and_0_1_integers_and_keeps_uint8_rows_uncopied():
     assert Dataset((0, 1), np.array([[True, False]])).rows.tolist() == [[1, 0]]
     assert Dataset((0, 1), [[0, 1], [1, 1]]).rows.tolist() == [[0, 1], [1, 1]]
     rows = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-    assert Dataset((0, 1), rows).rows is rows
+    dataset = Dataset((0, 1), rows)
+    assert np.shares_memory(dataset.rows, rows)
+    assert not dataset.rows.flags.writeable
+    # The dataset freezes its own view; the caller's array stays writable.
+    rows[0, 0] = 1
+    assert dataset.rows[0, 0] == 1
 
 
 def test_blocked_noise_flips_match_one_whole_array_draw():
@@ -339,15 +344,17 @@ def test_blocked_noise_flips_match_one_whole_array_draw():
     dataset, _ = sample_dataset(gt, design, rng)
 
     reference = np.random.default_rng(11)
+    closure = ancestral_closure(gt, design.measured)
     full = np.zeros((design.samples, gt.m), dtype=np.uint8)
-    for v in gt.topo_order:
+    for v in (v for v in gt.topo_order if v in closure):
         parent = gt.parents[v]
         if parent is None:
             full[:, v] = reference.integers(0, 2, size=design.samples, dtype=np.uint8)
         else:
             full[:, v] = full[:, parent] ^ (reference.random(design.samples) < 1.0 - gt.p_stay).astype(np.uint8)
-    full ^= (reference.random(full.shape) < design.noise_rate).astype(np.uint8)
-    assert np.array_equal(dataset.rows, full[:, list(design.measured)])
+    measured = full[:, list(design.measured)]
+    measured ^= (reference.random(measured.shape) < design.noise_rate).astype(np.uint8)
+    assert np.array_equal(dataset.rows, measured)
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -359,16 +366,35 @@ def test_sampling_memory_stays_within_the_largest_array_plus_one_mib():
     (dataset, _), peak = _peak_bytes(lambda: sample_dataset(gt, design, np.random.default_rng(6)))
     assert dataset.n == 5000
     assert peak <= largest_array_bytes(gt.m, design.samples) + 2**20
+    # Only the measured variables and their ancestors get a row of the
+    # first round's table, which draws 2.2 times the samples plus 8.
+    closure = ancestral_closure(gt, design.measured)
+    assert len(closure) < gt.m
+    assert peak <= len(closure) * (int(5000 * 2.2) + 8) + 2**20
 
 
 # ---------------------------------------------------------------------------
-# The column-major sampler against the row-major one it replaced
+# The column-major sampler against row-major references
 # ---------------------------------------------------------------------------
 
-def _reference_full_rows(gt, count, rng):
+def ancestral_closure(gt, variables):
+    """``variables`` and every ancestor of one, as a set."""
+    closure = set()
+    for v in variables:
+        while v is not None and v not in closure:
+            closure.add(v)
+            v = gt.parents[v]
+    return closure
+
+
+def _reference_full_rows(gt, count, rng, drawn=None):
+    """``count`` row-major draws of every variable, in ``gt.topo_order``;
+    variables outside ``drawn`` (when given) draw nothing and read 0."""
     rows = np.zeros((count, gt.m), dtype=np.uint8)
     flip_prob = 1.0 - gt.p_stay
     for v in gt.topo_order:
+        if drawn is not None and v not in drawn:
+            continue
         parent = gt.parents[v]
         if parent is None:
             rows[:, v] = rng.integers(0, 2, size=count, dtype=np.uint8)
@@ -378,29 +404,56 @@ def _reference_full_rows(gt, count, rng):
     return rows
 
 
-def reference_sample(gt, design, rng):
-    """Full rows of every variable, rejection-resampled, noised in blocks of
-    8192 rows over all m columns, then projected onto the measured ones."""
+def _reference_fingerprint(rng):
     blob = json.dumps(rng.bit_generator.state, sort_keys=True, default=str).encode()
-    fingerprint = hashlib.sha256(blob).hexdigest()[:16]
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _reference_accepted(gt, design, rng, drawn):
+    """Full rows, rejection-resampled in rounds until ``design.samples`` pass."""
     selection = design.selection
     need = design.samples
     parts = []
     while need > 0:
         batch = need if selection is None else max(64, int(need * 2.2) + 8)
-        full = _reference_full_rows(gt, batch, rng)
+        full = _reference_full_rows(gt, batch, rng, drawn)
         if selection is not None:
             full = full[full[:, selection.variable] == selection.value]
         full = full[:need]
         parts.append(full)
         need -= full.shape[0]
-    accepted = np.concatenate(parts)
+    return np.concatenate(parts)
+
+
+def row_major_reference_sample(gt, design, rng):
+    """The sampler as it once was: full rows of every variable,
+    rejection-resampled, noised in blocks of 8192 rows over all m columns,
+    then projected onto the measured ones. It draws more than the sampler
+    does now; a design that measures every variable in ascending order draws
+    the same."""
+    fingerprint = _reference_fingerprint(rng)
+    accepted = _reference_accepted(gt, design, rng, None)
     if design.noise_rate > 0.0:
         for start in range(0, accepted.shape[0], 8192):
             block = accepted[start:start + 8192]
             block ^= rng.random(block.shape) < design.noise_rate
-    sheet = Datasheet(design.measured, selection, design.noise_rate, design.samples, 0, fingerprint)
+    sheet = Datasheet(design.measured, design.selection, design.noise_rate, design.samples, 0, fingerprint)
     return accepted[:, list(design.measured)], sheet
+
+
+def reference_sample(gt, design, rng):
+    """Full rows of the measured variables and their ancestors only,
+    rejection-resampled, projected onto the measured columns in design
+    order, then noised in blocks of 8192 rows over those columns alone."""
+    fingerprint = _reference_fingerprint(rng)
+    accepted = _reference_accepted(gt, design, rng, ancestral_closure(gt, design.measured))
+    rows = accepted[:, list(design.measured)]
+    if design.noise_rate > 0.0:
+        for start in range(0, rows.shape[0], 8192):
+            block = rows[start:start + 8192]
+            block ^= rng.random(block.shape) < design.noise_rate
+    sheet = Datasheet(design.measured, design.selection, design.noise_rate, design.samples, 0, fingerprint)
+    return rows, sheet
 
 
 @st.composite
@@ -429,6 +482,33 @@ def test_sampler_matches_the_row_major_reference(case):
     dataset, sheet = sample_dataset(gt, design, rng)
     rows, ref_sheet = reference_sample(gt, design, reference)
     assert dataset.rows.dtype == np.uint8 and dataset.rows.flags.c_contiguous
+    assert np.array_equal(dataset.rows, rows)
+    assert sheet == ref_sheet
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+    st.sampled_from([None, 0, 1]),
+    st.sampled_from([0.0, 0.1]),
+    st.integers(1, 3000),
+    st.integers(0, 2**32 - 1),
+)
+@example((12, 3), 1, 0.1, 8193, 1)
+def test_measuring_every_variable_in_order_draws_what_the_row_major_sampler_did(
+    shape, value, noise, samples, seed
+):
+    # Every variable is measured, so none is left out, and the flips of one
+    # row are the flips of a full row: the stream is the old one, byte for byte.
+    m, tree_count = shape
+    gt = build_ground_truth(m, tree_count, 0.9, np.random.default_rng(seed))
+    selection = None if value is None else Selection(seed % m, value)
+    design = full_design(gt, noise_rate=noise, samples=samples, selection=selection)
+    rng = np.random.default_rng(seed + 1)
+    reference = np.random.default_rng(seed + 1)
+    dataset, sheet = sample_dataset(gt, design, rng)
+    rows, ref_sheet = row_major_reference_sample(gt, design, reference)
     assert np.array_equal(dataset.rows, rows)
     assert sheet == ref_sheet
     assert rng.bit_generator.state == reference.bit_generator.state

@@ -45,6 +45,48 @@ digest against the rebuilt base and only then writes the columns back in.
 ``record_form`` refills first, and the record-form digests did not move; nor
 did ``READ_GRAPH_RUN_SHA256``, which the refilled read-graph run still
 hashes to. So no claim and no number of a team was lost.
+The sampler then drew only the measured variables and their ancestors,
+flips for the measured cells only, and each agent prior's truth and
+confidence for its covered pairs only. Leaving out a variable that reaches
+no measured bit keeps the law of every dataset and every prior, but the
+draws at a given seed changed, so every digest below moved once (first 16
+hex digits, old -> new). ``ORACLE_STDOUT_SHA256`` did not move: the oracle
+walks its own chain. Nor did ``VALIDATE_STDOUT_SHA256``: that report names
+only its 0 violations. The validator still reports 0 violations, and its
+negative control more than 0.
+
+- ``SWEEP_CSV_SHA256`` 608b9654c023da13 -> 4fc3306482b9e948
+- ``SWEEP_SUMMARY_SHA256`` c15903a7420980e7 -> 266669696b423969
+- ``RUN_SEED_42_SHA256`` dc48c9f0be493f06 -> 179ab67daf44aef3
+- ``RUN_SEED_42_RECORD_FORM_SHA256`` 0096cafa6465588a -> 1e8afc32189c5f95
+- ``RUN_SEED_42_DATASETS_SHA256/team0.csv`` 5769b5d6585de58c -> 142b878392474e83
+- ``RUN_SEED_42_DATASETS_SHA256/team0.datasheet.json`` 4101dd31f849879e -> 3d40d5b9935b1660
+- ``RUN_SEED_42_DATASETS_SHA256/team1.csv`` a30f45d292bc04ca -> d44559eaf529875a
+- ``RUN_SEED_42_DATASETS_SHA256/team1.datasheet.json`` d7de339bb6180534 -> d22d75d5b44ab6c7
+- ``WIDE_RUN_SEED_7_SHA256`` 6dfa24b26cdb9e2c -> e3ab0895499b2414
+- ``WIDE_RUN_SEED_7_RECORD_FORM_SHA256`` 7168ae80a5cd3333 -> 1f0991093c9973c0
+- ``BROKEN_VALIDATE_STDOUT_SHA256`` 93c66e8a546fb57b -> 684974b2fe4b9d5a
+- ``VALIDATOR_MATRIX_SHA256`` 7d2c3789877f90e8 -> 4f420a6f10cc403b
+- ``READ_GRAPH_RUN_TEXT_SHA256`` c994aafc01dc3599 -> 35a7b6dc8947f983
+- ``READ_GRAPH_RUN_SHA256`` 9a8a27335c0f2767 -> 46d5893047577b15
+- ``SWEEP_REP0_UPSTREAM_SHA256`` f800816a9b8153a1 -> d928184f7e80c476
+- ``SWEEP_REP0_SHA256[0]`` 2206d47d5e5030e4 -> 5bb8e001d3bb7d50
+- ``SWEEP_REP0_RECORD_FORM_SHA256[0]`` 7a871391a02affe2 -> 93c33f73e084bc1d
+- ``SWEEP_REP0_SHA256[1]`` cd8490de329f1647 -> 5f3e61a2df7d4fe7
+- ``SWEEP_REP0_RECORD_FORM_SHA256[1]`` c67025caa5691025 -> ca90b38fb6955b13
+- ``SWEEP_REP0_SHA256[2]`` 799332b8d4ed0217 -> 99844a6742692ce1
+- ``SWEEP_REP0_RECORD_FORM_SHA256[2]`` d9ca6ca55766f196 -> e96ede8e6994a3f6
+- ``SWEEP_REP0_SHA256[3]`` 2c62036f0caa61a5 -> fe605ff2a9488071
+- ``SWEEP_REP0_RECORD_FORM_SHA256[3]`` b072170068904dc2 -> cc7cf3da9beb8d1c
+- ``SWEEP_REP0_SHA256[4]`` 7173ac8428338bc3 -> bdde4c0b5ba63a00
+- ``SWEEP_REP0_RECORD_FORM_SHA256[4]`` 13249186d1bc0f45 -> 1edebb150bd51328
+- ``SWEEP_REP0_SHA256[5]`` b0cd746f9dbc9d4b -> 3dc2dc545ecbc6e0
+- ``SWEEP_REP0_RECORD_FORM_SHA256[5]`` 920dc69fb042d569 -> 89a1a8741b4e68a9
+- ``SWEEP_REP0_SHA256[6]`` c15214a15e4f8792 -> b0b293b41d692b5c
+- ``SWEEP_REP0_RECORD_FORM_SHA256[6]`` 913e9e01bb0495e0 -> 3d906dd5096344fb
+- ``SWEEP_REP0_SHA256[7]`` b51229331bb98afb -> 367ef7346490289c
+- ``SWEEP_REP0_RECORD_FORM_SHA256[7]`` 3bf31ebcb7f62a2d -> 5065d0caab6f2353
+
 A change that moves any digest must say why in CHANGES.md; never update a
 digest to hide a defect.
 """
@@ -62,48 +104,48 @@ from ktsim.mining import TAG_NAMES
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
-SWEEP_CSV_SHA256 = "608b9654c023da13402bf0b91eb24a64e817ac39f2e0baa8725cb458a9e5ea23"
-SWEEP_SUMMARY_SHA256 = "c15903a7420980e79f8e355d278fce832e6311a5ec4a8f1d7922abd8e8b29092"
-RUN_SEED_42_SHA256 = "dc48c9f0be493f06ef1d7ed6db8c23a3dd07aa1524bcc68ccd4d62ea94de5f31"
-RUN_SEED_42_RECORD_FORM_SHA256 = "0096cafa6465588ac096e378d57b773773ea05325ba43ef9df5ad02364273fb0"
-WIDE_RUN_SEED_7_SHA256 = "6dfa24b26cdb9e2cf400951fc29741eaf081a9b214d4ceb8e367327de852f165"
-WIDE_RUN_SEED_7_RECORD_FORM_SHA256 = "7168ae80a5cd3333b76caae0c9660611a5b5dd3d716a6510c556699ef4acab4b"
+SWEEP_CSV_SHA256 = "4fc3306482b9e9486a32247f7e5c4fca640faa3a12fe2e3c3fe1a654c3088c21"
+SWEEP_SUMMARY_SHA256 = "266669696b42396959ee7885d93f149fcaae9fb3ed15ad157e0fec8b162bc847"
+RUN_SEED_42_SHA256 = "179ab67daf44aef3be620690a1212736f0c4d65ebd94241fd7b9443ad4a81c0c"
+RUN_SEED_42_RECORD_FORM_SHA256 = "1e8afc32189c5f95779fb8acb34215a1a7349acd450b36ff158d997a72187bbd"
+WIDE_RUN_SEED_7_SHA256 = "e3ab0895499b24149e69edbaefeeeea7f9ac79547a2912aa2707efc4e6143ab7"
+WIDE_RUN_SEED_7_RECORD_FORM_SHA256 = "1f0991093c9973c0ee6e94538f008a83ee9fee10b6c8516271c6933dc8203c9c"
 
 #: Dataset exports of ``run --seed 42``: CSV and datasheet sidecar per team.
 RUN_SEED_42_DATASETS_SHA256 = {
-    "team0.csv": "5769b5d6585de58cb0917215d583418c9cd6f13d20ba2be5f276592a4af8d430",
-    "team0.datasheet.json": "4101dd31f849879e6c9d9b0b1477b40359812eb88111c4d558d148af3014e55f",
-    "team1.csv": "a30f45d292bc04cad979af6e6e37b7e99298b4c93e3a9846f6213c7a063120be",
-    "team1.datasheet.json": "d7de339bb6180534e45396baa95ec0f0df2be8d01c60daa9e038a269e2f9b58b",
+    "team0.csv": "142b878392474e8392312e551258a1205e596dac3aab4777969855e3b5366e2a",
+    "team0.datasheet.json": "3d40d5b9935b16600242d3416e5272c970b8d43aa5eb87a0b45b2796de93af30",
+    "team1.csv": "d44559eaf529875a57818d92bb5978b2b0247cdb967a2bf7cc8ff96add0a4694",
+    "team1.datasheet.json": "d22d75d5b44ab6c7cb03e2542ad8fa45c6ea4b38210e1a0a5ce23c60a4047ed9",
 }
 VALIDATE_STDOUT_SHA256 = "dda64a139d2e12ed83f58772a73eff3fddef1b3c8e0b9ce2c4599dc50a5342d9"
 #: ``validate --trials 100 --seed 1 --break-passthrough``: the negative control.
-BROKEN_VALIDATE_STDOUT_SHA256 = "93c66e8a546fb57bc898dfb17e6fe098d3158d8e5894a42d43d189097072a28a"
+BROKEN_VALIDATE_STDOUT_SHA256 = "684974b2fe4b9d5a94548c32c563a7b636f2015a6979a1e37d62e82700149330"
 #: ``validate_monotonicity(150, ...)`` reports over three configs x seeds 1-3
 #: x with and without the negative control.
-VALIDATOR_MATRIX_SHA256 = "7d2c3789877f90e82e30bbf5b3dd2c1ac079a1f8009ca2ed1e9ca20bd615c360"
+VALIDATOR_MATRIX_SHA256 = "4f420a6f10cc403bc59700a1ede140551a63d494c1568b5548870db270e6e7c9"
 ORACLE_STDOUT_SHA256 = "a0bc874c2255995a79e93b0a0167831790565dd6346c3b709c00056caa082999"
 #: ``rep0/upstream.json`` and ``combo<mask>/rep0.json`` of a one-replicate
 #: CLI sweep of the default config.
-SWEEP_REP0_UPSTREAM_SHA256 = "f800816a9b8153a1a4d1898d6e8fd9c8d2f7c69369654c3f37a4113c93c12e08"
+SWEEP_REP0_UPSTREAM_SHA256 = "d928184f7e80c476bd57531e6f05bd3292ad485331855d4e7815a4eb2c034e40"
 SWEEP_REP0_SHA256 = (
-    "2206d47d5e5030e4d30a93d9ee074d2bb2afa14362bf5473dd98e67a4bbd60d4",
-    "cd8490de329f16477b739dabad6086015a2d1ff0524088c66ee18cd990c7d6bb",
-    "799332b8d4ed0217972241f6fb3591350e5a7889653f6f3d6d1bf2dc44e7e56c",
-    "2c62036f0caa61a539eb0b277ab2593baa46cf3ce2406792720a9342030f8470",
-    "7173ac8428338bc3aa2d43c1a797438be2a46483d804c2dfbc7a10196f8685b1",
-    "b0cd746f9dbc9d4baf6e1cb08aa7caa09c612cc22835ff9e0ac8ebc67286b478",
-    "c15214a15e4f8792aa8af71d21eb48fe414898bc296adec92c9dd026cddca525",
-    "b51229331bb98afb54e021e4bd195784d1ee0aa0537e43b881ea406567344d5b",
+    "5bb8e001d3bb7d50d911582ca34b36c3c68eac4c0674698f8f62a974196bb26e",
+    "5f3e61a2df7d4fe7194b19d8be7317b1bab153cbd0db11bcf255b17c389200e4",
+    "99844a6742692ce1eeb0dcd870a976bdc7e3fb56425cd0517bd239d64dc30f38",
+    "fe605ff2a94880718427f9f6ad88fb908a0766de1c5631793f23034c054a6a9b",
+    "bdde4c0b5ba63a00a4a04e2d2ffc8f827dfba094bff597676dc7096b3e43f6a0",
+    "3dc2dc545ecbc6e02b1a245f85bcef8d7d5a5ae178e176ff7580f7076e64b2e6",
+    "b0b293b41d692b5cb37580cf653df3e8cd275ec5cbcc07851f6489e4c157241f",
+    "367ef7346490289c383c5fc79ef1402bc04721e91b20a87fb8d05ed449871a93",
 )
 #: ``run(...).to_json_text()`` of ``READ_GRAPH_CONFIG`` at seed 3, with its
 #: teams refilled and encoded compact again. The digest was taken before the
 #: read graph and the channel deliveries moved into ``config``, so it shows
 #: that the move kept every byte of a run with explicit wiring and peer
 #: grants, which no other golden run has.
-READ_GRAPH_RUN_SHA256 = "9a8a27335c0f2767f62282226354fb3b33193d3eb63d842c372ac1f57b7cd817"
+READ_GRAPH_RUN_SHA256 = "46d5893047577b15ff3aec71658cbb5c52b4ddd1c80abca12bbdcdcf49e0abad"
 #: The same run's ``to_json_text()`` as written, teams named by digest.
-READ_GRAPH_RUN_TEXT_SHA256 = "c994aafc01dc359929634e09c67ca72c4b356a0607c1a8554802caef542e314e"
+READ_GRAPH_RUN_TEXT_SHA256 = "35a7b6dc8947f98327a7ad26cf1432d2a35c46e5d83ccafc46f5c0ca4db293b0"
 #: Three teams per role but two labelers; neither wiring list is the
 #: complete graph, both are given out of order, and each peer list grants twice.
 READ_GRAPH_CONFIG = {
@@ -118,14 +160,14 @@ READ_GRAPH_CONFIG = {
     "peer_access": {"mining": [[0, 1], [2, 0]], "labeling": [[1, 2], [0, 0]]},
 }
 SWEEP_REP0_RECORD_FORM_SHA256 = (
-    "7a871391a02affe2ad2e7e74fbd2d5dd3b073f14c7b837ba0d0d8fa78477b09f",
-    "c67025caa569102549a2f77f14171088c1ceebe28ba9c407606ca177422e9550",
-    "d9ca6ca55766f196ac096d78e2ba5825f06dfde55fc8b722e97e5122aed99ed7",
-    "b072170068904dc283871b36aad84680bd898c24c8fe99112b950a825051d37f",
-    "13249186d1bc0f45d72e2f7a2d04e7c068ae000413286afe7b9274ee7007c925",
-    "920dc69fb042d5697d7fd676bdfd95caf2d4357ae6a7c6d82484578632379cb8",
-    "913e9e01bb0495e0b0b755ef2ac552a4288f267c454a845c02d104320b2b9bf7",
-    "3bf31ebcb7f62a2df102bae051b4c7706eac56bab6bb18bc95ab46cf921075a5",
+    "93c33f73e084bc1d394f310b54459ecf073e840b6471c4eb7a41e7ec73ab1037",
+    "ca90b38fb6955b130d71857f3d86fd6c8fed331b587e92c23561d4629f963c16",
+    "e96ede8e6994a3f61ca49ba4f6726bdf322e0151a484e1dee4ec4f6e7c27963d",
+    "cc7cf3da9beb8d1c2f939ba3e7f1652b70a1c06ea1ebbcd7fb135d14afc76705",
+    "1edebb150bd51328a64652de29621f863b3d1a5928a28ad2a86dd3d6548ea31e",
+    "89a1a8741b4e68a9505523fba5d3d49bff2343954cc180dac605bc10f9654fcf",
+    "3d906dd5096344fbfa32baf53386e9487b0890c431fcf4d49334a9ff08976876",
+    "5065d0caab6f2353a03c979c2587f6571b98965ad2cfbad53cf94a3aa08efb37",
 )
 
 

@@ -606,6 +606,42 @@ def test_prior_accuracy_fraction_matches_binomial_expectation():
     assert abs(len(kb) / 10011 - 0.5) < 0.02
 
 
+def reference_agent_prior(gt, agents, rng):
+    """``(claim, confidence)`` of every covered pair, pair by pair: one
+    coverage draw for every pair in ``combinations`` order, then one truth
+    draw and then one confidence draw for each covered pair, in that order.
+    A true claim is Dependent exactly when the pair shares a tree."""
+    forest = DisjointSet(gt.m)
+    for v, p in enumerate(gt.parents):
+        if p is not None:
+            forest.union(v, p)
+    pairs = [(u, v) for u in range(gt.m) for v in range(u + 1, gt.m)]
+    covered = [pair for pair, x in zip(pairs, rng.random(len(pairs)).tolist()) if x < agents.coverage]
+    truthful = [x < agents.accuracy for x in rng.random(len(covered)).tolist()]
+    confidence = rng.uniform(0.5, 1.0, len(covered)).tolist()
+    return [
+        (Claim(u, v, (forest.find(u) == forest.find(v)) == t), c)
+        for (u, v), t, c in zip(covered, truthful, confidence, strict=True)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+    st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.85, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+@example((30, 3), 0.2, 0.85, 1)
+@example((1, 1), 1.0, 1.0, 2)
+def test_agent_prior_matches_the_pair_by_pair_reference(shape, coverage, accuracy, seed):
+    gt = build_ground_truth(*shape, 0.9, np.random.default_rng(seed))
+    agents = AgentSpec(coverage=coverage, accuracy=accuracy)
+    rng, reference = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    assert weighted_claims(sample_agent_prior(gt, agents, rng)) == reference_agent_prior(gt, agents, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Rectification
 # ---------------------------------------------------------------------------
