@@ -115,8 +115,9 @@ class Dataset:
             values.dtype == np.uint8 and values.max() <= 1 or ((values == 0) | (values == 1)).all()
         ):
             raise ConfigError("dataset entries must be 0 or 1")
-        # A read-only view, so the caller's own array stays writable.
-        rows = np.ascontiguousarray(values, dtype=np.uint8).view()
+        # A read-only C-ordered copy: sha256 hashes the buffer, and no later
+        # write to the caller's array reaches the rows or their cached counts.
+        rows = np.array(values, dtype=np.uint8, order="C")
         rows.setflags(write=False)
         self.columns: tuple[int, ...] = tuple(int(c) for c in columns)
         self.rows = rows

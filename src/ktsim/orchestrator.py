@@ -50,11 +50,12 @@ from .knowledge import (
     check_positive,
     rectify,
     sample_agent_pool,
+    split_keys,
 )
-from .labeling import LabeledKnowledge, build_effective_prior, label, reinterpret
+from .labeling import ORIGIN_PATTERN, ORIGIN_PRIOR, LabeledKnowledge, build_effective_prior, label, reinterpret
 from .metrics import OpennessReport, Score, SignTestResult, openness, paired_sign_test
 from .mining import Information, mine
-from .records import JSONFragment, Record
+from .records import Record
 
 ALL_CHANNEL_MASKS = tuple(range(8))
 
@@ -113,14 +114,14 @@ class RunResult:
                 {"experimenter": i, "miner": j, "information": info.to_json()}
                 for (j, i), info in self.informations
             ),
-            "labelings": (lk.to_json() for lk in self.labelings),
+            "labelings": iter(self.labelings),
             "openness": self.openness.to_json(),
         }
 
     def doc(self) -> dict:
         """The whole run, as ``result.json`` holds it. In this and the two
-        halves above, teams, informations and labelings are generators that
-        build each element as it is written, so a document is written once."""
+        halves above, teams, informations and labelings are iterators, each
+        element's JSON built as it is written, so a document is written once."""
         return {**self.upstream_doc(), **self.downstream_doc()}
 
     def to_json_text(self) -> str:
@@ -133,29 +134,45 @@ _LIST_CHUNK = 256
 # Compact separators keep the encoder in C; indent does not.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
+#: One claim record per code ``2 * from_prior + dep``, keys in sorted order as
+#: ``_encode`` writes them, with ``%d`` in place of ``u`` and ``v``.
+_CLAIM_TEMPLATES = tuple(
+    f'{{"origin":"{origin}","polarity":"{polarity}","u":%d,"v":%d}}'
+    for origin in (ORIGIN_PATTERN, ORIGIN_PRIOR)
+    for polarity in ("indep", "dep")
+)
+
+
+def _labeling_text(lk: LabeledKnowledge) -> str:
+    """``_encode(lk.to_json())``, rendered from the columns: each claim fills
+    its code's template with its ids, so no per-claim record is built."""
+    us, vs = split_keys(lk.keys)
+    records = ",".join(map(_CLAIM_TEMPLATES.__getitem__, (2 * lk.from_prior + lk.dep).tolist()))
+    ids = tuple(np.column_stack((us, vs)).ravel().tolist())
+    return f'{{"claims":[{records % ids}],"teams":{_encode(list(lk.teams))}}}'
+
 
 def _streamed(value: Any) -> bool:
     """Whether ``_json_pieces`` writes ``value`` itself rather than handing it
-    to ``_encode``: an iterator, a ``JSONFragment``, a list longer than
+    to ``_encode``: an iterator, a ``LabeledKnowledge``, a list longer than
     ``_LIST_CHUNK`` or a dict that holds one."""
     if isinstance(value, dict):
         return any(map(_streamed, value.values()))
-    return isinstance(value, (Iterator, JSONFragment)) or (isinstance(value, list) and len(value) > _LIST_CHUNK)
+    return isinstance(value, (Iterator, LabeledKnowledge)) or (isinstance(value, list) and len(value) > _LIST_CHUNK)
 
 
 def _json_pieces(value: Any) -> Iterator[str]:
     """``value`` as compact, sorted-key JSON text in pieces whose join is
     ``_encode(value)``, with an iterator taken as the list of its elements
-    and a ``JSONFragment`` as the value its text encodes.
+    and a ``LabeledKnowledge`` as its ``to_json()``.
 
-    A fragment is written as its text, an iterator element by element, a
-    long list in chunks of ``_LIST_CHUNK`` elements and a dict holding any
-    of these key by key (its keys are strings), so only one element of an
-    iterator is built at a time and no piece encodes more than one chunk of
-    a list. A fragment anywhere else, as in a short list, makes ``_encode``
-    raise ``TypeError``."""
-    if isinstance(value, JSONFragment):
-        yield value.text
+    A labeling is written as ``_labeling_text``, an iterator element by
+    element, a long list in chunks of ``_LIST_CHUNK`` elements and a dict
+    holding any of these key by key (its keys are strings): one element of
+    an iterator is built at a time, and no piece encodes more than one chunk
+    of a list. ``_encode`` raises ``TypeError`` on a labeling anywhere else."""
+    if isinstance(value, LabeledKnowledge):
+        yield _labeling_text(value)
     elif isinstance(value, Iterator):
         yield "["
         # No name holds an element, so it is freed before the next is built.
@@ -438,7 +455,11 @@ def replace_directory(target: Path, build: Callable[[Path], T]) -> T:
     """Run ``build`` on a fresh hidden sibling of ``target`` and swap the
     sibling in for ``target`` only once ``build`` returns, so ``target``
     never mixes files of two builds. If ``build`` fails, the sibling is
-    deleted and ``target`` is left as it was. Returns what ``build`` returns."""
+    deleted and ``target`` is left as it was. A ``target`` that is a symbolic
+    link or not a directory is refused before ``build`` runs. Returns what
+    ``build`` returns."""
+    if target.is_symlink() or target.exists() and not target.is_dir():
+        raise OSError(f"{target} is a symbolic link or not a directory; only a directory is replaced")
     staging = _hidden_sibling(target, "partial")
     staging.mkdir(parents=True)
     try:

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from ktsim import orchestrator
 from ktsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from ktsim.config import default_scenario
-from ktsim.labeling import LabeledKnowledge
 from ktsim.metrics import ORACLE_MAX_DIST, ORACLE_MAX_STEPS
 
 
@@ -574,19 +573,54 @@ def test_a_failed_run_write_keeps_the_earlier_run(tmp_path, monkeypatch, capsys)
 
     before = files()
     written = []
-    to_json = LabeledKnowledge.to_json
+    labeling_text = orchestrator._labeling_text
 
     def fill_disk_at_the_third(lk):
         written.append(lk)
         if len(written) == 3:
             raise OSError(errno.ENOSPC, "No space left on device")
-        return to_json(lk)
+        return labeling_text(lk)
 
-    monkeypatch.setattr(LabeledKnowledge, "to_json", fill_disk_at_the_third)
+    monkeypatch.setattr(orchestrator, "_labeling_text", fill_disk_at_the_third)
     assert main(argv + ["--seed", "2"]) == EXIT_IO
     assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
     assert files() == before
     assert sorted(p.name for p in out.iterdir()) == ["datasets", "result.json"]
+
+
+def _files(*roots):
+    return {path: path.read_bytes() for root in roots for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("case", ["run-datasets-link", "run-datasets-file", "forced-sweep-link"])
+def test_a_link_or_file_where_a_directory_is_replaced_exits_3_and_writes_nothing(config_path, tmp_path, capsys, case):
+    # Swapping out a symbolic link would leave the new files in the linked
+    # directory and then fail to delete it; a file cannot be deleted as one.
+    out, linked = tmp_path / "out", tmp_path / "linked"
+    run_args = ["run", "--config", str(config_path), "--out", str(out), "--quiet"]
+    sweep_args = ["sweep", "--config", str(config_path), "--replicates", "1", "--quiet"]
+    if case == "forced-sweep-link":
+        assert main(sweep_args + ["--out", str(linked)]) == EXIT_OK
+        out.mkdir()
+        replaced = out / "clitest"
+        replaced.symlink_to(linked / "clitest", target_is_directory=True)
+        argv = sweep_args + ["--out", str(out), "--force"]
+    else:
+        assert main(run_args + ["--seed", "1"]) == EXIT_OK
+        replaced = out / "datasets"
+        replaced.rename(linked)
+        if case == "run-datasets-link":
+            replaced.symlink_to(linked, target_is_directory=True)
+        else:
+            replaced.write_text("a file\n")
+        argv = run_args + ["--seed", "2"]
+    capsys.readouterr()
+    before, names = _files(out, linked), sorted(p.name for p in out.iterdir())
+    assert main(argv) == EXIT_IO
+    message = f"{replaced} is a symbolic link or not a directory; only a directory is replaced"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert _files(out, linked) == before
+    assert sorted(p.name for p in out.iterdir()) == names
 
 
 def test_a_sweep_worker_that_dies_exits_1_with_one_error_line(config_path, tmp_path, monkeypatch, capsys):

@@ -47,7 +47,7 @@ from ktsim.mining import (
     mine,
     phi_coefficient,
 )
-from ktsim.orchestrator import _encode, _json_pieces
+from ktsim.orchestrator import _encode, _json_pieces, _labeling_text
 
 from claimref import _kb, claim, claims_of, labeling, negate, pair_keys, truth, weighted_claims
 
@@ -344,7 +344,8 @@ def labelings(draw):
 ))
 def test_labeling_json_text_is_the_encoding_of_its_records(lk):
     expected = _encode({"teams": list(lk.teams), "claims": lk.entries})
-    assert "".join(_json_pieces(lk.to_json())) == expected
+    assert _labeling_text(lk) == _encode(lk.to_json()) == expected
+    assert "".join(_json_pieces(lk)) == expected
 
 
 def _column_values(cls):

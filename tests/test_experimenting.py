@@ -324,16 +324,22 @@ def test_dataset_rejects_every_entry_but_0_and_1(rows):
         Dataset((0, 1), rows)
 
 
-def test_dataset_takes_bools_and_0_1_integers_and_keeps_uint8_rows_uncopied():
+def test_dataset_takes_bools_and_0_1_integers_and_copies_uint8_rows():
     assert Dataset((0, 1), np.array([[True, False]])).rows.tolist() == [[1, 0]]
     assert Dataset((0, 1), [[0, 1], [1, 1]]).rows.tolist() == [[0, 1], [1, 1]]
-    rows = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    rows = np.zeros((3, 2), dtype=np.uint8)
     dataset = Dataset((0, 1), rows)
-    assert np.shares_memory(dataset.rows, rows)
+    digest, counts = dataset.sha256(), dataset.pair_counts()
     assert not dataset.rows.flags.writeable
-    # The dataset freezes its own view; the caller's array stays writable.
-    rows[0, 0] = 1
-    assert dataset.rows[0, 0] == 1
+    # The dataset holds its own copy: the caller's array stays writable, and
+    # a later write to it reaches neither the rows, their counts nor the digest.
+    rows[:, 0] = 1
+    assert dataset.rows.tolist() == [[0, 0]] * 3
+    assert dataset.pair_counts() is counts and counts.tolist() == [[0, 0], [0, 0]]
+    assert dataset.sha256() == digest == Dataset((0, 1), np.zeros((3, 2), np.uint8)).sha256()
+    assert Dataset((0, 1), rows).pair_counts().tolist() == [[3, 0], [0, 0]]
+    # The digest hashes the buffer, so an F-ordered array is copied in C order.
+    assert Dataset((0, 1), np.asfortranarray(rows)).sha256() == Dataset((0, 1), rows).sha256()
 
 
 def test_blocked_noise_flips_match_one_whole_array_draw():

@@ -9,6 +9,7 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import ktsim
@@ -19,6 +20,7 @@ from ktsim.knowledge import Role, rectify
 from ktsim.labeling import LabeledKnowledge
 from ktsim.mining import phi_coefficient
 from ktsim.orchestrator import (
+    _encode,
     _json_pieces,
     replicate_seed,
     run,
@@ -26,7 +28,8 @@ from ktsim.orchestrator import (
     write_run_outputs,
     write_sweep_outputs,
 )
-from ktsim.records import JSONFragment
+from claimref import pair_keys
+from test_golden import READ_GRAPH_CONFIG
 
 
 def small_scenario(**overrides):
@@ -353,28 +356,57 @@ def _pieces(value):
     return "".join(_json_pieces(value))
 
 
-def test_a_json_fragment_is_written_verbatim_wherever_the_writer_streams():
-    fragment = JSONFragment('[{"a":1}]')
-    assert _pieces(fragment) == '[{"a":1}]'
-    assert _pieces({"z": fragment, "b": [2]}) == '{"b":[2],"z":[{"a":1}]}'
-    assert _pieces({"outer": {"inner": fragment}}) == '{"outer":{"inner":[{"a":1}]}}'
-    assert _pieces(iter([fragment, 3, {"f": fragment}])) == '[[{"a":1}],3,{"f":[{"a":1}]}]'
+#: A pattern label on (0, 1) and a pass-through on (2, 3), and its JSON text.
+LABELING = LabeledKnowledge.from_arrays(
+    pair_keys([(0, 1), (2, 3)]), np.array([True, False]), np.array([False, True]), (0, 1, 2)
+)
+LABELING_TEXT = (
+    '{"claims":[{"origin":"pattern","polarity":"dep","u":0,"v":1},'
+    '{"origin":"prior_passthrough","polarity":"indep","u":2,"v":3}],"teams":[0,1,2]}'
+)
+
+
+def test_a_labeling_is_streamed_wherever_the_writer_streams():
+    assert _pieces(LABELING) == LABELING_TEXT == _encode(LABELING.to_json())
+    assert _pieces({"z": LABELING, "b": [2]}) == f'{{"b":[2],"z":{LABELING_TEXT}}}'
+    assert _pieces({"outer": {"inner": LABELING}}) == f'{{"outer":{{"inner":{LABELING_TEXT}}}}}'
+    assert _pieces(iter([LABELING, 3, {"f": LABELING}])) == f'[{LABELING_TEXT},3,{{"f":{LABELING_TEXT}}}]'
 
 
 @pytest.mark.parametrize("value", [
-    [JSONFragment("[]")],
-    [{"claims": JSONFragment("[]")}],
-    {"rows": [JSONFragment("[]")]},
+    [LABELING],
+    [{"claims": LABELING}],
+    {"rows": [LABELING]},
 ], ids=["in-a-list", "in-a-dict-in-a-list", "in-a-list-in-a-dict"])
-def test_a_json_fragment_the_writer_hands_to_the_encoder_fails_loudly(value):
-    with pytest.raises(TypeError, match="JSONFragment is not JSON serializable"):
+def test_a_labeling_the_writer_hands_to_the_encoder_fails_loudly(value):
+    with pytest.raises(TypeError, match="LabeledKnowledge is not JSON serializable"):
         _pieces(value)
 
 
 def test_a_labeling_is_never_written_as_a_quoted_string():
+    # Its JSON form is plain JSON; the labeling itself is no str, so the encoder refuses it.
     lk = run(small_scenario(), 11).labelings[0]
-    with pytest.raises(TypeError, match="JSONFragment is not JSON serializable"):
-        json.dumps(lk.to_json())
+    assert json.loads(json.dumps(lk.to_json())) == lk.to_json()
+    with pytest.raises(TypeError, match="LabeledKnowledge is not JSON serializable"):
+        json.dumps(lk)
+
+
+@pytest.mark.parametrize("config", [default_scenario().to_json(), READ_GRAPH_CONFIG], ids=["default", "read-graph"])
+def test_every_part_of_a_run_has_a_plain_json_form(config):
+    result = run(scenario_from_dict(config), 3)
+    parts = (
+        result.config,
+        result.ground_truth,
+        *result.teams,
+        *result.datasets,
+        *(info for _, info in result.informations),
+        *result.labelings,
+        result.openness,
+    )
+    for part in parts:
+        json.dumps(part.to_json())
+    written = json.loads(result.to_json_text())
+    assert written["labelings"] == [lk.to_json() for lk in result.labelings]
 
 
 #: Runs the CLI's run, a one-replicate sweep and 5 validator trials on the
