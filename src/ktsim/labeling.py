@@ -18,8 +18,8 @@ are a ``MiningParams``, or a ``LabelingParams``, which extends it with the
 pass-through trust confidence. A labeling is a ``LabeledKnowledge`` (see
 ``knowledge.PairColumns``). Its JSON form holds its claims under ``claims``,
 one ``{origin, polarity, u, v}`` record per claim: ``entries``. The result
-writer renders that text straight from the columns
-(``orchestrator._labeling_text``), so writing a result builds no record.
+writer, ``orchestrator._json_line``, renders that text straight from the
+columns (``orchestrator._labeling_text``), so writing a result builds no record.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -120,16 +120,13 @@ class RunResult:
 
     def doc(self) -> dict:
         """The whole run, as ``result.json`` holds it. In this and the two
-        halves above, teams, informations and labelings are iterators, each
-        element's JSON built as it is written, so a document is written once."""
+        halves above, teams, informations and labelings are iterators at the
+        top level, each element built as ``_json_line`` writes it."""
         return {**self.upstream_doc(), **self.downstream_doc()}
 
     def to_json_text(self) -> str:
         return "".join(_json_line(self.doc()))
 
-
-#: Elements per piece when ``_json_pieces`` encodes a long list.
-_LIST_CHUNK = 256
 
 # Compact separators keep the encoder in C; indent does not.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -152,54 +149,25 @@ def _labeling_text(lk: LabeledKnowledge) -> str:
     return f'{{"claims":[{records % ids}],"teams":{_encode(list(lk.teams))}}}'
 
 
-def _streamed(value: Any) -> bool:
-    """Whether ``_json_pieces`` writes ``value`` itself rather than handing it
-    to ``_encode``: an iterator, a ``LabeledKnowledge``, a list longer than
-    ``_LIST_CHUNK`` or a dict that holds one."""
-    if isinstance(value, dict):
-        return any(map(_streamed, value.values()))
-    return isinstance(value, (Iterator, LabeledKnowledge)) or (isinstance(value, list) and len(value) > _LIST_CHUNK)
-
-
-def _json_pieces(value: Any) -> Iterator[str]:
-    """``value`` as compact, sorted-key JSON text in pieces whose join is
-    ``_encode(value)``, with an iterator taken as the list of its elements
-    and a ``LabeledKnowledge`` as its ``to_json()``.
-
-    A labeling is written as ``_labeling_text``, an iterator element by
-    element, a long list in chunks of ``_LIST_CHUNK`` elements and a dict
-    holding any of these key by key (its keys are strings): one element of
-    an iterator is built at a time, and no piece encodes more than one chunk
-    of a list. ``_encode`` raises ``TypeError`` on a labeling anywhere else."""
-    if isinstance(value, LabeledKnowledge):
-        yield _labeling_text(value)
-    elif isinstance(value, Iterator):
-        yield "["
-        # No name holds an element, so it is freed before the next is built.
-        for n, pieces in enumerate(map(_json_pieces, value)):
-            if n:
-                yield ","
-            yield from pieces
-        yield "]"
-    elif isinstance(value, list) and len(value) > _LIST_CHUNK:
-        yield "["
-        for start in range(0, len(value), _LIST_CHUNK):
-            yield ("," if start else "") + _encode(value[start:start + _LIST_CHUNK])[1:-1]
-        yield "]"
-    elif isinstance(value, dict) and _streamed(value):
-        yield "{"
-        for n, key in enumerate(sorted(value)):
-            yield ("," if n else "") + _encode(key) + ":"
-            yield from _json_pieces(value[key])
-        yield "}"
-    else:
-        yield _encode(value)
-
-
 def _json_line(doc: dict) -> Iterator[str]:
-    """``doc`` as one JSON line, in pieces: the format of every result file."""
-    yield from _json_pieces(doc)
-    yield "\n"
+    """``doc`` as one line of compact, sorted-key JSON, in pieces: the format
+    of every result file. An iterator value is written as a list, element by
+    element, a labeling as ``_labeling_text``. ``_encode`` takes any other
+    value or element whole, and raises ``TypeError`` on a labeling in it."""
+    yield "{"
+    for n, key in enumerate(sorted(doc)):
+        yield ("," if n else "") + _encode(key) + ":"
+        value = doc[key]
+        if isinstance(value, Iterator):
+            yield "["
+            for m, element in enumerate(value):
+                if m:
+                    yield ","  # a piece of its own: joined onto a labeling's text, it would copy it
+                yield _labeling_text(element) if isinstance(element, LabeledKnowledge) else _encode(element)
+            yield "]"
+        else:
+            yield _encode(value)
+    yield "}\n"
 
 
 def _write_json_line(path: Path, doc: dict) -> None:
@@ -424,9 +392,12 @@ def write_run_outputs(result: RunResult, out_dir: Path | str) -> Path:
     is replaced: the datasets go to a hidden staging directory and
     result.json to a hidden sibling file, which then replace ``datasets``
     and result.json. A failed write leaves an earlier run's files as they
-    were, and the ``datasets`` directory never holds an earlier run's."""
+    were, and the ``datasets`` directory never holds an earlier run's. A
+    result.json that is a directory is refused before anything is written."""
     out = Path(out_dir)
     result_path = out / "result.json"
+    if result_path.is_dir() and not result_path.is_symlink():
+        raise OSError(f"{result_path} is a directory; only a file is replaced")
     pending = _hidden_sibling(result_path, "partial")
 
     def write_all(data_dir: Path) -> None:

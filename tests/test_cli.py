@@ -623,6 +623,23 @@ def test_a_link_or_file_where_a_directory_is_replaced_exits_3_and_writes_nothing
     assert sorted(p.name for p in out.iterdir()) == names
 
 
+def test_a_result_json_that_is_a_directory_exits_3_and_writes_nothing(config_path, tmp_path, capsys):
+    # Refused before the datasets are replaced: renaming over a directory
+    # fails only after the new datasets are swapped in.
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config_path), "--out", str(out), "--quiet"]
+    assert main(argv + ["--seed", "1"]) == EXIT_OK
+    result = out / "result.json"
+    result.rename(out / "r.bak")
+    result.mkdir()
+    capsys.readouterr()
+    before, entries = _files(out), sorted(out.rglob("*"))
+    assert main(argv + ["--seed", "2"]) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {result} is a directory; only a file is replaced\n"
+    assert _files(out) == before
+    assert sorted(out.rglob("*")) == entries
+
+
 def test_a_sweep_worker_that_dies_exits_1_with_one_error_line(config_path, tmp_path, monkeypatch, capsys):
     parent = os.getpid()
 

@@ -47,7 +47,7 @@ from ktsim.mining import (
     mine,
     phi_coefficient,
 )
-from ktsim.orchestrator import _encode, _json_pieces, _labeling_text
+from ktsim.orchestrator import _encode, _json_line, _labeling_text
 
 from claimref import _kb, claim, claims_of, labeling, negate, pair_keys, truth, weighted_claims
 
@@ -303,7 +303,7 @@ def test_labeling_arrays_match_per_entry_references(data, m):
     expected = ref_label(found, prior, params)
     # PairColumns equality ignores dtype, so an integer column would pass every other assert.
     assert (out.keys.dtype, out.dep.dtype, out.from_prior.dtype) == (np.int64, bool, bool)
-    written = json.loads("".join(_json_pieces(out.to_json())))
+    written = json.loads(_encode(out.to_json()))
     assert written == {"teams": list(teams), "claims": [_record(c, o) for c, o in expected]}
     negated = [(negate(c) if o == ORIGIN_PRIOR else c, o) for c, o in expected]
     assert negate_passthrough(out).entries == [_record(c, o) for c, o in negated]
@@ -345,7 +345,7 @@ def labelings(draw):
 def test_labeling_json_text_is_the_encoding_of_its_records(lk):
     expected = _encode({"teams": list(lk.teams), "claims": lk.entries})
     assert _labeling_text(lk) == _encode(lk.to_json()) == expected
-    assert "".join(_json_pieces(lk)) == expected
+    assert "".join(_json_line({"labelings": iter([lk])})) == f'{{"labelings":[{expected}]}}\n'
 
 
 def _column_values(cls):

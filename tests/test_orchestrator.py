@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Iterator
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,8 @@ from ktsim.labeling import LabeledKnowledge
 from ktsim.mining import phi_coefficient
 from ktsim.orchestrator import (
     _encode,
-    _json_pieces,
+    _json_line,
+    _labeling_text,
     replicate_seed,
     run,
     sweep,
@@ -352,8 +354,8 @@ def test_writers_build_no_per_claim_record(tmp_path, monkeypatch):
     assert len(list((tmp_path / "sweep").glob("combo*/rep0.json"))) == 8
 
 
-def _pieces(value):
-    return "".join(_json_pieces(value))
+def _line(doc):
+    return "".join(_json_line(doc))
 
 
 #: A pattern label on (0, 1) and a pass-through on (2, 3), and its JSON text.
@@ -366,21 +368,53 @@ LABELING_TEXT = (
 )
 
 
-def test_a_labeling_is_streamed_wherever_the_writer_streams():
-    assert _pieces(LABELING) == LABELING_TEXT == _encode(LABELING.to_json())
-    assert _pieces({"z": LABELING, "b": [2]}) == f'{{"b":[2],"z":{LABELING_TEXT}}}'
-    assert _pieces({"outer": {"inner": LABELING}}) == f'{{"outer":{{"inner":{LABELING_TEXT}}}}}'
-    assert _pieces(iter([LABELING, 3, {"f": LABELING}])) == f'[{LABELING_TEXT},3,{{"f":{LABELING_TEXT}}}]'
+def test_the_writer_streams_the_elements_of_top_level_iterators():
+    assert _labeling_text(LABELING) == LABELING_TEXT == _encode(LABELING.to_json())
+    doc = {"z": iter([LABELING, 3, {"f": [1]}]), "b": [2], "e": iter([])}
+    assert _line(doc) == f'{{"b":[2],"e":[],"z":[{LABELING_TEXT},3,{{"f":[1]}}]}}\n'
 
 
 @pytest.mark.parametrize("value", [
     [LABELING],
     [{"claims": LABELING}],
     {"rows": [LABELING]},
-], ids=["in-a-list", "in-a-dict-in-a-list", "in-a-list-in-a-dict"])
+    LABELING,
+    iter([{"f": LABELING}]),
+], ids=["in-a-list", "in-a-dict-in-a-list", "in-a-list-in-a-dict", "a-value", "in-a-dict-in-an-iterator"])
 def test_a_labeling_the_writer_hands_to_the_encoder_fails_loudly(value):
     with pytest.raises(TypeError, match="LabeledKnowledge is not JSON serializable"):
-        _pieces(value)
+        _line({"x": value})
+
+
+def _listed(doc):
+    """``doc`` with every iterator listed and every labeling as its ``to_json()``."""
+    def plain(value):
+        return value.to_json() if isinstance(value, LabeledKnowledge) else value
+
+    return {k: list(map(plain, v)) if isinstance(v, Iterator) else v for k, v in doc.items()}
+
+
+DEFAULT = default_scenario().to_json()
+
+
+@pytest.mark.parametrize("config", [
+    DEFAULT,
+    READ_GRAPH_CONFIG,
+    {**DEFAULT, "m": 300},
+    {**DEFAULT, "m": 64, "experiment": {**DEFAULT["experiment"], "target_width": 48, "samples": 2000}},
+], ids=["default", "read-graph", "m300", "wide"])
+def test_every_document_is_written_as_the_encoder_writes_it_listed(config):
+    # m=300 gives 300 parents and the wide run 1,128 patterns per column:
+    # lists longer than the 256 elements the writer once encoded at a time.
+    result = run(scenario_from_dict(config), 3)
+    assert len(result.ground_truth.parents) == config["m"]
+    if config["m"] == 64:
+        assert {len(info.patterns) for _, info in result.informations} == {1128}
+    for doc in (result.doc, result.upstream_doc, result.downstream_doc):
+        written, expected = _line(doc()), _encode(_listed(doc())) + "\n"
+        # Where they first differ: pytest's own diff of two long lines takes minutes.
+        first_difference = None if written == expected else len(os.path.commonprefix([written, expected]))
+        assert first_difference is None
 
 
 def test_a_labeling_is_never_written_as_a_quoted_string():
