@@ -405,7 +405,7 @@ DEFAULT = default_scenario().to_json()
 ], ids=["default", "read-graph", "m300", "wide"])
 def test_every_document_is_written_as_the_encoder_writes_it_listed(config):
     # m=300 gives 300 parents and the wide run 1,128 patterns per column:
-    # lists longer than the 256 elements the writer once encoded at a time.
+    # long lists, which the writer encodes whole.
     result = run(scenario_from_dict(config), 3)
     assert len(result.ground_truth.parents) == config["m"]
     if config["m"] == 64:
